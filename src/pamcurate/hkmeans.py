@@ -57,13 +57,41 @@ def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
     return m / norms[:, None]
 
 
-def nearest_centroids(points: np.ndarray, centroids: np.ndarray, block_elems: int = 1 << 23):
+def nearest_centroids(points: np.ndarray, centroids: np.ndarray, block_elems: int = 1 << 20):
     """Nearest centroid per point by squared Euclidean distance.
 
     Returns ``(indices, squared_distances)``.  Ties go to the lowest
-    centroid index.  Distances are accumulated with explicit differences in
-    float64, blockwise to bound memory; the blocking does not change the
-    per-pair arithmetic, so results are independent of the block size.
+    centroid index.  Every distance is the float64 explicit-difference sum
+    ``((x - c) ** 2).sum()``, bit for bit, but only the few centroids that
+    can win are scored that way:
+
+    1. Candidate pass.  One GEMM per block of rows gives the expanded form
+       ``G = ‖x‖² + ‖c‖² − 2·x·c`` (``‖x‖²`` is left out: it is constant
+       along a row).  With unit roundoff ``u`` and
+       ``γ_m = m·u / (1 − m·u)``, every term of ``G`` carries at most
+       ``d + 2`` roundings for any BLAS summation order or FMA use, so
+       ``|G − D| ≤ γ_{d+2}·(‖x‖ + ‖c‖)²`` for the exact distance ``D``.
+       The explicit-difference value ``E`` sums non-negative terms with
+       ``d + 2`` roundings each, so ``|E − D| ≤ γ_{d+2}·D``, and ``D`` is
+       at most ``(‖x‖ + ‖c‖)²`` too.  Hence ``|G − E| ≤ e`` with
+       ``e = 2·γ_{d+2}·(‖x‖ + max‖c‖)²``, and every centroid of minimal
+       ``E`` has ``G ≤ min G + 2e``.  The slack used is ``8·γ_{d+4}`` times
+       the computed ``(‖x‖ + max‖c‖)²``, twice what is needed, so the
+       rounding of the bound itself cannot cut it; the smallest normal
+       float is added to cover underflow.  The bound assumes finite inputs
+       far from overflow; non-finite ``G`` never fails the ``G > threshold``
+       test, so such entries are always re-scored.
+    2. Re-score.  The candidates are gathered into one contiguous 2-d
+       array and scored with the explicit-difference sum, which reduces each
+       row in the same order as a full ``(n, k, d)`` evaluation.  All exact
+       ties of the minimum are candidates, and the pick is the
+       lexicographic minimum of ``(distance, index)``, so the lowest index
+       wins them.  Indices and distances therefore equal the exhaustive
+       explicit-difference search, whatever the BLAS or its thread count.
+
+    ``block_elems`` bounds the ``rows × k`` GEMM block and the
+    ``rows × d`` re-score of one candidate per row; it changes memory use
+    only, never the result.
     """
     points = np.asarray(points, dtype=np.float64)
     centroids = np.asarray(centroids, dtype=np.float64)
@@ -71,22 +99,32 @@ def nearest_centroids(points: np.ndarray, centroids: np.ndarray, block_elems: in
     k = len(centroids)
     if centroids.shape[1] != d:
         raise ValidationError(f"dim mismatch: points have {d}, centroids have {centroids.shape[1]}")
-    best_idx = np.zeros(n, dtype=np.int64)
-    best_d2 = np.full(n, np.inf)
-    k_block = max(1, min(k, block_elems // max(1, d)))
-    rows = max(1, block_elems // (k_block * max(1, d)))
+    if k == 0:
+        raise ValidationError("need at least one centroid")
+    finfo = np.finfo(np.float64)
+    mu = (d + 4) * finfo.eps / 2
+    gamma = mu / (1.0 - mu)
+    c2 = np.einsum("ij,ij->i", centroids, centroids)
+    norms = np.sqrt(np.einsum("ij,ij->i", points, points)) + np.sqrt(c2.max())
+    slack = 8.0 * gamma * norms**2 + finfo.tiny
+    # Scaling by -2 is exact, so the GEMM yields -2·x·c directly.
+    scaled = -2.0 * centroids.T
+    best_idx = np.empty(n, dtype=np.int64)
+    best_d2 = np.empty(n, dtype=np.float64)
+    rows = max(1, block_elems // max(k, d))
     for i0 in range(0, n, rows):
         pts = points[i0 : i0 + rows]
-        for c0 in range(0, k, k_block):
-            block = centroids[c0 : c0 + k_block]
-            d2 = ((pts[:, None, :] - block[None, :, :]) ** 2).sum(axis=2)
-            local = d2.argmin(axis=1)
-            local_d2 = d2[np.arange(len(pts)), local]
-            improved = local_d2 < best_d2[i0 : i0 + len(pts)]
-            sub_idx = best_idx[i0 : i0 + len(pts)]
-            sub_d2 = best_d2[i0 : i0 + len(pts)]
-            sub_idx[improved] = local[improved] + c0
-            sub_d2[improved] = local_d2[improved]
+        approx = pts @ scaled
+        approx += c2
+        threshold = approx.min(axis=1) + slack[i0 : i0 + rows]
+        row, col = np.divmod(np.flatnonzero(~(approx > threshold[:, None])), k)
+        d2 = ((pts[row] - centroids[col]) ** 2).sum(axis=1)
+        # Stable, so equal (row, distance) pairs keep ascending centroid
+        # order and the first entry of each row is its pick.
+        order = np.lexsort((d2, row))
+        pick = order[np.searchsorted(row, np.arange(len(pts)))]
+        best_idx[i0 : i0 + len(pts)] = col[pick]
+        best_d2[i0 : i0 + len(pts)] = d2[pick]
     return best_idx, best_d2
 
 
@@ -397,27 +435,23 @@ def resample_fit(source, k: int, config: FitConfig, init: np.ndarray | None = No
     cs = minibatch_fit(source, k, config, init=init)
     for round_idx in range(1, config.resample_rounds + 1):
         centroids = cs.centroids.astype(np.float64)
-        members: list[list[np.ndarray]] = [[] for _ in range(k)]
-        position = 0
-        for chunk in _iter_chunks(source):
-            batch = _normalize_rows(chunk)
-            idx, _ = nearest_centroids(batch, centroids)
-            for c in np.unique(idx):
-                members[int(c)].append(position + np.flatnonzero(idx == c))
-            position += len(batch)
-        total = position
+        parts = [nearest_centroids(_normalize_rows(chunk), centroids)[0] for chunk in _iter_chunks(source)]
+        if not parts:
+            raise DegenerateFitError(f"resample round {round_idx}: stream yielded no points")
+        assignment = np.concatenate(parts)
+        total = len(assignment)
         quota = -(-total // k)
+        # Stream positions grouped by cluster, ascending within each cluster.
+        members = np.argsort(assignment, kind="stable")
+        sizes = np.bincount(assignment, minlength=k)
+        starts = np.cumsum(sizes) - sizes
         rng = np.random.default_rng((config.seed, round_idx))
-        multiplicity = np.zeros(total, dtype=np.int64)
-        for c in range(k):
-            if not members[c]:
-                continue
-            member_positions = np.concatenate(members[c])
-            if len(member_positions) >= quota:
-                chosen = rng.choice(len(member_positions), size=quota, replace=False)
-            else:
-                chosen = rng.choice(len(member_positions), size=quota, replace=True)
-            np.add.at(multiplicity, member_positions[chosen], 1)
+        chosen = []
+        for c in np.flatnonzero(sizes):
+            count = int(sizes[c])
+            picks = rng.choice(count, size=quota, replace=count < quota)
+            chosen.append(members[starts[c] + picks])
+        multiplicity = np.bincount(np.concatenate(chosen), minlength=total)
 
         def resampled(mult=multiplicity):
             pos = 0

@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 import logging
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
@@ -120,8 +120,10 @@ class SelectionState:
     """Per-leaf bounded collections of the closest windows seen so far.
 
     Heaps hold ``(-distance, -window_id)`` so the root is always the current
-    eviction candidate (greatest distance, then greatest id).  Equality
-    ignores ``evictions``, which depends on arrival order.
+    eviction candidate (greatest distance, then greatest id).  A window id
+    is held at most once per leaf, at its smallest distance, as in
+    :func:`merge`.  Equality ignores ``evictions``, which depends on
+    arrival order.
     """
 
     quotas: np.ndarray
@@ -129,6 +131,11 @@ class SelectionState:
     processed: int = 0
     rejected_shards: int = 0
     evictions: int = 0
+    # Per leaf: window id -> distance of its heap entry.
+    _held: list[dict[int, float]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._held = [{-negid: -neg_d for neg_d, negid in heap} for heap in self.heaps]
 
     @classmethod
     def empty(cls, quotas) -> "SelectionState":
@@ -142,12 +149,23 @@ class SelectionState:
         if cap == 0:
             return
         heap = self.heaps[leaf]
+        held = self._held[leaf]
+        if window_id in held:
+            old = held[window_id]
+            if distance < old:
+                heap[heap.index((-old, -window_id))] = (-distance, -window_id)
+                heapq.heapify(heap)
+                held[window_id] = distance
+            return
         if len(heap) < cap:
             heapq.heappush(heap, (-distance, -window_id))
+            held[window_id] = distance
             return
         worst_d, worst_negid = heap[0]
         if (distance, window_id) < (-worst_d, -worst_negid):
             heapq.heapreplace(heap, (-distance, -window_id))
+            del held[-worst_negid]
+            held[window_id] = distance
             self.evictions += 1
 
     def entries(self, leaf: int) -> list[tuple[float, int]]:
@@ -216,10 +234,8 @@ def merge(a: SelectionState, b: SelectionState) -> SelectionState:
     """
     if not np.array_equal(a.quotas, b.quotas):
         raise ValidationError("cannot merge selection states with different quotas")
-    out = SelectionState.empty(a.quotas)
-    out.processed = a.processed + b.processed
-    out.rejected_shards = a.rejected_shards + b.rejected_shards
-    out.evictions = a.evictions + b.evictions
+    heaps = []
+    evictions = a.evictions + b.evictions
     for leaf in range(len(a.quotas)):
         best: dict[int, float] = {}
         for neg_d, neg_id in a.heaps[leaf] + b.heaps[leaf]:
@@ -228,10 +244,17 @@ def merge(a: SelectionState, b: SelectionState) -> SelectionState:
                 best[wid] = dist
         cap = int(a.quotas[leaf])
         kept = heapq.nsmallest(cap, ((d, wid) for wid, d in best.items()))
-        out.evictions += len(best) - len(kept)
-        out.heaps[leaf] = [(-d, -wid) for d, wid in kept]
-        heapq.heapify(out.heaps[leaf])
-    return out
+        evictions += len(best) - len(kept)
+        heap = [(-d, -wid) for d, wid in kept]
+        heapq.heapify(heap)
+        heaps.append(heap)
+    return SelectionState(
+        quotas=a.quotas,
+        heaps=heaps,
+        processed=a.processed + b.processed,
+        rejected_shards=a.rejected_shards + b.rejected_shards,
+        evictions=evictions,
+    )
 
 
 def count_populations(shards: Iterable[EmbeddingShard], hierarchy: ClusterHierarchy):
@@ -329,6 +352,8 @@ def load_checkpoint(path: str | Path) -> SelectionState:
             wid, dist = struct.unpack_from("<Qd", data, offset)
             offset += 16
             heap.append((-dist, -wid))
+        if len({negid for _, negid in heap}) != size:
+            raise ParseError(f"leaf {leaf} holds a window id twice", path=spath, offset=offset - 16 * size)
         heapq.heapify(heap)
         heaps.append(heap)
     if len(data) != offset:

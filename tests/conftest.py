@@ -42,6 +42,34 @@ def deployment() -> DeploymentConfig:
     )
 
 
+def blocked_nearest_centroids(points, centroids, block_elems: int = 1 << 23):
+    """Exhaustive nearest-centroid reference: explicit float64 differences for
+    every (point, centroid) pair, blockwise over an ``(rows, k_block, d)``
+    array.  Ties go to the lowest index; the blocking does not change the
+    per-pair arithmetic."""
+    points = np.asarray(points, dtype=np.float64)
+    centroids = np.asarray(centroids, dtype=np.float64)
+    n, d = points.shape
+    k = len(centroids)
+    best_idx = np.zeros(n, dtype=np.int64)
+    best_d2 = np.full(n, np.inf)
+    k_block = max(1, min(k, block_elems // max(1, d)))
+    rows = max(1, block_elems // (k_block * max(1, d)))
+    for i0 in range(0, n, rows):
+        pts = points[i0 : i0 + rows]
+        for c0 in range(0, k, k_block):
+            block = centroids[c0 : c0 + k_block]
+            d2 = ((pts[:, None, :] - block[None, :, :]) ** 2).sum(axis=2)
+            local = d2.argmin(axis=1)
+            local_d2 = d2[np.arange(len(pts)), local]
+            improved = local_d2 < best_d2[i0 : i0 + len(pts)]
+            sub_idx = best_idx[i0 : i0 + len(pts)]
+            sub_d2 = best_d2[i0 : i0 + len(pts)]
+            sub_idx[improved] = local[improved] + c0
+            sub_d2[improved] = local_d2[improved]
+    return best_idx, best_d2
+
+
 def random_shard(rng: np.random.Generator, n: int, dim: int) -> EmbeddingShard:
     ids = np.unique(rng.integers(0, 2**62, size=2 * n + 16, dtype=np.uint64))[:n]
     vectors = rng.standard_normal((n, dim)).astype(np.float32)

@@ -1,7 +1,10 @@
+import hashlib
 import json
 from pathlib import Path
 
-from pamcurate.cli import main
+import numpy as np
+
+from pamcurate.cli import _sha256, main
 from pamcurate.core_model import read_manifest
 from conftest import build_pipeline_fixture
 
@@ -237,3 +240,13 @@ class TestStats:
 
     def test_stats_requires_some_input(self, tmp_path):
         assert run("stats", "--out", tmp_path / "o") == 2
+
+
+class TestRunRecord:
+    def test_hash_streams_large_files(self, tmp_path):
+        path = tmp_path / "blob.bin"
+        path.write_bytes(np.random.default_rng(5).bytes(3 * (1 << 20) + 7))
+        assert _sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+        empty = tmp_path / "empty.bin"
+        empty.write_bytes(b"")
+        assert _sha256(empty) == hashlib.sha256(b"").hexdigest()

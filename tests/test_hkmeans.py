@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pamcurate.errors import DegenerateFitError, ParseError, ValidationError
 from pamcurate.hkmeans import (
@@ -19,6 +22,7 @@ from pamcurate.hkmeans import (
     save_model,
 )
 from pamcurate.synth import MixtureSpec, gen_mixture, lloyd_reference
+from conftest import blocked_nearest_centroids
 
 
 def norm_rows(x):
@@ -74,6 +78,64 @@ class TestNearestCentroids:
     def test_exact_tie_prefers_lower_index(self):
         idx, _ = nearest_centroids(np.array([[0.5, 0.5]]), np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert idx[0] == 0
+
+    def test_single_point_single_centroid(self):
+        idx, d2 = nearest_centroids(np.array([[3.0, 4.0]]), np.array([[0.0, 0.0]]))
+        assert idx.tolist() == [0] and d2.tolist() == [25.0]
+
+    def test_no_points_and_no_centroids(self):
+        idx, d2 = nearest_centroids(np.zeros((0, 3)), np.ones((2, 3)))
+        assert idx.shape == (0,) and d2.shape == (0,)
+        with pytest.raises(ValidationError):
+            nearest_centroids(np.ones((2, 3)), np.zeros((0, 3)))
+        with pytest.raises(ValidationError):
+            nearest_centroids(np.ones((2, 3)), np.ones((2, 4)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_exhaustive_reference_on_planted_ties(self, data):
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        n = data.draw(st.integers(1, 24))
+        k = data.draw(st.integers(1, 24))
+        # 128 is the block size of numpy's pairwise summation.
+        d = data.draw(st.one_of(st.integers(1, 24), st.integers(120, 140), st.sampled_from([255, 256, 257, 300])))
+        block_elems = data.draw(st.sampled_from([1, 5, 64, 1000, 1 << 20]))
+        rng = np.random.default_rng(seed)
+        points = norm_rows(rng.normal(size=(n, d)) + 1e-3)
+        centroids = norm_rows(rng.normal(size=(k, d)) + 1e-3) * rng.uniform(0.3, 1.0, size=(k, 1))
+        if data.draw(st.booleans(), label="float32 centroids"):
+            centroids = centroids.astype(np.float32).astype(np.float64)
+        if k > 1 and data.draw(st.booleans(), label="duplicate centroid"):
+            centroids[rng.integers(k)] = centroids[rng.integers(k)]
+        if k > 1 and data.draw(st.booleans(), label="one-ulp neighbour"):
+            centroids[rng.integers(k)] = np.nextafter(centroids[rng.integers(k)], np.inf)
+        if data.draw(st.booleans(), label="point on a centroid"):
+            points[rng.integers(n)] = centroids[rng.integers(k)]
+        if k > 1 and data.draw(st.booleans(), label="equidistant pair"):
+            # Mirror one centroid in coordinate j and put the point on the
+            # mirror plane: both differences square to the same term.
+            a, b = rng.choice(k, size=2, replace=False)
+            j = rng.integers(d)
+            centroids[b] = centroids[a]
+            centroids[b, j] = -centroids[a, j]
+            points[rng.integers(n), j] = 0.0
+        idx, d2 = nearest_centroids(points, centroids, block_elems=block_elems)
+        ref_idx, ref_d2 = blocked_nearest_centroids(points, centroids)
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(d2.view(np.int64), ref_d2.view(np.int64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_exhaustive_reference_on_raw_floats(self, data):
+        n, k, d = (data.draw(st.integers(1, hi)) for hi in (6, 6, 140))
+        values = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+        points = data.draw(arrays(np.float64, (n, d), elements=values))
+        centroids = data.draw(arrays(np.float64, (k, d), elements=values))
+        block_elems = data.draw(st.sampled_from([1, 3, 1 << 20]))
+        idx, d2 = nearest_centroids(points, centroids, block_elems=block_elems)
+        ref_idx, ref_d2 = blocked_nearest_centroids(points, centroids)
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(d2.view(np.int64), ref_d2.view(np.int64))
 
 
 class TestMinibatchFit:

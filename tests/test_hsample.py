@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from pamcurate.hsample import (
     stream_select,
 )
 from pamcurate.synth import exact_topn_per_cluster
-from conftest import T0, make_hierarchy
+from conftest import T0, make_hierarchy, random_shard
 
 
 def one_leaf_hierarchy():
@@ -210,6 +212,43 @@ class TestMerge:
         )
         assert merged == whole
 
+    def test_overlapping_shards_stream_equals_merge_of_any_partition(self):
+        rng = np.random.default_rng(23)
+        hierarchy = make_hierarchy(rng, ks=(4, 2), dim=3)
+        quotas = np.array([3, 5, 2, 4])
+        base = random_shard(rng, 200, 3)
+        ids, vectors = base.window_ids, base.vectors
+        # Rows 80..119 sit in the first two shards, rows 150..169 in the last two.
+        shards = [
+            EmbeddingShard(dim=3, window_ids=ids[:120], vectors=vectors[:120]),
+            EmbeddingShard(dim=3, window_ids=ids[80:170], vectors=vectors[80:170]),
+            EmbeddingShard(dim=3, window_ids=ids[150:], vectors=vectors[150:]),
+        ]
+        whole = stream_select(shards, hierarchy, quotas)
+        for leaf in range(len(quotas)):
+            leaf_ids = [wid for _, wid in whole.entries(leaf)]
+            assert len(leaf_ids) == len(set(leaf_ids))
+        assert whole.size() == len(whole.selected_ids())
+        for labels in itertools.product(range(3), repeat=3):
+            parts = [[s for s, g in zip(shards, labels) if g == group] for group in set(labels)]
+            states = [stream_select(part[::-1], hierarchy, quotas) for part in parts]
+            merged = states[0]
+            for state in states[1:]:
+                merged = merge(merged, state)
+            assert merged == whole
+
+    def test_push_holds_each_id_once_at_its_smallest_distance(self):
+        state = SelectionState.empty([2])
+        state.push(0, 7, 0.5)
+        state.push(0, 7, 0.2)
+        state.push(0, 7, 0.9)
+        assert state.entries(0) == [(0.2, 7)]
+        state.push(0, 3, 0.3)
+        state.push(0, 1, 0.1)  # evicts id 3
+        state.push(0, 3, 0.05)  # returns closer than the current worst
+        assert state.entries(0) == [(0.05, 3), (0.1, 1)]
+        assert state.evictions == 2
+
 
 class TestEmitAndPopulations:
     def _deployment_with_windows(self, count):
@@ -308,6 +347,14 @@ class TestCheckpoint:
         with pytest.raises(ParseError) as err:
             load_checkpoint(path)
         assert err.value.offset == 0
+
+    def test_duplicate_id_in_leaf_rejected(self, tmp_path):
+        state = SelectionState(quotas=np.array([2, 3]), heaps=[[], [(-0.5, -9), (-0.25, -9)]])
+        path = tmp_path / "dup.ckpt"
+        save_checkpoint(state, path)
+        with pytest.raises(ParseError) as err:
+            load_checkpoint(path)
+        assert err.value.offset == 44 + 16 + 16
 
     def test_truncation_detected(self, tmp_path):
         state = SelectionState.empty([2, 1])
