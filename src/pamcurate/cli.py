@@ -18,13 +18,7 @@ from functools import reduce
 from pathlib import Path
 
 from . import ais_curate, assemble_ssl, geo_align, hkmeans, hsample
-from .core_model import (
-    CurationManifest,
-    load_deployment,
-    read_manifest,
-    read_shard,
-    write_manifest,
-)
+from .core_model import CurationManifest, load_deployment, read_manifest, read_shard, write_atomic, write_manifest
 from .errors import PamCurateError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -39,7 +33,7 @@ def _sha256(path: Path) -> str:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_run_record(out_dir: Path, stage: str, flags: dict, seed, inputs, outputs) -> Path:
@@ -224,24 +218,22 @@ def cmd_sample(args) -> int:
 
 
 def _select_with_checkpoint(shard_paths, hierarchy, quotas, checkpoint: Path) -> hsample.SelectionState:
-    """Resume-capable selection: state plus a list of finished shards."""
-    done_path = checkpoint.with_suffix(checkpoint.suffix + ".done")
-    state = None
-    done: set[str] = set()
+    """Resume-capable selection.  The checkpoint holds the state and the
+    SHA-256 of each shard folded into it; a resumed run must have the same
+    quotas and list those shards first, in the same order, and continues
+    with the next one."""
+    digests = [bytes.fromhex(_sha256(p)) for p in shard_paths]
+    state = hsample.SelectionState.empty(quotas.leaf_quotas)
     if checkpoint.exists():
         state = hsample.load_checkpoint(checkpoint)
-        if done_path.exists():
-            done = set(done_path.read_text(encoding="utf-8").splitlines())
-        logger.info("resuming from %s (%d shards done)", checkpoint, len(done))
-    for path in shard_paths:
-        if str(path) in done:
-            continue
-        state = hsample.stream_select([read_shard(path)], hierarchy, quotas, state=state)
+    done = len(state.shard_digests)
+    if state.shard_digests != digests[:done] or state.quotas.tolist() != quotas.leaf_quotas.tolist():
+        raise ValidationError(f"checkpoint {checkpoint} was written for other shards, --shards order or quotas")
+    logger.info("checkpoint %s: %d of %d shards already done", checkpoint, done, len(digests))
+    for i in range(done, len(shard_paths)):
+        state = hsample.stream_select([read_shard(shard_paths[i])], hierarchy, quotas, state=state)
+        state.shard_digests.append(digests[i])
         hsample.save_checkpoint(state, checkpoint)
-        done.add(str(path))
-        done_path.write_text("\n".join(sorted(done)) + "\n", encoding="utf-8")
-    if state is None:
-        state = hsample.SelectionState.empty(quotas.leaf_quotas)
     return state
 
 
@@ -257,7 +249,7 @@ def cmd_assemble(args) -> int:
     summary_json = out / "summary.json"
     _write_json(summary_json, summary)
     summary_txt = out / "summary.txt"
-    summary_txt.write_text(assemble_ssl.format_summary(summary), encoding="utf-8")
+    write_atomic(summary_txt, assemble_ssl.format_summary(summary))
     _write_run_record(
         out,
         "assemble",
@@ -284,9 +276,7 @@ def cmd_stats(args) -> int:
         hist = ais_curate.histogram(aligned)
         curve = ais_curate.occurrence_curve(hist)
         curve_path = out / "occurrence_curve.csv"
-        with open(curve_path, "w", encoding="utf-8", newline="\n") as fh:
-            for rank, count in curve:
-                fh.write(f"{rank},{count}\n")
+        write_atomic(curve_path, "".join(f"{rank},{count}\n" for rank, count in curve))
         outputs.append(curve_path)
         inputs.append(Path(args.aligned))
         payload.update({"ships": hist.total_ships, "aligned_windows": hist.total_windows})
@@ -301,9 +291,7 @@ def cmd_stats(args) -> int:
     if args.config:
         config = load_deployment(args.config)
         hydro_path = out / "hydrophones.csv"
-        with open(hydro_path, "w", encoding="utf-8", newline="\n") as fh:
-            for h in config.hydrophones:
-                fh.write(f"{h.id},{h.location.lat},{h.location.lon}\n")
+        write_atomic(hydro_path, "".join(f"{h.id},{h.location.lat},{h.location.lon}\n" for h in config.hydrophones))
         outputs.append(hydro_path)
         inputs.append(Path(args.config))
     if not inputs:
@@ -386,10 +374,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PamCurateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (PamCurateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,14 +12,19 @@ File formats owned by this module:
 * Curation manifest (UTF-8 text): one ``key=value`` record per line in
   canonical key order, lines sorted by ``window_id``.
 * Deployment config (JSON): hydrophones with locations and recordings.
+
+Every file the package writes goes through :func:`write_atomic`, so a
+crashed writer leaves either the old file or the complete new one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import struct
+import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from operator import attrgetter
@@ -48,6 +53,27 @@ _BY_WINDOW_ID = attrgetter("window_id")
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_.\-]+\Z")
 _U64_MAX = 2**64 - 1
 _token_cache: set[str] = set()
+_UMASK = os.umask(0o022)  # mkstemp creates 0600 files; outputs get 0666 & ~umask
+os.umask(_UMASK)
+
+
+def write_atomic(path: str | Path, data: bytes | str) -> None:
+    """Replace ``path`` with ``data`` (a ``str`` is written as UTF-8) through
+    a fsynced temporary file in the same directory and :func:`os.replace`,
+    so ``path`` only ever holds the old or the complete new bytes.  On any
+    exception the temporary file is removed."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+            fh.flush()
+            os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _require_token(value: str, what: str) -> str:
@@ -248,14 +274,10 @@ class EmbeddingShard:
 
 
 def write_shard(shard: EmbeddingShard, path: str | Path) -> None:
-    n = len(shard)
-    with open(path, "wb") as fh:
-        fh.write(SHARD_MAGIC)
-        fh.write(struct.pack("<IQ", shard.dim, n))
-        record = np.empty(n, dtype=_record_dtype(shard.dim))
-        record["window_id"] = shard.window_ids
-        record["vector"] = shard.vectors
-        fh.write(record.tobytes())
+    record = np.empty(len(shard), dtype=_record_dtype(shard.dim))
+    record["window_id"] = shard.window_ids
+    record["vector"] = shard.vectors
+    write_atomic(path, b"".join((SHARD_MAGIC, struct.pack("<IQ", shard.dim, len(shard)), record)))
 
 
 def _record_dtype(dim: int) -> np.dtype:
@@ -394,10 +416,7 @@ def _entry_from_line(line: str, lineno: int, path: str) -> ManifestEntry:
 
 
 def write_manifest(manifest: CurationManifest, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for e in manifest.entries:
-            fh.write(_entry_to_line(e))
-            fh.write("\n")
+    write_atomic(path, "".join(_entry_to_line(e) + "\n" for e in manifest.entries))
 
 
 def read_manifest(path: str | Path) -> CurationManifest:
@@ -492,4 +511,4 @@ def save_deployment(config: DeploymentConfig, path: str | Path) -> None:
             for h in config.hydrophones
         ]
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")

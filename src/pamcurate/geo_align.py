@@ -25,6 +25,7 @@ from .core_model import (
     WINDOW_S,
     parse_utc,
     window_id_of,
+    write_atomic,
 )
 from .errors import ParseError, ValidationError
 
@@ -214,10 +215,7 @@ def read_ais_csv(path: str | Path) -> tuple[list[AisPulse], int]:
 def write_sidecar(aligned: AlignedWindowSet, path: str | Path) -> None:
     """Write ``window_id,mmsi`` lines, sorted lexicographically as strings."""
     lines = sorted(f"{wid},{mmsi}" for wid, mmsi in aligned.to_pairs())
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
+    write_atomic(path, "".join(line + "\n" for line in lines))
 
 
 def read_sidecar(path: str | Path) -> list[tuple[int, int]]:

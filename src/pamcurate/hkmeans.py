@@ -23,6 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .core_model import write_atomic
 from .errors import DegenerateFitError, ParseError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -542,15 +543,11 @@ def save_model(hierarchy: ClusterHierarchy, path: str | Path) -> None:
     """Binary layout: magic, u32 level count, u32 dim, per level
     ``u32 k + k*u64 counts + k*dim*f32 centroids``, then the parent arrays
     (``k_l * u32`` each), all little-endian."""
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<II", len(hierarchy.levels), hierarchy.dim))
-        for cs in hierarchy.levels:
-            fh.write(struct.pack("<I", cs.k))
-            fh.write(cs.counts.astype("<u8").tobytes())
-            fh.write(cs.centroids.astype("<f4").tobytes())
-        for pmap in hierarchy.parents:
-            fh.write(pmap.astype("<u4").tobytes())
+    parts = [MODEL_MAGIC, struct.pack("<II", len(hierarchy.levels), hierarchy.dim)]
+    for cs in hierarchy.levels:
+        parts += [struct.pack("<I", cs.k), cs.counts.astype("<u8").tobytes(), cs.centroids.astype("<f4").tobytes()]
+    parts += [pmap.astype("<u4").tobytes() for pmap in hierarchy.parents]
+    write_atomic(path, b"".join(parts))
 
 
 def load_model(path: str | Path) -> ClusterHierarchy:

@@ -21,14 +21,15 @@ from typing import Iterable
 
 import numpy as np
 
-from .core_model import AudioWindow, EmbeddingShard, ManifestEntry
+from .core_model import AudioWindow, EmbeddingShard, ManifestEntry, write_atomic
 from .errors import ParseError, ValidationError
 from .hkmeans import ClusterHierarchy, assign_batch
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_MAGIC = b"PAMSEL01"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_MAGIC = b"PAMSEL02"
+CHECKPOINT_VERSION = 2
+_ENTRY = np.dtype([("window_id", "<u8"), ("distance", "<f8")])
 
 # Sample budget of the full-corpus deployment.
 PRODUCTION_TARGET_N = 323_532
@@ -122,8 +123,9 @@ class SelectionState:
     Heaps hold ``(-distance, -window_id)`` so the root is always the current
     eviction candidate (greatest distance, then greatest id).  A window id
     is held at most once per leaf, at its smallest distance, as in
-    :func:`merge`.  Equality ignores ``evictions``, which depends on
-    arrival order.
+    :func:`merge`.  ``shard_digests`` lists the SHA-256 of each shard file
+    folded in by a checkpointed run.  Equality ignores ``evictions`` and
+    ``shard_digests``, which depend on arrival order.
     """
 
     quotas: np.ndarray
@@ -131,6 +133,7 @@ class SelectionState:
     processed: int = 0
     rejected_shards: int = 0
     evictions: int = 0
+    shard_digests: list[bytes] = field(default_factory=list)
     # Per leaf: window id -> distance of its heap entry.
     _held: list[dict[int, float]] = field(init=False, repr=False, compare=False)
 
@@ -303,25 +306,20 @@ def emit(
 
 
 def save_checkpoint(state: SelectionState, path: str | Path) -> None:
-    """Versioned binary snapshot of a selection state; entries are stored
-    canonically sorted so identical states produce identical bytes."""
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(
-            struct.pack(
-                "<IQQQQ",
-                CHECKPOINT_VERSION,
-                len(state.quotas),
-                state.processed,
-                state.rejected_shards,
-                state.evictions,
-            )
-        )
-        for leaf in range(len(state.quotas)):
-            entries = state.entries(leaf)
-            fh.write(struct.pack("<QQ", int(state.quotas[leaf]), len(entries)))
-            for dist, wid in entries:
-                fh.write(struct.pack("<Qd", wid, dist))
+    """Atomically replace ``path`` with a snapshot of ``state``: magic
+    ``PAMSEL02``, ``u32 version``, ``u64`` leaf count / processed / rejected
+    / evictions; per leaf ``u64 quota``, ``u64 size`` and the entries as
+    ``u64 window_id`` + ``f64 distance``, best first; then ``u64 n`` and the
+    ``n`` 32-byte ``state.shard_digests``.  Identical states give identical
+    bytes, and a crash leaves the previous file whole, so it alone is the
+    resume state of a checkpointed run."""
+    counts = (CHECKPOINT_VERSION, len(state.quotas), state.processed, state.rejected_shards, state.evictions)
+    parts = [CHECKPOINT_MAGIC, struct.pack("<IQQQQ", *counts)]
+    for leaf in range(len(state.quotas)):
+        entries = np.array([(wid, dist) for dist, wid in state.entries(leaf)], dtype=_ENTRY)
+        parts += [struct.pack("<QQ", int(state.quotas[leaf]), len(entries)), entries.tobytes()]
+    parts += [struct.pack("<Q", len(state.shard_digests)), *state.shard_digests]
+    write_atomic(path, b"".join(parts))
 
 
 def load_checkpoint(path: str | Path) -> SelectionState:
@@ -334,6 +332,8 @@ def load_checkpoint(path: str | Path) -> SelectionState:
     version, leaf_count, processed, rejected, evictions = struct.unpack_from("<IQQQQ", data, 8)
     if version != CHECKPOINT_VERSION:
         raise ParseError(f"unsupported checkpoint version {version}", path=spath, offset=8)
+    if leaf_count > (len(data) - 44) // 16:
+        raise ParseError(f"leaf count {leaf_count} exceeds the file size", path=spath, offset=12)
     offset = 44
     quotas = np.zeros(leaf_count, dtype=np.int64)
     heaps: list[list[tuple[float, int]]] = []
@@ -344,24 +344,23 @@ def load_checkpoint(path: str | Path) -> SelectionState:
         offset += 16
         if size > quota:
             raise ParseError(f"leaf {leaf} holds {size} entries over quota {quota}", path=spath, offset=offset - 16)
+        if quota > np.iinfo(np.int64).max:
+            raise ParseError(f"leaf {leaf} quota {quota} exceeds the int64 range", path=spath, offset=offset - 16)
         if len(data) < offset + 16 * size:
             raise ParseError(f"leaf {leaf} entries truncated", path=spath, offset=offset)
         quotas[leaf] = quota
-        heap = []
-        for _ in range(size):
-            wid, dist = struct.unpack_from("<Qd", data, offset)
-            offset += 16
-            heap.append((-dist, -wid))
-        if len({negid for _, negid in heap}) != size:
-            raise ParseError(f"leaf {leaf} holds a window id twice", path=spath, offset=offset - 16 * size)
+        entries = np.frombuffer(data, dtype=_ENTRY, count=size, offset=offset)
+        if len(np.unique(entries["window_id"])) != size:
+            raise ParseError(f"leaf {leaf} holds a window id twice", path=spath, offset=offset)
+        offset += 16 * size
+        heap = [(-d, -w) for w, d in zip(entries["window_id"].tolist(), entries["distance"].tolist())]
         heapq.heapify(heap)
         heaps.append(heap)
-    if len(data) != offset:
-        raise ParseError(f"{len(data) - offset} trailing bytes", path=spath, offset=offset)
-    return SelectionState(
-        quotas=quotas,
-        heaps=heaps,
-        processed=processed,
-        rejected_shards=rejected,
-        evictions=evictions,
-    )
+    if len(data) < offset + 8:
+        raise ParseError("shard digest count truncated", path=spath, offset=offset)
+    (n,) = struct.unpack_from("<Q", data, offset)
+    offset += 8
+    if len(data) != offset + 32 * n:
+        raise ParseError(f"{n} shard digests need {32 * n} bytes, got {len(data) - offset}", path=spath, offset=offset)
+    digests = [data[i : i + 32] for i in range(offset, len(data), 32)]
+    return SelectionState(quotas, heaps, processed, rejected, evictions, digests)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import (
+from pamcurate.core_model import (
     AisPulse,
     DeploymentConfig,
     GeoPoint,
@@ -23,7 +23,7 @@ from .core_model import (
     parse_utc,
     window_id_of,
 )
-from .errors import ValidationError
+from pamcurate.errors import ValidationError
 
 # ---------------------------------------------------------------------------
 # Gaussian mixtures

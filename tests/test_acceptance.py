@@ -30,8 +30,8 @@ from pamcurate.hsample import (
     save_checkpoint,
     stream_select,
 )
-from pamcurate.synth import MixtureSpec, gen_mixture, kneedle_dense_oracle, lloyd_reference
-from pamcurate.synth import exact_topn_per_cluster
+from synth import MixtureSpec, gen_mixture, kneedle_dense_oracle, lloyd_reference
+from synth import exact_topn_per_cluster
 
 from conftest import build_pipeline_fixture, make_hierarchy, random_shard
 from test_ais_curate import make_aligned

@@ -13,7 +13,7 @@ from pamcurate.ais_curate import (
 from pamcurate.core_model import DeploymentConfig, GeoPoint, Hydrophone, Recording
 from pamcurate.errors import ValidationError
 from pamcurate.geo_align import AlignedWindowSet
-from pamcurate.synth import TrafficSpec, gen_traffic, kneedle_dense_oracle
+from synth import TrafficSpec, gen_traffic, kneedle_dense_oracle
 from conftest import T0
 
 

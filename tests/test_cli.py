@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
+import struct
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from pamcurate import hsample
 from pamcurate.cli import _sha256, main
-from pamcurate.core_model import read_manifest
+from pamcurate.core_model import EmbeddingShard, read_manifest, read_shard, write_shard
 from conftest import build_pipeline_fixture
 
 GOLDEN_DIR = Path(__file__).parent / "data"
@@ -218,6 +222,120 @@ class TestFullPipeline:
         args[-1] = tmp_path / "ck2"
         assert run(*args) == 0
         assert (tmp_path / "ck2" / "manifest_hkmeans.txt").read_bytes() == first
+
+
+class Crash(BaseException):
+    """Stands in for the process dying: nothing in the program catches it."""
+
+
+class TestCheckpointCrashResume:
+    """A checkpointed ``sample`` killed during or right after any checkpoint
+    write resumes to the outputs of an uninterrupted run."""
+
+    OUTPUTS = ("manifest_hkmeans.txt", "sample_stats.json")
+
+    @pytest.fixture
+    def setup(self, tmp_path):
+        fixture = build_pipeline_fixture(tmp_path / "fx")
+        out = tmp_path / "out"
+        run_pipeline(fixture, out)
+        expected = {name: (out / name).read_bytes() for name in self.OUTPUTS}
+        return fixture, out, expected
+
+    @staticmethod
+    def sample_args(fixture, out, ckpt, dest, shards=None):
+        return [
+            "sample",
+            "--config", fixture["config"],
+            "--model", out / "model.bin",
+            "--shards", *(shards or fixture["shards"]),
+            "--target-n", 60,
+            "--checkpoint", ckpt,
+            "--out", dest,
+        ]
+
+    @staticmethod
+    def crash_at(monkeypatch, ckpt, k, inside):
+        """Crash in the k-th checkpoint write (its rename fails) or right after it returns."""
+        writes = 0
+        if inside:
+            real_replace = os.replace
+
+            def replace(src, dst):
+                nonlocal writes
+                if Path(dst) == ckpt:
+                    writes += 1
+                    if writes == k:
+                        raise Crash()
+                real_replace(src, dst)
+
+            monkeypatch.setattr(os, "replace", replace)
+        else:
+            real_save = hsample.save_checkpoint
+
+            def save(state, path):
+                nonlocal writes
+                real_save(state, path)
+                writes += 1
+                if writes == k:
+                    raise Crash()
+
+            monkeypatch.setattr(hsample, "save_checkpoint", save)
+
+    @pytest.mark.parametrize("inside", [True, False], ids=["during", "after"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_resume_after_crash_equals_uninterrupted_run(self, setup, tmp_path, monkeypatch, k, inside):
+        fixture, out, expected = setup
+        ckpt_dir = tmp_path / "ckpt"
+        ckpt_dir.mkdir()
+        ckpt = ckpt_dir / "sel.ckpt"
+        args = self.sample_args(fixture, out, ckpt, tmp_path / "resumed")
+        with monkeypatch.context() as patch:
+            self.crash_at(patch, ckpt, k, inside)
+            with pytest.raises(Crash):
+                run(*args)
+        # a crash inside write k leaves the checkpoint of write k - 1
+        assert ckpt.exists() == (k > 1 or not inside)
+        assert sorted(p.name for p in ckpt_dir.iterdir()) == (["sel.ckpt"] if ckpt.exists() else [])
+        assert run(*args) == 0
+        assert {name: (tmp_path / "resumed" / name).read_bytes() for name in self.OUTPUTS} == expected
+        assert sorted(p.name for p in ckpt_dir.iterdir()) == ["sel.ckpt"]
+        assert len(hsample.load_checkpoint(ckpt).shard_digests) == 3
+
+    def test_resume_with_other_shards_is_refused(self, setup, tmp_path, monkeypatch):
+        fixture, out, _ = setup
+        ckpt = tmp_path / "sel.ckpt"
+        with monkeypatch.context() as patch:
+            self.crash_at(patch, ckpt, 1, inside=False)
+            with pytest.raises(Crash):
+                run(*self.sample_args(fixture, out, ckpt, tmp_path / "s"))
+        before = ckpt.read_bytes()
+        reordered = list(reversed(fixture["shards"]))
+        assert run(*self.sample_args(fixture, out, ckpt, tmp_path / "s", shards=reordered)) == 2
+        # the finished shard, rewritten with other vectors
+        finished = read_shard(fixture["shards"][0])
+        write_shard(EmbeddingShard(finished.dim, finished.window_ids, finished.vectors[::-1]), fixture["shards"][0])
+        assert run(*self.sample_args(fixture, out, ckpt, tmp_path / "s")) == 2
+        assert ckpt.read_bytes() == before
+        assert not (tmp_path / "s" / "manifest_hkmeans.txt").exists()
+
+    def test_resume_with_other_quotas_is_refused(self, setup, tmp_path):
+        fixture, out, _ = setup
+        ckpt = tmp_path / "sel.ckpt"
+        args = self.sample_args(fixture, out, ckpt, tmp_path / "s")
+        assert run(*args) == 0
+        # every shard is done, so nothing but the quota check sees the new target
+        args[args.index("--target-n") + 1] = 30
+        args[-1] = tmp_path / "s30"
+        assert run(*args) == 2
+        assert not (tmp_path / "s30" / "manifest_hkmeans.txt").exists()
+
+    def test_oversized_leaf_count_is_an_error_not_a_traceback(self, setup, tmp_path, capsys):
+        fixture, out, _ = setup
+        ckpt = tmp_path / "sel.ckpt"
+        ckpt.write_bytes(hsample.CHECKPOINT_MAGIC + struct.pack("<IQQQQ", hsample.CHECKPOINT_VERSION, 2**62, 0, 0, 0))
+        assert run(*self.sample_args(fixture, out, ckpt, tmp_path / "s")) == 2
+        assert capsys.readouterr().err.startswith("error: leaf count")
 
 
 class TestStats:

@@ -21,7 +21,7 @@ from pamcurate.hkmeans import (
     resample_fit,
     save_model,
 )
-from pamcurate.synth import MixtureSpec, gen_mixture, lloyd_reference
+from synth import MixtureSpec, gen_mixture, lloyd_reference
 from conftest import blocked_nearest_centroids
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import struct
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from pamcurate.hsample import (
     save_checkpoint,
     stream_select,
 )
-from pamcurate.synth import exact_topn_per_cluster
+from synth import exact_topn_per_cluster
 from conftest import T0, make_hierarchy, random_shard
 
 
@@ -364,3 +366,57 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(ParseError):
             load_checkpoint(path)
+
+    def test_every_truncation_is_a_parse_error(self, tmp_path):
+        state = SelectionState.empty([2, 0, 3])
+        for wid, leaf, dist in [(5, 0, 0.25), (6, 0, 0.5), (7, 2, 0.125)]:
+            state.push(leaf, wid, dist)
+        state.shard_digests = [bytes(range(32)), bytes(32)]
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(state, path)
+        data = path.read_bytes()
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ParseError):
+                load_checkpoint(path)
+        path.write_bytes(data + b"\x00")
+        with pytest.raises(ParseError):
+            load_checkpoint(path)
+
+    def test_shard_digest_trailer(self, tmp_path):
+        state = SelectionState.empty([1, 2])
+        state.push(1, 9, 0.5)
+        digests = [hashlib.sha256(b"shard-a").digest(), hashlib.sha256(b"shard-b").digest()]
+        state.shard_digests = list(digests)
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(state, path)
+        data = path.read_bytes()
+        assert data[:8] == b"PAMSEL02"
+        # 44-byte header, then per leaf 16 bytes plus 16 per entry, then the trailer
+        body = 44 + 16 + (16 + 16)
+        assert len(data) == body + 8 + 32 * len(digests)
+        assert int.from_bytes(data[body : body + 8], "little") == 2
+        assert data[body + 8 :] == b"".join(digests)
+        loaded = load_checkpoint(path)
+        assert loaded == state
+        assert loaded.shard_digests == digests
+
+    def test_leaf_count_beyond_file_size_rejected(self, tmp_path):
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(b"PAMSEL02" + struct.pack("<IQQQQ", 2, 2**62, 0, 0, 0))
+        with pytest.raises(ParseError) as err:
+            load_checkpoint(path)
+        assert err.value.offset == 12
+        # two leaves need 32 bytes after the header; 16 are present
+        path.write_bytes(b"PAMSEL02" + struct.pack("<IQQQQ", 2, 2, 0, 0, 0) + bytes(16))
+        with pytest.raises(ParseError) as err:
+            load_checkpoint(path)
+        assert err.value.offset == 12
+
+    def test_quota_beyond_int64_rejected(self, tmp_path):
+        path = tmp_path / "quota.ckpt"
+        header = b"PAMSEL02" + struct.pack("<IQQQQ", 2, 1, 0, 0, 0)
+        path.write_bytes(header + struct.pack("<QQQ", 2**63, 0, 0))
+        with pytest.raises(ParseError) as err:
+            load_checkpoint(path)
+        assert err.value.offset == 44

@@ -3,7 +3,7 @@ import pytest
 
 from pamcurate.errors import ValidationError
 from pamcurate.geo_align import align
-from pamcurate.synth import (
+from synth import (
     MixtureSpec,
     TrafficSpec,
     exact_topn_per_cluster,

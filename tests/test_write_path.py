@@ -1,0 +1,186 @@
+"""Every file the package writes goes through ``core_model.write_atomic``.
+
+A failed write, at the fsync or at the rename, must leave the destination
+with its old bytes and no temporary file beside it; and no module may open
+a file for writing anywhere else.
+"""
+
+import ast
+import os
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from pamcurate import cli, geo_align, hkmeans, hsample
+from pamcurate.core_model import (
+    CurationManifest,
+    EmbeddingShard,
+    ManifestEntry,
+    save_deployment,
+    write_atomic,
+    write_manifest,
+    write_shard,
+)
+from conftest import build_pipeline_fixture, make_hierarchy
+from test_cli import run, run_pipeline
+
+SRC = Path(cli.__file__).parent
+OLD = b"old bytes\n"
+
+
+def _aligned_set(deployment):
+    aligned = geo_align.AlignedWindowSet()
+    for window in list(deployment.iter_windows())[:3]:
+        aligned.add(window, 300000001)
+    return aligned
+
+
+def _state():
+    state = hsample.SelectionState.empty([2, 1])
+    state.push(0, 5, 0.25)
+    state.shard_digests = [bytes(32)]
+    return state
+
+
+# writer -> (destination file name, call that writes it: write(path, deployment))
+WRITERS = {
+    "write_shard": (
+        "s.bin",
+        lambda p, d: write_shard(EmbeddingShard(2, np.arange(3, dtype=np.uint64), np.ones((3, 2))), p),
+    ),
+    "write_manifest": (
+        "m.txt",
+        lambda p, d: write_manifest(CurationManifest((ManifestEntry(7, "H1", "R1", 0, "ais", mmsi=1),)), p),
+    ),
+    "save_deployment": ("d.json", lambda p, d: save_deployment(d, p)),
+    "write_sidecar": ("a.csv", lambda p, d: geo_align.write_sidecar(_aligned_set(d), p)),
+    "save_model": ("model.bin", lambda p, d: hkmeans.save_model(make_hierarchy(np.random.default_rng(1)), p)),
+    "save_checkpoint": ("sel.ckpt", lambda p, d: hsample.save_checkpoint(_state(), p)),
+    "_write_json": ("x.json", lambda p, d: cli._write_json(p, {"a": 1})),
+    "write_atomic": ("raw.bin", lambda p, d: write_atomic(p, b"new")),
+}
+
+
+def _fail(monkeypatch, how: str, dest: Path):
+    """Make ``os.fsync`` raise, or ``os.replace`` raise when it targets ``dest``."""
+    real = getattr(os, how)
+
+    def failing(*args):
+        if how == "fsync" or Path(args[1]) == dest:
+            raise OSError(f"injected {how} failure")
+        return real(*args)
+
+    monkeypatch.setattr(os, how, failing)
+
+
+@pytest.mark.parametrize("how", ["fsync", "replace"])
+@pytest.mark.parametrize("writer", list(WRITERS))
+def test_failed_write_keeps_old_destination(writer, how, tmp_path, monkeypatch, deployment):
+    name, write = WRITERS[writer]
+    dest = tmp_path / name
+    write(dest, deployment)
+    assert dest.read_bytes() != OLD
+    dest.write_bytes(OLD)
+    with monkeypatch.context() as patch:
+        _fail(patch, how, dest)
+        with pytest.raises(OSError, match="injected"):
+            write(dest, deployment)
+    assert dest.read_bytes() == OLD
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+def _stage_argv(name: str, fixture, out: Path) -> list:
+    """The stage that writes ``name`` into ``out``."""
+    if name == "summary.txt":
+        manifests = ["--ais-manifest", out / "manifest_ais.txt", "--hkmeans-manifest", out / "manifest_hkmeans.txt"]
+        return ["assemble", *manifests, "--out", out]
+    aligned = ["--aligned", out / "aligned.csv"] if name == "occurrence_curve.csv" else []
+    return ["stats", "--config", fixture["config"], *aligned, "--out", out]
+
+
+@pytest.mark.parametrize("name", ["summary.txt", "occurrence_curve.csv", "hydrophones.csv"])
+def test_failed_stage_write_keeps_old_destination(name, tmp_path, monkeypatch):
+    fixture = build_pipeline_fixture(tmp_path / "fx")
+    out = tmp_path / "out"
+    run_pipeline(fixture, out)
+    argv = _stage_argv(name, fixture, out)
+    dest = out / name
+    dest.write_bytes(OLD)
+    listing = sorted(p.name for p in out.iterdir())
+    with monkeypatch.context() as patch:
+        _fail(patch, "replace", dest)
+        assert run(*argv) == 2
+    assert dest.read_bytes() == OLD
+    assert sorted(p.name for p in out.iterdir()) == listing
+    assert run(*argv) == 0
+    assert dest.read_bytes() != OLD
+
+
+def test_written_files_get_the_usual_permissions(tmp_path):
+    write_atomic(tmp_path / "atomic", "x")
+    (tmp_path / "plain").write_text("x")
+    assert (tmp_path / "atomic").stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+
+# ---------------------------------------------------------------------------
+# One write path: no other code in the package opens a file for writing
+# ---------------------------------------------------------------------------
+
+
+def _mode_of(call: ast.Call):
+    for kw in call.keywords:
+        if kw.arg == "mode":
+            return kw.value
+    return call.args[1] if len(call.args) > 1 else None
+
+
+def write_sites(source: str) -> list[int]:
+    """Line numbers of writes outside ``write_atomic``: ``open``/``fdopen``
+    in a write, append or update mode, ``.write_text(`` and ``.write_bytes(``."""
+    sites = []
+
+    def visit(node, inside_helper):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside_helper = inside_helper or node.name == "write_atomic"
+        if isinstance(node, ast.Call) and not inside_helper:
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            if name in ("write_text", "write_bytes"):
+                sites.append(node.lineno)
+            elif name in ("open", "fdopen"):
+                mode = _mode_of(node)
+                if mode is not None and not (isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt")):
+                    sites.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside_helper)
+
+    visit(ast.parse(source), False)
+    return sites
+
+
+def test_guard_finds_every_kind_of_write():
+    source = "\n".join(
+        [
+            "open(p, 'w')",
+            "open(p, mode='ab')",
+            "open(p, 'r+')",
+            "open(p, m)",
+            "os.fdopen(fd, 'wb')",
+            "Path(p).write_text('x')",
+            "p.write_bytes(b'x')",
+            "open(p)",
+            "open(p, 'rb')",
+            "def write_atomic(p):\n    open(p, 'wb')",
+        ]
+    )
+    assert write_sites(source) == [1, 2, 3, 4, 5, 6, 7]
+
+
+def test_package_writes_only_through_write_atomic():
+    found = {
+        path.name: sites
+        for path in sorted(SRC.glob("*.py"))
+        if (sites := write_sites(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
