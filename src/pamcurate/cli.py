@@ -13,7 +13,6 @@ import hashlib
 import json
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
 from pathlib import Path
 
@@ -56,6 +55,14 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _partitioned(items: list, workers: int, run) -> list:
+    """``run`` on each of ``workers`` strided partitions of ``items``, one
+    after another.  Callers fold the results with an associative,
+    commutative combine, so the worker count never changes outputs."""
+    workers = max(1, workers)
+    return [run(items[i::workers]) for i in range(workers)]
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -65,11 +72,7 @@ def cmd_align(args) -> int:
     out = _out_dir(args)
     config = load_deployment(args.config)
     pulses, rejected_rows = geo_align.read_ais_csv(args.ais)
-    # Partition + union is how parallel workers combine; the result is the
-    # same for any partitioning, so the worker count never changes outputs.
-    workers = max(1, args.workers)
-    chunks = [pulses[i::workers] for i in range(workers)] if workers > 1 else [pulses]
-    results = [geo_align.align(chunk, config, side_km=args.side_km) for chunk in chunks]
+    results = _partitioned(pulses, args.workers, lambda part: geo_align.align(part, config, side_km=args.side_km))
     windows = reduce(geo_align.AlignedWindowSet.union, (r.windows for r in results))
     aligned_pulses = sum(len(r.pulses) for r in results)
     unaligned = sum(r.rejects.get("unaligned", 0) for r in results)
@@ -164,8 +167,29 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _select_partition(shard_paths, hierarchy, quotas) -> hsample.SelectionState:
-    return hsample.stream_select((read_shard(p) for p in shard_paths), hierarchy, quotas)
+def _select_partition(shard_paths, hierarchy, quotas, checkpoint: Path | None = None) -> hsample.SelectionState:
+    """Stream the shards into one selection state, one shard at a time.
+
+    With a checkpoint, the file holds the state and the SHA-256 of each
+    shard folded into it, and is rewritten after every shard.  A resumed run
+    must have the same quotas and list those shards first, in the same
+    order, and continues with the next one.
+    """
+    state = hsample.SelectionState.empty(quotas.leaf_quotas)
+    if checkpoint is not None:
+        digests = [bytes.fromhex(_sha256(p)) for p in shard_paths]
+        if checkpoint.exists():
+            state = hsample.load_checkpoint(checkpoint)
+        done = len(state.shard_digests)
+        if state.shard_digests != digests[:done] or state.quotas.tolist() != quotas.leaf_quotas.tolist():
+            raise ValidationError(f"checkpoint {checkpoint} was written for other shards, --shards order or quotas")
+        logger.info("checkpoint %s: %d of %d shards already done", checkpoint, done, len(digests))
+    for i in range(len(state.shard_digests), len(shard_paths)):
+        state = hsample.stream_select([read_shard(shard_paths[i])], hierarchy, quotas, state=state)
+        if checkpoint is not None:
+            state.shard_digests.append(digests[i])
+            hsample.save_checkpoint(state, checkpoint)
+    return state
 
 
 def cmd_sample(args) -> int:
@@ -174,21 +198,16 @@ def cmd_sample(args) -> int:
     hierarchy = hkmeans.load_model(args.model)
     shard_paths = [Path(p) for p in args.shards]
 
-    populations, rejected = hsample.count_populations((read_shard(p) for p in shard_paths), hierarchy)
-    quotas = hsample.allocate_quotas(hierarchy, populations, args.target_n)
-
-    workers = max(1, args.workers)
-    if args.checkpoint and workers > 1:
+    if args.checkpoint and args.workers > 1:
         raise ValidationError("--checkpoint requires --workers 1")
-    if args.checkpoint:
-        state = _select_with_checkpoint(shard_paths, hierarchy, quotas, Path(args.checkpoint))
-    elif workers == 1:
-        state = _select_partition(shard_paths, hierarchy, quotas)
-    else:
-        partitions = [shard_paths[i::workers] for i in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            states = list(pool.map(lambda part: _select_partition(part, hierarchy, quotas), partitions))
-        state = reduce(hsample.merge, states)
+    checkpoint = Path(args.checkpoint) if args.checkpoint else None
+
+    populations, _ = hsample.count_populations((read_shard(p) for p in shard_paths), hierarchy)
+    quotas = hsample.allocate_quotas(hierarchy, populations, args.target_n)
+    states = _partitioned(
+        shard_paths, args.workers, lambda part: _select_partition(part, hierarchy, quotas, checkpoint)
+    )
+    state = reduce(hsample.merge, states)
 
     entries = hsample.emit(state, hierarchy, config.window_index())
     manifest_path = out / "manifest_hkmeans.txt"
@@ -201,8 +220,8 @@ def cmd_sample(args) -> int:
             "quota_total": quotas.total,
             "selected": len(entries),
             "processed_records": state.processed,
-            "rejected_shards": state.rejected_shards + rejected,
-            "evictions": state.evictions,
+            "rejected_shards": state.rejected_shards,
+            "evictions": state.processed - len(entries),
         },
     )
     _write_run_record(
@@ -215,26 +234,6 @@ def cmd_sample(args) -> int:
     )
     logger.info("sample: selected %d of target %d", len(entries), args.target_n)
     return 0
-
-
-def _select_with_checkpoint(shard_paths, hierarchy, quotas, checkpoint: Path) -> hsample.SelectionState:
-    """Resume-capable selection.  The checkpoint holds the state and the
-    SHA-256 of each shard folded into it; a resumed run must have the same
-    quotas and list those shards first, in the same order, and continues
-    with the next one."""
-    digests = [bytes.fromhex(_sha256(p)) for p in shard_paths]
-    state = hsample.SelectionState.empty(quotas.leaf_quotas)
-    if checkpoint.exists():
-        state = hsample.load_checkpoint(checkpoint)
-    done = len(state.shard_digests)
-    if state.shard_digests != digests[:done] or state.quotas.tolist() != quotas.leaf_quotas.tolist():
-        raise ValidationError(f"checkpoint {checkpoint} was written for other shards, --shards order or quotas")
-    logger.info("checkpoint %s: %d of %d shards already done", checkpoint, done, len(digests))
-    for i in range(done, len(shard_paths)):
-        state = hsample.stream_select([read_shard(shard_paths[i])], hierarchy, quotas, state=state)
-        state.shard_digests.append(digests[i])
-        hsample.save_checkpoint(state, checkpoint)
-    return state
 
 
 def cmd_assemble(args) -> int:

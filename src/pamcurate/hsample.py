@@ -6,8 +6,10 @@ back to their siblings), which pushes the selected set toward a uniform
 spread over the populated parts of the embedding space.  Within each leaf,
 the quota is filled with the windows closest to the leaf centroid; while
 streaming, the current worst entry is evicted whenever a closer one
-arrives.  Worker states over disjoint shard sets combine with
-:func:`merge`, which is associative and commutative.
+arrives.  :meth:`SelectionState.push` is the only place that rule lives:
+:func:`merge` pushes one state's entries into a copy of the other, so the
+selection depends only on the set of records seen, never on how the
+shards were partitioned or in which order they arrived.
 """
 
 from __future__ import annotations
@@ -122,17 +124,15 @@ class SelectionState:
 
     Heaps hold ``(-distance, -window_id)`` so the root is always the current
     eviction candidate (greatest distance, then greatest id).  A window id
-    is held at most once per leaf, at its smallest distance, as in
-    :func:`merge`.  ``shard_digests`` lists the SHA-256 of each shard file
-    folded in by a checkpointed run.  Equality ignores ``evictions`` and
-    ``shard_digests``, which depend on arrival order.
+    is held at most once per leaf, at its smallest distance.
+    ``shard_digests`` lists the SHA-256 of each shard file folded in by a
+    checkpointed run; equality ignores it, as it depends on arrival order.
     """
 
     quotas: np.ndarray
     heaps: list[list[tuple[float, int]]]
     processed: int = 0
     rejected_shards: int = 0
-    evictions: int = 0
     shard_digests: list[bytes] = field(default_factory=list)
     # Per leaf: window id -> distance of its heap entry.
     _held: list[dict[int, float]] = field(init=False, repr=False, compare=False)
@@ -169,7 +169,6 @@ class SelectionState:
             heapq.heapreplace(heap, (-distance, -window_id))
             del held[-worst_negid]
             held[window_id] = distance
-            self.evictions += 1
 
     def entries(self, leaf: int) -> list[tuple[float, int]]:
         """Selected ``(distance, window_id)`` pairs, best first."""
@@ -229,35 +228,23 @@ def stream_select(
 
 
 def merge(a: SelectionState, b: SelectionState) -> SelectionState:
-    """Combine worker states: per-leaf union, truncated back to the quota.
+    """Combine partition states: ``b``'s entries pushed into a copy of ``a``.
 
-    Keeps the smallest ``(distance, window_id)`` pairs; duplicate window ids
-    collapse to their smaller distance.  Associative and commutative, so
-    worker states may be combined in any order.
+    The result is the state one stream over both partitions' records would
+    reach, so merging is associative and commutative.
     """
     if not np.array_equal(a.quotas, b.quotas):
         raise ValidationError("cannot merge selection states with different quotas")
-    heaps = []
-    evictions = a.evictions + b.evictions
-    for leaf in range(len(a.quotas)):
-        best: dict[int, float] = {}
-        for neg_d, neg_id in a.heaps[leaf] + b.heaps[leaf]:
-            wid, dist = -neg_id, -neg_d
-            if wid not in best or dist < best[wid]:
-                best[wid] = dist
-        cap = int(a.quotas[leaf])
-        kept = heapq.nsmallest(cap, ((d, wid) for wid, d in best.items()))
-        evictions += len(best) - len(kept)
-        heap = [(-d, -wid) for d, wid in kept]
-        heapq.heapify(heap)
-        heaps.append(heap)
-    return SelectionState(
+    merged = SelectionState(
         quotas=a.quotas,
-        heaps=heaps,
+        heaps=[list(heap) for heap in a.heaps],
         processed=a.processed + b.processed,
         rejected_shards=a.rejected_shards + b.rejected_shards,
-        evictions=evictions,
     )
+    for leaf, heap in enumerate(b.heaps):
+        for neg_d, neg_id in heap:
+            merged.push(leaf, -neg_id, -neg_d)
+    return merged
 
 
 def count_populations(shards: Iterable[EmbeddingShard], hierarchy: ClusterHierarchy):
@@ -308,12 +295,13 @@ def emit(
 def save_checkpoint(state: SelectionState, path: str | Path) -> None:
     """Atomically replace ``path`` with a snapshot of ``state``: magic
     ``PAMSEL02``, ``u32 version``, ``u64`` leaf count / processed / rejected
-    / evictions; per leaf ``u64 quota``, ``u64 size`` and the entries as
-    ``u64 window_id`` + ``f64 distance``, best first; then ``u64 n`` and the
+    / reserved (written as 0, ignored on load; older builds stored an
+    eviction count there); per leaf ``u64 quota``, ``u64 size`` and the
+    entries as ``u64 window_id`` + ``f64 distance``, best first; then ``u64 n`` and the
     ``n`` 32-byte ``state.shard_digests``.  Identical states give identical
     bytes, and a crash leaves the previous file whole, so it alone is the
     resume state of a checkpointed run."""
-    counts = (CHECKPOINT_VERSION, len(state.quotas), state.processed, state.rejected_shards, state.evictions)
+    counts = (CHECKPOINT_VERSION, len(state.quotas), state.processed, state.rejected_shards, 0)
     parts = [CHECKPOINT_MAGIC, struct.pack("<IQQQQ", *counts)]
     for leaf in range(len(state.quotas)):
         entries = np.array([(wid, dist) for dist, wid in state.entries(leaf)], dtype=_ENTRY)
@@ -329,7 +317,7 @@ def load_checkpoint(path: str | Path) -> SelectionState:
         raise ParseError(f"bad checkpoint magic {data[:8]!r}", path=spath, offset=0)
     if len(data) < 44:
         raise ParseError("checkpoint header truncated", path=spath, offset=8)
-    version, leaf_count, processed, rejected, evictions = struct.unpack_from("<IQQQQ", data, 8)
+    version, leaf_count, processed, rejected, _reserved = struct.unpack_from("<IQQQQ", data, 8)
     if version != CHECKPOINT_VERSION:
         raise ParseError(f"unsupported checkpoint version {version}", path=spath, offset=8)
     if leaf_count > (len(data) - 44) // 16:
@@ -352,6 +340,11 @@ def load_checkpoint(path: str | Path) -> SelectionState:
         entries = np.frombuffer(data, dtype=_ENTRY, count=size, offset=offset)
         if len(np.unique(entries["window_id"])) != size:
             raise ParseError(f"leaf {leaf} holds a window id twice", path=spath, offset=offset)
+        dists = entries["distance"]
+        bad = np.flatnonzero(~np.isfinite(dists) | (dists < 0))
+        if len(bad):
+            at = offset + 16 * int(bad[0])
+            raise ParseError(f"leaf {leaf} holds distance {dists[bad[0]]}, not finite and >= 0", path=spath, offset=at)
         offset += 16 * size
         heap = [(-d, -w) for w, d in zip(entries["window_id"].tolist(), entries["distance"].tolist())]
         heapq.heapify(heap)
@@ -363,4 +356,4 @@ def load_checkpoint(path: str | Path) -> SelectionState:
     if len(data) != offset + 32 * n:
         raise ParseError(f"{n} shard digests need {32 * n} bytes, got {len(data) - offset}", path=spath, offset=offset)
     digests = [data[i : i + 32] for i in range(offset, len(data), 32)]
-    return SelectionState(quotas, heaps, processed, rejected, evictions, digests)
+    return SelectionState(quotas, heaps, processed, rejected, digests)

@@ -110,6 +110,7 @@ class TestAlign:
     def test_worker_count_does_not_change_output(self, tmp_path):
         fixture = build_pipeline_fixture(tmp_path / "fx")
         outs = []
+        stats = []
         for workers in (1, 3):
             out = tmp_path / f"out{workers}"
             assert (
@@ -123,7 +124,9 @@ class TestAlign:
                 == 0
             )
             outs.append((out / "aligned.csv").read_bytes())
+            stats.append((out / "align_stats.json").read_bytes())
         assert outs[0] == outs[1]
+        assert stats[0] == stats[1]
 
 
 class TestCurateAis:
@@ -224,6 +227,55 @@ class TestFullPipeline:
         assert (tmp_path / "ck2" / "manifest_hkmeans.txt").read_bytes() == first
 
 
+class TestSampleContract:
+    """``sample`` outputs depend only on the inputs: never on ``--workers``
+    or on whether the run was checkpointed."""
+
+    OUTPUTS = ("manifest_hkmeans.txt", "sample_stats.json")
+
+    @pytest.fixture
+    def setup(self, tmp_path):
+        fixture = build_pipeline_fixture(tmp_path / "fx")
+        out = tmp_path / "out"
+        run_pipeline(fixture, out)
+        return fixture, out
+
+    @staticmethod
+    def sample(fixture, out, dest, *extra, shards=None):
+        args = ["sample", "--config", fixture["config"], "--model", out / "model.bin"]
+        args += ["--shards", *(shards or fixture["shards"]), "--target-n", 60, *extra, "--out", dest]
+        assert run(*args) == 0
+        return json.loads((dest / "sample_stats.json").read_text())
+
+    def test_worker_count_and_checkpoint_do_not_change_outputs(self, setup, tmp_path):
+        fixture, out = setup
+        runs = {f"w{w}": ("--workers", w) for w in (1, 2, 3)}
+        runs["ckpt"] = ("--checkpoint", tmp_path / "sel.ckpt")
+        for name, extra in runs.items():
+            stats = self.sample(fixture, out, tmp_path / name, *extra)
+            assert stats["evictions"] == stats["processed_records"] - stats["selected"]
+        for name in runs:
+            assert {f: (tmp_path / name / f).read_bytes() for f in self.OUTPUTS} == {
+                f: (out / f).read_bytes() for f in self.OUTPUTS
+            }, name
+
+    @pytest.mark.parametrize("mode", ["workers1", "workers2", "checkpoint"])
+    def test_rejected_shard_counted_once(self, setup, tmp_path, mode):
+        fixture, out = setup
+        bad = tmp_path / "bad.bin"
+        ids = np.array([1, 2], np.uint64)
+        write_shard(EmbeddingShard(dim=3, window_ids=ids, vectors=np.ones((2, 3), np.float32)), bad)
+        extra = {
+            "workers1": ("--workers", 1),
+            "workers2": ("--workers", 2),
+            "checkpoint": ("--checkpoint", tmp_path / "sel.ckpt"),
+        }[mode]
+        stats = self.sample(fixture, out, tmp_path / "s", *extra, shards=[*fixture["shards"], bad])
+        assert stats["rejected_shards"] == 1
+        manifest = "manifest_hkmeans.txt"
+        assert (tmp_path / "s" / manifest).read_bytes() == (out / manifest).read_bytes()
+
+
 class Crash(BaseException):
     """Stands in for the process dying: nothing in the program catches it."""
 
@@ -301,6 +353,22 @@ class TestCheckpointCrashResume:
         assert {name: (tmp_path / "resumed" / name).read_bytes() for name in self.OUTPUTS} == expected
         assert sorted(p.name for p in ckpt_dir.iterdir()) == ["sel.ckpt"]
         assert len(hsample.load_checkpoint(ckpt).shard_digests) == 3
+
+    def test_nonzero_reserved_slot_still_resumes(self, setup, tmp_path, monkeypatch):
+        """Older builds stored an eviction count in header bytes 36-44."""
+        fixture, out, expected = setup
+        ckpt = tmp_path / "sel.ckpt"
+        args = self.sample_args(fixture, out, ckpt, tmp_path / "resumed")
+        with monkeypatch.context() as patch:
+            self.crash_at(patch, ckpt, 1, inside=False)
+            with pytest.raises(Crash):
+                run(*args)
+        data = bytearray(ckpt.read_bytes())
+        data[36:44] = struct.pack("<Q", 85)
+        ckpt.write_bytes(bytes(data))
+        assert run(*args) == 0
+        assert {name: (tmp_path / "resumed" / name).read_bytes() for name in self.OUTPUTS} == expected
+        assert struct.unpack_from("<Q", ckpt.read_bytes(), 36) == (0,)
 
     def test_resume_with_other_shards_is_refused(self, setup, tmp_path, monkeypatch):
         fixture, out, _ = setup

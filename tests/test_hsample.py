@@ -121,7 +121,7 @@ class TestStreamSelect:
         shard = angle_shard([50, 10, 30, 20], [50.0, 10.0, 30.0, 20.0])
         state = stream_select([shard], hierarchy, [2])
         assert state.selected_ids() == {10, 20}
-        assert state.evictions == 2
+        assert state.processed - state.size() == 2
 
     def test_matches_offline_reference_and_split_invariance(self):
         rng = np.random.default_rng(7)
@@ -249,7 +249,7 @@ class TestMerge:
         state.push(0, 1, 0.1)  # evicts id 3
         state.push(0, 3, 0.05)  # returns closer than the current worst
         assert state.entries(0) == [(0.05, 3), (0.1, 1)]
-        assert state.evictions == 2
+        assert state.size() == 2
 
 
 class TestEmitAndPopulations:
@@ -321,7 +321,7 @@ class TestCheckpoint:
         save_checkpoint(state, path)
         loaded = load_checkpoint(path)
         assert loaded == state
-        assert loaded.evictions == state.evictions
+        assert struct.unpack_from("<Q", path.read_bytes(), 36) == (0,)  # reserved slot
         # canonical bytes: saving the loaded state reproduces the file
         save_checkpoint(loaded, tmp_path / "sel2.ckpt")
         assert (tmp_path / "sel2.ckpt").read_bytes() == path.read_bytes()
@@ -342,6 +342,22 @@ class TestCheckpoint:
         resumed = stream_select([second], hierarchy, quotas, state=load_checkpoint(path))
         whole = stream_select([EmbeddingShard(dim=4, window_ids=ids, vectors=vectors)], hierarchy, quotas)
         assert resumed == whole
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")])
+    def test_invalid_distance_rejected_at_its_entry(self, tmp_path, bad):
+        state = SelectionState.empty([2, 0, 3])
+        for wid, leaf, dist in [(5, 0, 0.25), (6, 0, 0.5), (7, 2, 0.125)]:
+            state.push(leaf, wid, dist)
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(state, path)
+        data = bytearray(path.read_bytes())
+        # each leaf's worst entry is its last; leaf 0's starts at 44 + 16 + 16, leaf 2's at 124
+        for entry in (76, 124):
+            data[entry + 8 : entry + 16] = struct.pack("<d", bad)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ParseError) as err:
+            load_checkpoint(path)
+        assert err.value.offset == 76
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
