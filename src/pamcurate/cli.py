@@ -202,7 +202,7 @@ def cmd_sample(args) -> int:
         raise ValidationError("--checkpoint requires --workers 1")
     checkpoint = Path(args.checkpoint) if args.checkpoint else None
 
-    populations, _ = hsample.count_populations((read_shard(p) for p in shard_paths), hierarchy)
+    populations = hsample.count_populations((read_shard(p) for p in shard_paths), hierarchy)
     quotas = hsample.allocate_quotas(hierarchy, populations, args.target_n)
     states = _partitioned(
         shard_paths, args.workers, lambda part: _select_partition(part, hierarchy, quotas, checkpoint)

@@ -14,7 +14,8 @@ File formats owned by this module:
 * Deployment config (JSON): hydrophones with locations and recordings.
 
 Every file the package writes goes through :func:`write_atomic`, so a
-crashed writer leaves either the old file or the complete new one.
+crashed writer leaves either the old file or the complete new one.  Every
+binary file it reads is decoded by :class:`BinaryReader`.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ WINDOW_S = 10
 # metadata only, audio DSP happens outside this package.
 TARGET_SAMPLE_RATE_HZ = 16_000
 SHARD_MAGIC = b"PAMEMB01"
+# numpy caps a dtype at 2**31 - 1 bytes; a shard record takes 8 + 4*dim.
+MAX_SHARD_DIM = (2**31 - 1 - 8) // 4
 MANIFEST_SOURCES = ("ais", "hkmeans")
 MANIFEST_KEYS = ("window_id", "hydrophone_id", "recording_id", "offset_s", "source", "mmsi", "cluster_path")
 _BY_WINDOW_ID = attrgetter("window_id")
@@ -284,39 +287,72 @@ def _record_dtype(dim: int) -> np.dtype:
     return np.dtype([("window_id", "<u8"), ("vector", "<f4", (dim,))])
 
 
-def read_shard(path: str | Path, expect_dim: int | None = None) -> EmbeddingShard:
-    """Read a shard file, raising a distinct error per malformation.
+class BinaryReader:
+    """A little-endian cursor over a whole binary file that starts with
+    ``magic``.  A read past the end raises ``truncated`` at the offset where
+    the unfinished structure begins: a header at its first byte, an array at
+    its first incomplete item.  Every error names the file."""
 
-    Error offsets point at the byte where the malformed structure begins:
-    magic at 0, dim at 8, count at 12, record ``i`` at ``20 + i*(8+4*dim)``.
-    """
-    data = Path(path).read_bytes()
-    spath = str(path)
-    if len(data) < 8:
-        raise ShardTruncatedError("file too short for magic", path=spath, offset=0)
-    if data[:8] != SHARD_MAGIC:
-        raise ShardMagicError(f"bad magic {data[:8]!r}", path=spath, offset=0)
-    if len(data) < 12:
-        raise ShardTruncatedError("file ends inside dim field", path=spath, offset=8)
-    (dim,) = struct.unpack_from("<I", data, 8)
-    if dim == 0:
-        raise ShardDimError("dim must be >= 1", path=spath, offset=8)
+    def __init__(self, path: str | Path, magic: bytes, truncated=ParseError, bad_magic=ParseError):
+        self.path = str(path)
+        self.data = Path(path).read_bytes()
+        self.pos = self.start = 0
+        self.truncated = truncated
+        (head,) = self.unpack(f"{len(magic)}s", "magic")
+        if head != magic:
+            raise self.error(f"bad magic {head!r}", kind=bad_magic)
+
+    def error(self, message: str, at: int | None = None, kind=ParseError) -> ParseError:
+        """A located error; ``at`` defaults to the start of the last read."""
+        return kind(message, path=self.path, offset=self.start if at is None else at)
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        """The values of one struct ``fmt``, given without byte order."""
+        self.start = self.pos
+        self.pos += struct.calcsize("<" + fmt)
+        if self.pos > len(self.data):
+            raise self.error(f"file ends inside {what}", kind=self.truncated)
+        return struct.unpack_from("<" + fmt, self.data, self.start)
+
+    def array(self, dtype, count: int, what: str) -> np.ndarray:
+        """``count`` items of ``dtype``, as a read-only view of the file."""
+        self.start = self.pos
+        itemsize = np.dtype(dtype).itemsize
+        complete = min(count, (len(self.data) - self.start) // itemsize)
+        if complete < count:
+            raise self.error(f"{what} {complete} of {count} incomplete", self.start + complete * itemsize, self.truncated)
+        self.pos += count * itemsize
+        return np.frombuffer(self.data, dtype=dtype, count=count, offset=self.start)
+
+    def end(self) -> None:
+        if self.pos != len(self.data):
+            raise self.error(f"{len(self.data) - self.pos} trailing bytes", self.pos)
+
+
+def read_shard(path: str | Path, expect_dim: int | None = None) -> EmbeddingShard:
+    """Read a shard file, raising a distinct error per malformation at the
+    byte where it begins: magic at 0, dim at 8, count at 12, and record ``i``
+    at ``20 + i*(8+4*dim)`` for the first incomplete record, non-finite
+    vector or window id that repeats an earlier record's."""
+    reader = BinaryReader(path, SHARD_MAGIC, ShardTruncatedError, ShardMagicError)
+    (dim,) = reader.unpack("I", "dim")
+    if not 1 <= dim <= MAX_SHARD_DIM:
+        raise reader.error(f"dim {dim} outside 1..{MAX_SHARD_DIM}", kind=ShardDimError)
     if expect_dim is not None and dim != expect_dim:
-        raise ShardDimError(f"dim {dim} != expected {expect_dim}", path=spath, offset=8)
-    if len(data) < 20:
-        raise ShardTruncatedError("file ends inside count field", path=spath, offset=12)
-    (count,) = struct.unpack_from("<Q", data, 12)
-    rec_size = 8 + 4 * dim
-    expected = 20 + count * rec_size
-    if len(data) < expected:
-        complete = (len(data) - 20) // rec_size
-        raise ShardTruncatedError(
-            f"record {complete} of {count} incomplete", path=spath, offset=20 + complete * rec_size
-        )
-    if len(data) > expected:
-        raise ParseError(f"{len(data) - expected} trailing bytes", path=spath, offset=expected)
-    records = np.frombuffer(data, dtype=_record_dtype(dim), count=count, offset=20)
-    return EmbeddingShard(dim=dim, window_ids=records["window_id"].copy(), vectors=records["vector"].copy())
+        raise reader.error(f"dim {dim} != expected {expect_dim}", kind=ShardDimError)
+    (count,) = reader.unpack("Q", "count")
+    records = reader.array(_record_dtype(dim), count, "record")
+    reader.end()
+    ids, vectors = records["window_id"].copy(), records["vector"].copy()
+    try:
+        return EmbeddingShard(dim=dim, window_ids=ids, vectors=vectors)
+    except ValidationError:
+        # Located only on failure, so a good read does no extra work.
+        repeats = np.ones(count, dtype=bool)
+        repeats[np.unique(ids, return_index=True)[1]] = False
+        i = int(np.flatnonzero(repeats | ~np.isfinite(vectors).all(axis=1))[0])
+        fault = "repeats an earlier window id" if repeats[i] else "has a non-finite vector"
+        raise reader.error(f"record {i} {fault}", reader.start + i * records.itemsize) from None
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .core_model import write_atomic
-from .errors import DegenerateFitError, ParseError, ValidationError
+from .core_model import BinaryReader, write_atomic
+from .errors import DegenerateFitError, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -361,11 +361,9 @@ def minibatch_fit(
             raise ValidationError(f"init must have shape (k={k}, dim), got {centroids.shape}")
 
     trajectory: list[np.ndarray] = []
-    counts = np.zeros(k, dtype=np.int64)
     ever_absorbed = np.zeros(k, dtype=bool)
     bbox_min: np.ndarray | None = None
     bbox_max: np.ndarray | None = None
-    total_first_pass = 0
 
     for pass_idx in range(config.passes):
         chunk_iter = _iter_chunks(source)
@@ -392,8 +390,6 @@ def minibatch_fit(
             batch = _normalize_rows(raw)
             if batch.shape[1] != centroids.shape[1]:
                 raise ValidationError(f"stream dim {batch.shape[1]} != centroid dim {centroids.shape[1]}")
-            if pass_idx == 0:
-                total_first_pass += len(batch)
             idx, _ = nearest_centroids(batch, centroids)
             sums = np.zeros_like(centroids)
             np.add.at(sums, idx, batch)
@@ -410,12 +406,12 @@ def minibatch_fit(
             assert np.all(centroids[ever_absorbed] >= bbox_min - 1e-9) and np.all(
                 centroids[ever_absorbed] <= bbox_max + 1e-9
             ), "centroid escaped the data bounding box"
+        if not counts.any():
+            raise DegenerateFitError(f"pass {pass_idx + 1} of {config.passes}: stream yielded no points")
         if collect_trajectory:
             trajectory.append(centroids.copy())
         logger.debug("minibatch_fit pass %d/%d: %d absorptions", pass_idx + 1, config.passes, counts.sum())
 
-    if total_first_pass == 0:
-        raise DegenerateFitError("stream yielded no points")
     result = CentroidSet(level=1, centroids=centroids.astype(np.float32), counts=counts.astype(np.uint64))
     if collect_trajectory:
         return result, trajectory
@@ -551,42 +547,27 @@ def save_model(hierarchy: ClusterHierarchy, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ClusterHierarchy:
-    data = Path(path).read_bytes()
-    spath = str(path)
-    if len(data) < 8 or data[:8] != MODEL_MAGIC:
-        raise ParseError(f"bad model magic {data[:8]!r}", path=spath, offset=0)
-    if len(data) < 16:
-        raise ParseError("model header truncated", path=spath, offset=8)
-    level_count, dim = struct.unpack_from("<II", data, 8)
+    """Read a model file; every fault is a :class:`ParseError` located as README's formats table says."""
+    reader = BinaryReader(path, MODEL_MAGIC)
+    level_count, dim = reader.unpack("II", "header")
     if level_count < 1 or dim < 1:
-        raise ParseError(f"bad model header: levels={level_count} dim={dim}", path=spath, offset=8)
-    offset = 16
+        raise reader.error(f"bad model header: levels={level_count} dim={dim}")
     levels = []
-    for level_idx in range(1, level_count + 1):
-        if len(data) < offset + 4:
-            raise ParseError(f"level {level_idx} header truncated", path=spath, offset=offset)
-        (k,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        if k < 1:
-            raise ParseError(f"level {level_idx} has k=0", path=spath, offset=offset - 4)
-        need = 8 * k + 4 * k * dim
-        if len(data) < offset + need:
-            raise ParseError(f"level {level_idx} data truncated", path=spath, offset=offset)
-        counts = np.frombuffer(data, dtype="<u8", count=k, offset=offset).copy()
-        offset += 8 * k
-        centroids = np.frombuffer(data, dtype="<f4", count=k * dim, offset=offset).reshape(k, dim).copy()
-        offset += 4 * k * dim
-        levels.append(CentroidSet(level=level_idx, centroids=centroids, counts=counts))
-    parents = []
-    for i in range(level_count - 1):
-        k = levels[i].k
-        if len(data) < offset + 4 * k:
-            raise ParseError(f"parent map {i} truncated", path=spath, offset=offset)
-        parents.append(np.frombuffer(data, dtype="<u4", count=k, offset=offset).copy())
-        offset += 4 * k
-    if len(data) != offset:
-        raise ParseError(f"{len(data) - offset} trailing bytes", path=spath, offset=offset)
+    for level in range(1, level_count + 1):
+        (k,) = reader.unpack("I", f"level {level} header")
+        if not 0 < k < (levels[-1].k if levels else 2**32):
+            raise reader.error(f"level {level} has k={k}; k must be positive and below the finer level's")
+        counts = reader.array("<u8", k, f"level {level} count").copy()
+        centroids = reader.array("<f4", k * dim, f"level {level} centroid value").reshape(k, dim).copy()
+        try:
+            levels.append(CentroidSet(level=level, centroids=centroids, counts=counts))
+        except ValidationError:
+            row = int(np.flatnonzero(~np.isfinite(centroids).all(axis=1))[0])
+            raise reader.error(f"level {level} centroid {row} is not finite", reader.start + 4 * dim * row) from None
+    at = reader.pos
+    parents = [reader.array("<u4", cs.k, f"parent map {i} entry").copy() for i, cs in enumerate(levels[:-1])]
+    reader.end()
     try:
         return ClusterHierarchy(levels=tuple(levels), parents=tuple(parents))
     except ValidationError as exc:
-        raise ParseError(f"invalid model: {exc}", path=spath) from None
+        raise reader.error(f"invalid model: {exc}", at) from None

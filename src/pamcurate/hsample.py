@@ -23,8 +23,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .core_model import AudioWindow, EmbeddingShard, ManifestEntry, write_atomic
-from .errors import ParseError, ValidationError
+from .core_model import AudioWindow, BinaryReader, EmbeddingShard, ManifestEntry, write_atomic
+from .errors import ValidationError
 from .hkmeans import ClusterHierarchy, assign_batch
 
 logger = logging.getLogger(__name__)
@@ -248,16 +248,13 @@ def merge(a: SelectionState, b: SelectionState) -> SelectionState:
 
 
 def count_populations(shards: Iterable[EmbeddingShard], hierarchy: ClusterHierarchy):
-    """One counting pass: per-leaf populations (plus rejected-shard tally)."""
+    """One counting pass: per-leaf populations, skipping shards of another dim."""
     pops = np.zeros(hierarchy.leaf_count, dtype=np.int64)
-    rejected = 0
     for shard in shards:
-        if shard.dim != hierarchy.dim:
-            rejected += 1
-            continue
-        leaf_idx, _ = assign_batch(shard.vectors, hierarchy)
-        pops += np.bincount(leaf_idx, minlength=hierarchy.leaf_count)
-    return pops, rejected
+        if shard.dim == hierarchy.dim:
+            leaf_idx, _ = assign_batch(shard.vectors, hierarchy)
+            pops += np.bincount(leaf_idx, minlength=hierarchy.leaf_count)
+    return pops
 
 
 def emit(
@@ -311,49 +308,33 @@ def save_checkpoint(state: SelectionState, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> SelectionState:
-    data = Path(path).read_bytes()
-    spath = str(path)
-    if len(data) < 8 or data[:8] != CHECKPOINT_MAGIC:
-        raise ParseError(f"bad checkpoint magic {data[:8]!r}", path=spath, offset=0)
-    if len(data) < 44:
-        raise ParseError("checkpoint header truncated", path=spath, offset=8)
-    version, leaf_count, processed, rejected, _reserved = struct.unpack_from("<IQQQQ", data, 8)
+    """Read a checkpoint; every fault is a :class:`ParseError` located as README's formats table says."""
+    reader = BinaryReader(path, CHECKPOINT_MAGIC)
+    version, leaf_count, processed, rejected, _reserved = reader.unpack("IQQQQ", "header")
     if version != CHECKPOINT_VERSION:
-        raise ParseError(f"unsupported checkpoint version {version}", path=spath, offset=8)
-    if leaf_count > (len(data) - 44) // 16:
-        raise ParseError(f"leaf count {leaf_count} exceeds the file size", path=spath, offset=12)
-    offset = 44
+        raise reader.error(f"unsupported checkpoint version {version}")
+    # Every leaf takes 16 bytes at least; checked before ``quotas`` is allocated.
+    if leaf_count > (len(reader.data) - reader.pos) // 16:
+        raise reader.error(f"leaf count {leaf_count} exceeds the file size", 12)
     quotas = np.zeros(leaf_count, dtype=np.int64)
     heaps: list[list[tuple[float, int]]] = []
     for leaf in range(leaf_count):
-        if len(data) < offset + 16:
-            raise ParseError(f"leaf {leaf} header truncated", path=spath, offset=offset)
-        quota, size = struct.unpack_from("<QQ", data, offset)
-        offset += 16
-        if size > quota:
-            raise ParseError(f"leaf {leaf} holds {size} entries over quota {quota}", path=spath, offset=offset - 16)
-        if quota > np.iinfo(np.int64).max:
-            raise ParseError(f"leaf {leaf} quota {quota} exceeds the int64 range", path=spath, offset=offset - 16)
-        if len(data) < offset + 16 * size:
-            raise ParseError(f"leaf {leaf} entries truncated", path=spath, offset=offset)
-        quotas[leaf] = quota
-        entries = np.frombuffer(data, dtype=_ENTRY, count=size, offset=offset)
+        quota, size = reader.unpack("QQ", f"leaf {leaf} header")
+        if not size <= quota <= np.iinfo(np.int64).max:
+            raise reader.error(f"leaf {leaf} holds {size} entries under quota {quota}, not size <= quota < 2**63")
+        entries = reader.array(_ENTRY, size, f"leaf {leaf} entry")
         if len(np.unique(entries["window_id"])) != size:
-            raise ParseError(f"leaf {leaf} holds a window id twice", path=spath, offset=offset)
+            raise reader.error(f"leaf {leaf} holds a window id twice")
         dists = entries["distance"]
         bad = np.flatnonzero(~np.isfinite(dists) | (dists < 0))
         if len(bad):
-            at = offset + 16 * int(bad[0])
-            raise ParseError(f"leaf {leaf} holds distance {dists[bad[0]]}, not finite and >= 0", path=spath, offset=at)
-        offset += 16 * size
-        heap = [(-d, -w) for w, d in zip(entries["window_id"].tolist(), entries["distance"].tolist())]
+            at = reader.start + 16 * int(bad[0])
+            raise reader.error(f"leaf {leaf} holds distance {dists[bad[0]]}, not finite and >= 0", at)
+        quotas[leaf] = quota
+        heap = [(-d, -w) for w, d in zip(entries["window_id"].tolist(), dists.tolist())]
         heapq.heapify(heap)
         heaps.append(heap)
-    if len(data) < offset + 8:
-        raise ParseError("shard digest count truncated", path=spath, offset=offset)
-    (n,) = struct.unpack_from("<Q", data, offset)
-    offset += 8
-    if len(data) != offset + 32 * n:
-        raise ParseError(f"{n} shard digests need {32 * n} bytes, got {len(data) - offset}", path=spath, offset=offset)
-    digests = [data[i : i + 32] for i in range(offset, len(data), 32)]
+    (n,) = reader.unpack("Q", "shard digest count")
+    digests = reader.array("V32", n, "shard digest").tolist()
+    reader.end()
     return SelectionState(quotas, heaps, processed, rejected, digests)

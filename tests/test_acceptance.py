@@ -146,7 +146,7 @@ def test_c4_long_tail_flattening():
         hierarchy = build_hierarchy(points, config)
         ids = np.arange(len(points), dtype=np.uint64)
         shard = EmbeddingShard(dim=6, window_ids=ids, vectors=points.astype(np.float32))
-        populations, _ = count_populations([shard], hierarchy)
+        populations = count_populations([shard], hierarchy)
         tree = allocate_quotas(hierarchy, populations, 300)
         state = stream_select([shard], hierarchy, tree)
         selected = np.fromiter(state.selected_ids(), dtype=np.int64)

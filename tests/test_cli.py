@@ -406,6 +406,14 @@ class TestCheckpointCrashResume:
         assert capsys.readouterr().err.startswith("error: leaf count")
 
 
+class TestFit:
+    def test_shard_dim_too_wide_for_numpy_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        shard = tmp_path / "wide.bin"
+        shard.write_bytes(b"PAMEMB01" + struct.pack("<IQ", 2**31, 0))
+        assert run("fit", "--shards", shard, "--levels", "2", "--seed", "0", "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err.startswith("error: dim 2147483648 outside 1..536870909")
+
+
 class TestStats:
     def test_occurrence_curve_descending_and_hydrophones(self, tmp_path):
         fixture = build_pipeline_fixture(tmp_path / "fx")

@@ -1,0 +1,169 @@
+"""Every decode fault in the three binary formats is a located ParseError.
+
+Each format's layout is written out here item by item, independently of the
+decoders.  Every truncation of a valid file must be reported at the first
+byte of the item the cut leaves incomplete, and every planted content fault
+at the first faulty record or centroid row; never as a ValidationError or a
+bare numpy ValueError.
+"""
+
+import struct
+from itertools import accumulate
+
+import numpy as np
+import pytest
+
+from pamcurate.core_model import MAX_SHARD_DIM, EmbeddingShard, read_shard, write_shard
+from pamcurate.errors import ParseError, ShardDimError, ShardTruncatedError
+from pamcurate.hkmeans import load_model, save_model
+from pamcurate.hsample import SelectionState, load_checkpoint, save_checkpoint
+from conftest import make_hierarchy, random_shard
+
+SHARD_DIM, SHARD_COUNT = 3, 4
+RECORD = 8 + 4 * SHARD_DIM
+MODEL_KS, MODEL_DIM = (5, 3, 2), 2
+LEAF_QUOTAS = [2, 0, 3]
+LEAF_ENTRIES = [(5, 0, 0.25), (6, 0, 0.5), (7, 2, 0.125)]  # (window id, leaf, distance)
+DIGESTS = [bytes(range(32)), bytes(32)]
+
+
+def shard_items() -> list[int]:
+    return [8, 4, 8] + [RECORD] * SHARD_COUNT
+
+
+def model_items() -> list[int]:
+    sizes = [8, 8]
+    for k in MODEL_KS:
+        sizes += [4] + [8] * k + [4] * (k * MODEL_DIM)
+    for k in MODEL_KS[:-1]:
+        sizes += [4] * k
+    return sizes
+
+
+def checkpoint_items() -> list[int]:
+    sizes = [8, 36]
+    for leaf in range(len(LEAF_QUOTAS)):
+        sizes += [16] + [16] * sum(1 for _, at, _ in LEAF_ENTRIES if at == leaf)
+    return sizes + [8] + [32] * len(DIGESTS)
+
+
+def starts(sizes: list[int]) -> list[int]:
+    return [0, *accumulate(sizes)][:-1]
+
+
+def _write_shard(path):
+    write_shard(random_shard(np.random.default_rng(3), SHARD_COUNT, SHARD_DIM), path)
+
+
+def _write_model(path):
+    save_model(make_hierarchy(np.random.default_rng(5), ks=MODEL_KS, dim=MODEL_DIM), path)
+
+
+def _write_checkpoint(path):
+    state = SelectionState.empty(LEAF_QUOTAS)
+    for wid, leaf, dist in LEAF_ENTRIES:
+        state.push(leaf, wid, dist)
+    state.shard_digests = list(DIGESTS)
+    save_checkpoint(state, path)
+
+
+def expected_offset(fmt: str, cut: int, sizes: list[int]) -> int:
+    if fmt == "checkpoint" and cut >= 44 and (cut - 44) // 16 < len(LEAF_QUOTAS):
+        return 12  # fewer than 16 bytes per leaf after the header: the leaf-count guard
+    return max(start for start in starts(sizes) if start <= cut)
+
+
+# format -> (writer, reader, item sizes, truncation class)
+FORMATS = {
+    "shard": (_write_shard, read_shard, shard_items(), ShardTruncatedError),
+    "model": (_write_model, load_model, model_items(), ParseError),
+    "checkpoint": (_write_checkpoint, load_checkpoint, checkpoint_items(), ParseError),
+}
+
+
+@pytest.mark.parametrize("fmt", list(FORMATS))
+def test_every_truncation_is_located_at_the_first_incomplete_item(fmt, tmp_path):
+    write, read, sizes, truncated = FORMATS[fmt]
+    path = tmp_path / fmt
+    write(path)
+    data = path.read_bytes()
+    assert sum(sizes) == len(data)
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        with pytest.raises(truncated) as err:
+            read(path)
+        assert (err.value.path, err.value.offset) == (str(path), expected_offset(fmt, cut, sizes)), cut
+    path.write_bytes(data + b"\x00")
+    with pytest.raises(ParseError) as err:
+        read(path)
+    assert (err.value.path, err.value.offset) == (str(path), len(data))
+
+
+@pytest.mark.parametrize(
+    "nan_records, repeats, record, fault",
+    [
+        ([1], {}, 1, "non-finite"),
+        ([], {2: 0}, 2, "repeats"),
+        ([], {3: 1}, 3, "repeats"),
+        ([2], {1: 0}, 1, "repeats"),
+        ([1], {3: 1}, 1, "non-finite"),
+    ],
+)
+def test_shard_content_fault_is_located_at_the_first_faulty_record(nan_records, repeats, record, fault, tmp_path):
+    shard = random_shard(np.random.default_rng(7), SHARD_COUNT, SHARD_DIM)
+    records = np.empty(SHARD_COUNT, dtype=[("window_id", "<u8"), ("vector", "<f4", (SHARD_DIM,))])
+    records["window_id"], records["vector"] = shard.window_ids, shard.vectors
+    records["vector"][nan_records, 1] = np.nan
+    for at, of in repeats.items():
+        records["window_id"][at] = records["window_id"][of]
+    path = tmp_path / "s.bin"
+    path.write_bytes(b"PAMEMB01" + struct.pack("<IQ", SHARD_DIM, SHARD_COUNT) + records.tobytes())
+    with pytest.raises(ParseError, match=f"record {record} .*{fault}") as err:
+        read_shard(path)
+    assert (err.value.path, err.value.offset) == (str(path), 20 + record * RECORD)
+
+
+@pytest.mark.parametrize("dim", [MAX_SHARD_DIM + 1, 2**31, 2**32 - 1])
+def test_shard_dim_beyond_a_numpy_record_is_a_dim_error(dim, tmp_path):
+    path = tmp_path / "huge.bin"
+    path.write_bytes(b"PAMEMB01" + struct.pack("<IQ", dim, 0))
+    with pytest.raises(ShardDimError) as err:
+        read_shard(path)
+    assert (err.value.path, err.value.offset) == (str(path), 8)
+
+
+def test_largest_shard_dim_still_reads(tmp_path):
+    path = tmp_path / "widest.bin"
+    path.write_bytes(b"PAMEMB01" + struct.pack("<IQ", MAX_SHARD_DIM, 0))
+    assert read_shard(path) == EmbeddingShard(MAX_SHARD_DIM, np.empty(0, np.uint64), np.empty((0, MAX_SHARD_DIM), np.float32))
+
+
+def _level_start(level: int) -> int:
+    """Offset of level ``level``'s ``k`` field: 16 header bytes, then per
+    level the k field, k u64 counts and k*dim f32 centroid values."""
+    return 16 + sum(4 + 8 * k + 4 * k * MODEL_DIM for k in MODEL_KS[: level - 1])
+
+
+@pytest.mark.parametrize("level, row", [(1, 0), (1, 4), (2, 1), (3, 1)])
+def test_non_finite_centroid_is_located_at_its_row(level, row, tmp_path):
+    path = tmp_path / "model.bin"
+    _write_model(path)
+    at = _level_start(level) + 4 + 8 * MODEL_KS[level - 1] + 4 * MODEL_DIM * row
+    data = bytearray(path.read_bytes())
+    data[at + 4 : at + 8] = struct.pack("<f", np.inf if row else np.nan)
+    path.write_bytes(bytes(data))
+    with pytest.raises(ParseError, match="not finite") as err:
+        load_model(path)
+    assert (err.value.path, err.value.offset) == (str(path), at)
+
+
+def test_model_level_k_must_decrease_at_its_field(tmp_path):
+    path = tmp_path / "model.bin"
+    _write_model(path)
+    at = _level_start(2)
+    data = bytearray(path.read_bytes())
+    data[at : at + 4] = struct.pack("<I", MODEL_KS[0])
+    path.write_bytes(bytes(data))
+    with pytest.raises(ParseError, match="level 2 has k=5") as err:
+        load_model(path)
+    assert (err.value.path, err.value.offset) == (str(path), at)

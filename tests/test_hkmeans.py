@@ -204,6 +204,13 @@ class TestMinibatchFit:
         c = minibatch_fit(chunked, 3, config)
         assert a == b == c
 
+    def test_one_shot_iterator_cannot_feed_a_second_pass(self):
+        points, _ = three_blobs(seed=0, n=500)
+        config = FitConfig(batch_size=64, passes=2, seed=0)
+        assert minibatch_fit(points, 3, config).counts.sum() == 500
+        with pytest.raises(DegenerateFitError, match="pass 2 of 2: stream yielded no points"):
+            minibatch_fit(iter([points]), 3, config)
+
     def test_counts_reflect_last_pass_absorptions(self):
         points, _ = three_blobs(seed=2, n=300)
         cs = minibatch_fit(points, 3, FitConfig(batch_size=50, passes=3, seed=0))

@@ -280,8 +280,8 @@ class TestEmitAndPopulations:
         ids = np.fromiter(index.keys(), dtype=np.uint64)
         shard = EmbeddingShard(dim=4, window_ids=ids, vectors=rng.standard_normal((1000, 4)).astype(np.float32))
 
-        pops, rejected = count_populations([shard], hierarchy)
-        assert rejected == 0 and pops.sum() == 1000
+        pops = count_populations([shard], hierarchy)
+        assert pops.sum() == 1000
         tree = allocate_quotas(hierarchy, pops, n_target=100)
         state = stream_select([shard], hierarchy, tree)
         entries = emit(state, hierarchy, index)

@@ -2,7 +2,8 @@
 
 A failed write, at the fsync or at the rename, must leave the destination
 with its old bytes and no temporary file beside it; and no module may open
-a file for writing anywhere else.
+a file for writing anywhere else.  Likewise, no module may decode binary
+bytes outside ``core_model.BinaryReader``.
 """
 
 import ast
@@ -182,5 +183,65 @@ def test_package_writes_only_through_write_atomic():
         path.name: sites
         for path in sorted(SRC.glob("*.py"))
         if (sites := write_sites(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+# ---------------------------------------------------------------------------
+# One read path: no other code in the package decodes binary bytes
+# ---------------------------------------------------------------------------
+
+DECODERS = {"unpack_from", "iter_unpack", "frombuffer", "fromfile", "read_bytes"}
+
+
+def read_sites(source: str) -> list[int]:
+    """Line numbers of binary decoding outside ``BinaryReader``: ``struct.unpack``
+    or a bare ``unpack``, and any ``unpack_from``, ``iter_unpack``,
+    ``frombuffer``, ``fromfile`` or ``.read_bytes(`` call."""
+    tree = ast.parse(source)
+    readers = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and node.name == "BinaryReader"]
+    exempt = {id(node) for reader in readers for node in ast.walk(reader)}
+    sites = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in exempt:
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            decodes = func.id in DECODERS or func.id == "unpack"
+        elif isinstance(func, ast.Attribute):
+            on_struct = isinstance(func.value, ast.Name) and func.value.id == "struct"
+            decodes = func.attr in DECODERS or (func.attr == "unpack" and on_struct)
+        else:
+            decodes = False
+        if decodes:
+            sites.append(node.lineno)
+    return sorted(sites)
+
+
+def test_guard_finds_every_kind_of_decode():
+    source = "\n".join(
+        [
+            "struct.unpack('<I', b)",
+            "struct.unpack_from('<I', b, 8)",
+            "HEADER.unpack_from(b)",
+            "unpack('<I', b)",
+            "struct.iter_unpack('<I', b)",
+            "np.frombuffer(b, dtype='<u4')",
+            "np.fromfile(f, dtype='<u4')",
+            "Path(p).read_bytes()",
+            "reader.unpack('I', 'dim')",
+            "struct.pack('<I', 1)",
+            "Path(p).read_text()",
+            "class BinaryReader:\n    def f(self):\n        return np.frombuffer(Path(p).read_bytes())",
+        ]
+    )
+    assert read_sites(source) == [1, 2, 3, 4, 5, 6, 7, 8]
+
+
+def test_package_decodes_only_through_binary_reader():
+    found = {
+        path.name: sites
+        for path in sorted(SRC.glob("*.py"))
+        if (sites := read_sites(path.read_text(encoding="utf-8")))
     }
     assert found == {}
