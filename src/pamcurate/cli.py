@@ -59,7 +59,6 @@ def _partitioned(items: list, workers: int, run) -> list:
     """``run`` on each of ``workers`` strided partitions of ``items``, one
     after another.  Callers fold the results with an associative,
     commutative combine, so the worker count never changes outputs."""
-    workers = max(1, workers)
     return [run(items[i::workers]) for i in range(workers)]
 
 
@@ -68,7 +67,13 @@ def _partitioned(items: list, workers: int, run) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _check_workers(args) -> None:
+    if args.workers < 1:
+        raise ValidationError(f"--workers must be at least 1, got {args.workers}")
+
+
 def cmd_align(args) -> int:
+    _check_workers(args)
     out = _out_dir(args)
     config = load_deployment(args.config)
     pulses, rejected_rows = geo_align.read_ais_csv(args.ais)
@@ -193,6 +198,7 @@ def _select_partition(shard_paths, hierarchy, quotas, checkpoint: Path | None = 
 
 
 def cmd_sample(args) -> int:
+    _check_workers(args)
     out = _out_dir(args)
     config = load_deployment(args.config)
     hierarchy = hkmeans.load_model(args.model)

@@ -240,7 +240,8 @@ class EmbeddingShard:
     """A batch of (window_id, embedding vector) records.
 
     ``window_ids`` is a ``(n,)`` uint64 array, ``vectors`` a ``(n, dim)``
-    float32 array.  Ids are unique within a shard and vectors finite.
+    float32 array.  Ids are unique within a shard and vectors finite, and
+    ``dim`` is at most :data:`MAX_SHARD_DIM`, as in a shard file.
     """
 
     dim: int
@@ -248,8 +249,8 @@ class EmbeddingShard:
     vectors: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValidationError(f"shard dim must be >= 1, got {self.dim}")
+        if not 1 <= self.dim <= MAX_SHARD_DIM:
+            raise ValidationError(f"shard dim must be in 1..{MAX_SHARD_DIM}, got {self.dim}")
         ids = np.ascontiguousarray(np.asarray(self.window_ids, dtype=np.uint64))
         vecs = np.ascontiguousarray(np.asarray(self.vectors, dtype=np.float32))
         if vecs.ndim != 2 or vecs.shape[1] != self.dim:

@@ -2,19 +2,17 @@
 
 The sample budget is split top-down through the hierarchy by water-filling
 (equal shares per child, spilling capacity that small children cannot use
-back to their siblings), which pushes the selected set toward a uniform
+back to their siblings), which moves the selected set toward a uniform
 spread over the populated parts of the embedding space.  Within each leaf,
-the quota is filled with the windows closest to the leaf centroid; while
-streaming, the current worst entry is evicted whenever a closer one
-arrives.  :meth:`SelectionState.push` is the only place that rule lives:
-:func:`merge` pushes one state's entries into a copy of the other, so the
-selection depends only on the set of records seen, never on how the
-shards were partitioned or in which order they arrived.
+the quota is filled with the windows closest to the leaf centroid.
+:meth:`SelectionState.fold` is the only home of that rule: it takes a whole
+shard at once, and :func:`merge` folds one state into a copy of the other,
+so the selection depends only on the set of records seen, never on how the
+shards were partitioned or ordered.
 """
 
 from __future__ import annotations
 
-import heapq
 import logging
 import struct
 from dataclasses import dataclass, field
@@ -32,6 +30,7 @@ logger = logging.getLogger(__name__)
 CHECKPOINT_MAGIC = b"PAMSEL02"
 CHECKPOINT_VERSION = 2
 _ENTRY = np.dtype([("window_id", "<u8"), ("distance", "<f8")])
+_HELD = np.dtype([("leaf", "<i8"), ("window_id", "<u8"), ("distance", "<f8")])
 
 # Sample budget of the full-corpus deployment.
 PRODUCTION_TARGET_N = 323_532
@@ -118,67 +117,61 @@ def allocate_quotas(hierarchy: ClusterHierarchy, populations, n_target: int) -> 
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class SelectionState:
-    """Per-leaf bounded collections of the closest windows seen so far.
+    """The closest windows seen so far, at most ``quotas[leaf]`` per leaf.
 
-    Heaps hold ``(-distance, -window_id)`` so the root is always the current
-    eviction candidate (greatest distance, then greatest id).  A window id
-    is held at most once per leaf, at its smallest distance.
-    ``shard_digests`` lists the SHA-256 of each shard file folded in by a
-    checkpointed run; equality ignores it, as it depends on arrival order.
+    ``held`` is one structured array of ``(leaf, window_id, distance)`` rows,
+    sorted by ``(leaf, distance, window_id)`` (the ``PAMSEL02`` leaf order),
+    holding each window id at most once per leaf, at its smallest distance.
+    :meth:`fold` alone changes it, by replacing the array, so states may
+    share one.  Equality ignores ``shard_digests``, the SHA-256 of each shard
+    folded in by a checkpointed run, as it depends on arrival order.
     """
 
     quotas: np.ndarray
-    heaps: list[list[tuple[float, int]]]
+    held: np.ndarray
     processed: int = 0
     rejected_shards: int = 0
     shard_digests: list[bytes] = field(default_factory=list)
-    # Per leaf: window id -> distance of its heap entry.
-    _held: list[dict[int, float]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._held = [{-negid: -neg_d for neg_d, negid in heap} for heap in self.heaps]
 
     @classmethod
     def empty(cls, quotas) -> "SelectionState":
         q = np.ascontiguousarray(np.asarray(quotas, dtype=np.int64))
         if q.ndim != 1 or np.any(q < 0):
             raise ValidationError("quotas must be a 1-d array of non-negative counts")
-        return cls(quotas=q, heaps=[[] for _ in range(len(q))])
+        return cls(quotas=q, held=np.empty(0, _HELD))
 
-    def push(self, leaf: int, window_id: int, distance: float) -> None:
-        cap = int(self.quotas[leaf])
-        if cap == 0:
-            return
-        heap = self.heaps[leaf]
-        held = self._held[leaf]
-        if window_id in held:
-            old = held[window_id]
-            if distance < old:
-                heap[heap.index((-old, -window_id))] = (-distance, -window_id)
-                heapq.heapify(heap)
-                held[window_id] = distance
-            return
-        if len(heap) < cap:
-            heapq.heappush(heap, (-distance, -window_id))
-            held[window_id] = distance
-            return
-        worst_d, worst_negid = heap[0]
-        if (distance, window_id) < (-worst_d, -worst_negid):
-            heapq.heapreplace(heap, (-distance, -window_id))
-            del held[-worst_negid]
-            held[window_id] = distance
+    def fold(self, leaf_idx, window_ids, distances) -> None:
+        """Fold records in: each leaf then holds the ``quota`` smallest
+        ``(distance, window_id)`` among the per-id minimum distances of every
+        record folded so far, however they were batched or ordered."""
+        rows = _rows(leaf_idx, window_ids, distances)
+        # 1. Drop records that cannot beat a full leaf's worst entry (step 3 cuts quota-0 leaves).
+        counts = self.counts()
+        full = np.flatnonzero((counts >= self.quotas) & (counts > 0))
+        worst = np.full(len(self.quotas), np.array((0, 0, np.inf), _HELD))
+        worst[full] = self.held[np.cumsum(counts)[full] - 1]
+        bar = worst[rows["leaf"]]
+        d = rows["distance"]
+        rows = rows[(d < bar["distance"]) | ((d == bar["distance"]) & (rows["window_id"] < bar["window_id"]))]
+        # 2. Keep each (leaf, window_id) once, at its smallest distance.
+        rows = np.concatenate((self.held, rows))
+        rows = rows[np.lexsort((rows["distance"], rows["window_id"], rows["leaf"]))]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (rows["leaf"][1:] != rows["leaf"][:-1]) | (rows["window_id"][1:] != rows["window_id"][:-1])
+        rows = rows[first]
+        # 3. Order each leaf best first and cut it at its quota.
+        rows = rows[np.lexsort((rows["window_id"], rows["distance"], rows["leaf"]))]
+        rank = np.arange(len(rows)) - np.searchsorted(rows["leaf"], rows["leaf"])
+        self.held = rows[rank < self.quotas[rows["leaf"]]]
 
-    def entries(self, leaf: int) -> list[tuple[float, int]]:
-        """Selected ``(distance, window_id)`` pairs, best first."""
-        return sorted((-d, -negid) for d, negid in self.heaps[leaf])
+    def counts(self) -> np.ndarray:
+        """Entries held per leaf."""
+        return np.bincount(self.held["leaf"], minlength=len(self.quotas))
 
     def selected_ids(self) -> set[int]:
-        return {-negid for heap in self.heaps for _, negid in heap}
-
-    def size(self) -> int:
-        return sum(len(h) for h in self.heaps)
+        return set(self.held["window_id"].tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SelectionState):
@@ -187,14 +180,14 @@ class SelectionState:
             np.array_equal(self.quotas, other.quotas)
             and self.processed == other.processed
             and self.rejected_shards == other.rejected_shards
-            and all(sorted(a) == sorted(b) for a, b in zip(self.heaps, other.heaps))
+            and np.array_equal(self.held, other.held)
         )
 
 
-def _leaf_quotas(quotas) -> np.ndarray:
-    if isinstance(quotas, QuotaTree):
-        return quotas.leaf_quotas
-    return np.asarray(quotas, dtype=np.int64)
+def _rows(leaf_idx, window_ids, distances) -> np.ndarray:
+    rows = np.empty(len(window_ids), _HELD)
+    rows["leaf"], rows["window_id"], rows["distance"] = leaf_idx, window_ids, distances
+    return rows
 
 
 def stream_select(
@@ -210,9 +203,10 @@ def stream_select(
     match the model is rejected and tallied, never fatal.  Passing an
     existing ``state`` continues a previous (e.g. checkpointed) run.
     """
+    leaf_quotas = quotas.leaf_quotas if isinstance(quotas, QuotaTree) else np.asarray(quotas, dtype=np.int64)
     if state is None:
-        state = SelectionState.empty(_leaf_quotas(quotas))
-    elif not np.array_equal(state.quotas, _leaf_quotas(quotas)):
+        state = SelectionState.empty(leaf_quotas)
+    elif not np.array_equal(state.quotas, leaf_quotas):
         raise ValidationError("resumed state quotas do not match the requested quotas")
     for shard in shards:
         if shard.dim != hierarchy.dim:
@@ -220,30 +214,21 @@ def stream_select(
             logger.warning("rejecting shard with dim %d (model dim %d)", shard.dim, hierarchy.dim)
             continue
         leaf_idx, distances = assign_batch(shard.vectors, hierarchy)
-        ids = shard.window_ids
-        for i in range(len(ids)):
-            state.push(int(leaf_idx[i]), int(ids[i]), float(distances[i]))
-        state.processed += len(ids)
+        state.fold(leaf_idx, shard.window_ids, distances)
+        state.processed += len(shard)
     return state
 
 
 def merge(a: SelectionState, b: SelectionState) -> SelectionState:
-    """Combine partition states: ``b``'s entries pushed into a copy of ``a``.
+    """Combine partition states: ``b``'s entries folded into a copy of ``a``.
 
     The result is the state one stream over both partitions' records would
     reach, so merging is associative and commutative.
     """
     if not np.array_equal(a.quotas, b.quotas):
         raise ValidationError("cannot merge selection states with different quotas")
-    merged = SelectionState(
-        quotas=a.quotas,
-        heaps=[list(heap) for heap in a.heaps],
-        processed=a.processed + b.processed,
-        rejected_shards=a.rejected_shards + b.rejected_shards,
-    )
-    for leaf, heap in enumerate(b.heaps):
-        for neg_d, neg_id in heap:
-            merged.push(leaf, -neg_id, -neg_d)
+    merged = SelectionState(a.quotas, a.held, a.processed + b.processed, a.rejected_shards + b.rejected_shards)
+    merged.fold(b.held["leaf"], b.held["window_id"], b.held["distance"])
     return merged
 
 
@@ -263,24 +248,23 @@ def emit(
     window_index: dict[int, AudioWindow],
 ) -> list[ManifestEntry]:
     """Manifest entries for the selected windows, sorted by window_id."""
+    paths = [hierarchy.path_of(leaf) for leaf in range(len(state.quotas))]
+    held = state.held[np.argsort(state.held["window_id"], kind="stable")]
     entries = []
-    for leaf in range(len(state.quotas)):
-        path = hierarchy.path_of(leaf)
-        for _, wid in state.entries(leaf):
-            window = window_index.get(wid)
-            if window is None:
-                raise ValidationError(f"selected window_id {wid} not present in the deployment config")
-            entries.append(
-                ManifestEntry(
-                    window_id=wid,
-                    hydrophone_id=window.hydrophone_id,
-                    recording_id=window.recording_id,
-                    offset_s=window.offset_s,
-                    source="hkmeans",
-                    cluster_path=path,
-                )
+    for leaf, wid in zip(held["leaf"].tolist(), held["window_id"].tolist()):
+        window = window_index.get(wid)
+        if window is None:
+            raise ValidationError(f"selected window_id {wid} not present in the deployment config")
+        entries.append(
+            ManifestEntry(
+                window_id=wid,
+                hydrophone_id=window.hydrophone_id,
+                recording_id=window.recording_id,
+                offset_s=window.offset_s,
+                source="hkmeans",
+                cluster_path=paths[leaf],
             )
-    entries.sort(key=lambda e: e.window_id)
+        )
     return entries
 
 
@@ -290,19 +274,17 @@ def emit(
 
 
 def save_checkpoint(state: SelectionState, path: str | Path) -> None:
-    """Atomically replace ``path`` with a snapshot of ``state``: magic
-    ``PAMSEL02``, ``u32 version``, ``u64`` leaf count / processed / rejected
-    / reserved (written as 0, ignored on load; older builds stored an
-    eviction count there); per leaf ``u64 quota``, ``u64 size`` and the
-    entries as ``u64 window_id`` + ``f64 distance``, best first; then ``u64 n`` and the
-    ``n`` 32-byte ``state.shard_digests``.  Identical states give identical
-    bytes, and a crash leaves the previous file whole, so it alone is the
-    resume state of a checkpointed run."""
+    """Atomically replace ``path`` with ``state`` in the ``PAMSEL02`` layout of
+    README's formats table, each leaf's slice of ``held`` written as it is.
+    Identical states give identical bytes, and a crash leaves the previous
+    file whole, so it alone is the resume state of a checkpointed run."""
     counts = (CHECKPOINT_VERSION, len(state.quotas), state.processed, state.rejected_shards, 0)
     parts = [CHECKPOINT_MAGIC, struct.pack("<IQQQQ", *counts)]
-    for leaf in range(len(state.quotas)):
-        entries = np.array([(wid, dist) for dist, wid in state.entries(leaf)], dtype=_ENTRY)
-        parts += [struct.pack("<QQ", int(state.quotas[leaf]), len(entries)), entries.tobytes()]
+    entries = np.empty(len(state.held), _ENTRY)
+    entries["window_id"], entries["distance"] = state.held["window_id"], state.held["distance"]
+    sizes = state.counts().tolist()
+    for quota, size, leaf in zip(state.quotas.tolist(), sizes, np.split(entries, np.cumsum(sizes[:-1]))):
+        parts += [struct.pack("<QQ", quota, size), leaf.tobytes()]
     parts += [struct.pack("<Q", len(state.shard_digests)), *state.shard_digests]
     write_atomic(path, b"".join(parts))
 
@@ -317,7 +299,7 @@ def load_checkpoint(path: str | Path) -> SelectionState:
     if leaf_count > (len(reader.data) - reader.pos) // 16:
         raise reader.error(f"leaf count {leaf_count} exceeds the file size", 12)
     quotas = np.zeros(leaf_count, dtype=np.int64)
-    heaps: list[list[tuple[float, int]]] = []
+    leaves = [np.empty(0, _HELD)]
     for leaf in range(leaf_count):
         quota, size = reader.unpack("QQ", f"leaf {leaf} header")
         if not size <= quota <= np.iinfo(np.int64).max:
@@ -331,10 +313,11 @@ def load_checkpoint(path: str | Path) -> SelectionState:
             at = reader.start + 16 * int(bad[0])
             raise reader.error(f"leaf {leaf} holds distance {dists[bad[0]]}, not finite and >= 0", at)
         quotas[leaf] = quota
-        heap = [(-d, -w) for w, d in zip(entries["window_id"].tolist(), dists.tolist())]
-        heapq.heapify(heap)
-        heaps.append(heap)
+        leaves.append(_rows(np.full(size, leaf), entries["window_id"], dists))
     (n,) = reader.unpack("Q", "shard digest count")
     digests = reader.array("V32", n, "shard digest").tolist()
     reader.end()
-    return SelectionState(quotas, heaps, processed, rejected, digests)
+    state = SelectionState(quotas, np.empty(0, _HELD), processed, rejected, digests)
+    held = np.concatenate(leaves)
+    state.fold(held["leaf"], held["window_id"], held["distance"])
+    return state

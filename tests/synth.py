@@ -294,6 +294,30 @@ def exact_topn_per_cluster(
     return selected
 
 
+def topn_per_leaf(leaf_idx, window_ids, distances, quotas) -> list[list[tuple[float, int]]]:
+    """Per leaf, the ``quotas[leaf]`` smallest ``(distance, window_id)`` pairs,
+    best first, after each ``(leaf, window_id)`` is reduced to its minimum
+    distance over all records.  Plain Python over the whole record list: no
+    streaming, no eviction, no arrival order."""
+    best: dict[tuple[int, int], float] = {}
+    for leaf, wid, dist in zip(leaf_idx, window_ids, distances):
+        key = (int(leaf), int(wid))
+        best[key] = min(float(dist), best.get(key, math.inf))
+    per_leaf: list[list[tuple[float, int]]] = [[] for _ in quotas]
+    for (leaf, wid), dist in best.items():
+        per_leaf[leaf].append((dist, wid))
+    return [sorted(pairs)[: int(quota)] for pairs, quota in zip(per_leaf, quotas)]
+
+
+def by_leaf(state) -> list[list[tuple[float, int]]]:
+    """A selection state's entries in :func:`topn_per_leaf`'s shape: per
+    leaf, its ``(distance, window_id)`` pairs in held (best-first) order."""
+    per_leaf: list[list[tuple[float, int]]] = [[] for _ in state.quotas]
+    for leaf, wid, dist in state.held.tolist():
+        per_leaf[leaf].append((dist, wid))
+    return per_leaf
+
+
 # ---------------------------------------------------------------------------
 # Dense-grid knee reference
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from pamcurate.hsample import (
     stream_select,
 )
 from synth import MixtureSpec, gen_mixture, kneedle_dense_oracle, lloyd_reference
-from synth import exact_topn_per_cluster
+from synth import by_leaf, exact_topn_per_cluster
 
 from conftest import build_pipeline_fixture, make_hierarchy, random_shard
 from test_ais_curate import make_aligned
@@ -98,7 +98,7 @@ def test_c2_streaming_selection_oracle_equivalence():
         reference = exact_topn_per_cluster(
             ids, vectors, hierarchy.levels[0].centroids.astype(np.float64), quotas, normalize=True
         )
-        got = {leaf: {wid for _, wid in state.entries(leaf)} for leaf in range(leaves)}
+        got = {leaf: {wid for _, wid in by_leaf(state)[leaf]} for leaf in range(leaves)}
         if got != reference:
             report(2, "selection-oracle-equivalence", False, f"trial {trial} mismatch")
         instances += 1
@@ -274,7 +274,7 @@ def test_c9_format_round_trips(tmp_path):
         quotas = rng.integers(0, 6, size=leaves)
         state = SelectionState.empty(quotas)
         for _ in range(int(rng.integers(0, 40))):
-            state.push(int(rng.integers(0, leaves)), int(rng.integers(0, 2**62)), float(rng.random()))
+            state.fold([int(rng.integers(0, leaves))], [int(rng.integers(0, 2**62))], [float(rng.random())])
         state.processed = int(rng.integers(0, 10**6))
         state.rejected_shards = int(rng.integers(0, 5))
         path = tmp_path / "sel.ckpt"

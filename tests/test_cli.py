@@ -128,6 +128,15 @@ class TestAlign:
         assert outs[0] == outs[1]
         assert stats[0] == stats[1]
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
+        fixture = build_pipeline_fixture(tmp_path / "fx")
+        out = tmp_path / "out"
+        code = run("align", "--config", fixture["config"], "--ais", fixture["ais"], "--workers", workers, "--out", out)
+        assert code == 2
+        assert f"--workers must be at least 1, got {workers}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCurateAis:
     def test_detected_threshold_recorded(self, tmp_path):
@@ -258,6 +267,16 @@ class TestSampleContract:
             assert {f: (tmp_path / name / f).read_bytes() for f in self.OUTPUTS} == {
                 f: (out / f).read_bytes() for f in self.OUTPUTS
             }, name
+
+    @pytest.mark.parametrize("workers, checkpoint", [(0, False), (-3, False), (0, True)])
+    def test_workers_below_one_rejected(self, setup, tmp_path, capsys, workers, checkpoint):
+        fixture, out = setup
+        dest, ckpt = tmp_path / "s", tmp_path / "sel.ckpt"
+        args = ["sample", "--config", fixture["config"], "--model", out / "model.bin", "--shards", *fixture["shards"]]
+        args += ["--target-n", 60, "--workers", workers, *(["--checkpoint", ckpt] if checkpoint else []), "--out", dest]
+        assert run(*args) == 2
+        assert f"--workers must be at least 1, got {workers}" in capsys.readouterr().err
+        assert not dest.exists() and not ckpt.exists()
 
     @pytest.mark.parametrize("mode", ["workers1", "workers2", "checkpoint"])
     def test_rejected_shard_counted_once(self, setup, tmp_path, mode):

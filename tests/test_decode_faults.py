@@ -4,7 +4,8 @@ Each format's layout is written out here item by item, independently of the
 decoders.  Every truncation of a valid file must be reported at the first
 byte of the item the cut leaves incomplete, and every planted content fault
 at the first faulty record or centroid row; never as a ValidationError or a
-bare numpy ValueError.
+bare numpy ValueError.  A shard too wide to read back is refused before it
+is written.
 """
 
 import struct
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from pamcurate.core_model import MAX_SHARD_DIM, EmbeddingShard, read_shard, write_shard
-from pamcurate.errors import ParseError, ShardDimError, ShardTruncatedError
+from pamcurate.errors import ParseError, ShardDimError, ShardTruncatedError, ValidationError
 from pamcurate.hkmeans import load_model, save_model
 from pamcurate.hsample import SelectionState, load_checkpoint, save_checkpoint
 from conftest import make_hierarchy, random_shard
@@ -62,7 +63,7 @@ def _write_model(path):
 def _write_checkpoint(path):
     state = SelectionState.empty(LEAF_QUOTAS)
     for wid, leaf, dist in LEAF_ENTRIES:
-        state.push(leaf, wid, dist)
+        state.fold([leaf], [wid], [dist])
     state.shard_digests = list(DIGESTS)
     save_checkpoint(state, path)
 
@@ -138,6 +139,13 @@ def test_largest_shard_dim_still_reads(tmp_path):
     assert read_shard(path) == EmbeddingShard(MAX_SHARD_DIM, np.empty(0, np.uint64), np.empty((0, MAX_SHARD_DIM), np.float32))
 
 
+@pytest.mark.parametrize("dim", [MAX_SHARD_DIM + 1, 2**31])
+def test_shard_wider_than_the_reader_accepts_is_never_written(dim, tmp_path):
+    with pytest.raises(ValidationError):
+        write_shard(EmbeddingShard(dim, np.empty(0, np.uint64), np.empty((0, dim), np.float32)), tmp_path / "s.bin")
+    assert list(tmp_path.iterdir()) == []
+
+
 def _level_start(level: int) -> int:
     """Offset of level ``level``'s ``k`` field: 16 header bytes, then per
     level the k field, k u64 counts and k*dim f32 centroid values."""
@@ -167,3 +175,4 @@ def test_model_level_k_must_decrease_at_its_field(tmp_path):
     with pytest.raises(ParseError, match="level 2 has k=5") as err:
         load_model(path)
     assert (err.value.path, err.value.offset) == (str(path), at)
+

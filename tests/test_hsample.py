@@ -1,9 +1,14 @@
 import hashlib
 import itertools
 import struct
+import tempfile
+from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pamcurate.core_model import (
     DeploymentConfig,
@@ -13,7 +18,7 @@ from pamcurate.core_model import (
     Recording,
 )
 from pamcurate.errors import ParseError, ValidationError
-from pamcurate.hkmeans import CentroidSet, ClusterHierarchy
+from pamcurate.hkmeans import CentroidSet, ClusterHierarchy, assign_batch
 from pamcurate.hsample import (
     SelectionState,
     allocate_quotas,
@@ -24,7 +29,7 @@ from pamcurate.hsample import (
     save_checkpoint,
     stream_select,
 )
-from synth import exact_topn_per_cluster
+from synth import by_leaf, exact_topn_per_cluster, topn_per_leaf
 from conftest import T0, make_hierarchy, random_shard
 
 
@@ -121,7 +126,7 @@ class TestStreamSelect:
         shard = angle_shard([50, 10, 30, 20], [50.0, 10.0, 30.0, 20.0])
         state = stream_select([shard], hierarchy, [2])
         assert state.selected_ids() == {10, 20}
-        assert state.processed - state.size() == 2
+        assert state.processed - len(state.held) == 2
 
     def test_matches_offline_reference_and_split_invariance(self):
         rng = np.random.default_rng(7)
@@ -144,7 +149,7 @@ class TestStreamSelect:
             reference = exact_topn_per_cluster(
                 ids, vectors, hierarchy.levels[0].centroids.astype(np.float64), quotas, normalize=True
             )
-            got = {leaf: {wid for _, wid in whole.entries(leaf)} for leaf in range(6)}
+            got = {leaf: {wid for _, wid in by_leaf(whole)[leaf]} for leaf in range(6)}
             assert got == reference
 
     def test_dim_mismatch_shard_rejected_not_fatal(self):
@@ -163,16 +168,16 @@ class TestStreamSelect:
         ids = np.arange(n, dtype=np.uint64)
         shard = EmbeddingShard(dim=3, window_ids=ids, vectors=rng.standard_normal((n, 3)).astype(np.float32))
         state = stream_select([shard], hierarchy, quotas)
-        for leaf, heap in enumerate(state.heaps):
-            assert len(heap) <= quotas[leaf]
-        assert state.size() <= quotas.sum()
+        for leaf, count in enumerate(state.counts()):
+            assert count <= quotas[leaf]
+        assert len(state.held) <= quotas.sum()
 
 
 class TestMerge:
     def _random_state(self, rng, quotas):
         state = SelectionState.empty(quotas)
         for _ in range(int(rng.integers(0, 60))):
-            state.push(int(rng.integers(0, len(quotas))), int(rng.integers(0, 1000)), float(rng.random()))
+            state.fold([int(rng.integers(0, len(quotas)))], [int(rng.integers(0, 1000))], [float(rng.random())])
         state.processed = int(rng.integers(0, 100))
         return state
 
@@ -228,9 +233,9 @@ class TestMerge:
         ]
         whole = stream_select(shards, hierarchy, quotas)
         for leaf in range(len(quotas)):
-            leaf_ids = [wid for _, wid in whole.entries(leaf)]
+            leaf_ids = [wid for _, wid in by_leaf(whole)[leaf]]
             assert len(leaf_ids) == len(set(leaf_ids))
-        assert whole.size() == len(whole.selected_ids())
+        assert len(whole.held) == len(whole.selected_ids())
         for labels in itertools.product(range(3), repeat=3):
             parts = [[s for s, g in zip(shards, labels) if g == group] for group in set(labels)]
             states = [stream_select(part[::-1], hierarchy, quotas) for part in parts]
@@ -239,17 +244,111 @@ class TestMerge:
                 merged = merge(merged, state)
             assert merged == whole
 
-    def test_push_holds_each_id_once_at_its_smallest_distance(self):
+    def test_fold_holds_each_id_once_at_its_smallest_distance(self):
         state = SelectionState.empty([2])
-        state.push(0, 7, 0.5)
-        state.push(0, 7, 0.2)
-        state.push(0, 7, 0.9)
-        assert state.entries(0) == [(0.2, 7)]
-        state.push(0, 3, 0.3)
-        state.push(0, 1, 0.1)  # evicts id 3
-        state.push(0, 3, 0.05)  # returns closer than the current worst
-        assert state.entries(0) == [(0.05, 3), (0.1, 1)]
-        assert state.size() == 2
+        state.fold([0], [7], [0.5])
+        state.fold([0], [7], [0.2])
+        state.fold([0], [7], [0.9])
+        assert by_leaf(state)[0] == [(0.2, 7)]
+        state.fold([0], [3], [0.3])
+        state.fold([0], [1], [0.1])  # evicts id 3
+        state.fold([0], [3], [0.05])  # returns closer than the current worst
+        assert by_leaf(state)[0] == [(0.05, 3), (0.1, 1)]
+        assert len(state.held) == 2
+
+
+# Few distinct ids, distances and points, so repeated ids and exact ties are common.
+TIE_DISTANCES = (0.0, 0.125, 0.5, 0.5000000000000001, 2.0)
+GRID = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (-1.0, 2.0), (2.0, -1.0), (-1.0, -1.0), (3.0, 1.0))
+
+
+def columns(records):
+    """``(leaf, window_id, distance)`` records as the three lists ``fold`` takes."""
+    return [r[0] for r in records], [r[1] for r in records], [r[2] for r in records]
+
+
+@st.composite
+def record_chunks(draw):
+    """Quotas (0 included) and ``(leaf, id, distance)`` records cut into
+    chunks at random points, in random arrival order."""
+    quotas = draw(st.lists(st.integers(0, 4), min_size=1, max_size=5))
+    record = st.tuples(st.integers(0, len(quotas) - 1), st.integers(0, 12), st.sampled_from(TIE_DISTANCES))
+    records = draw(st.lists(record, max_size=40))
+    cuts = sorted(draw(st.lists(st.integers(0, len(records)), max_size=5)))
+    chunks = [records[a:b] for a, b in zip([0, *cuts], [*cuts, len(records)])]
+    return quotas, records, draw(st.permutations(chunks))
+
+
+@st.composite
+def shard_streams(draw):
+    """A hierarchy, leaf quotas and shards drawn from a small id range and a
+    small point grid, so ids repeat across shards and distances tie."""
+    k = draw(st.integers(3, 6))
+    hierarchy = make_hierarchy(np.random.default_rng(draw(st.integers(0, 2**16))), ks=(k, 2), dim=2)
+    quotas = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k))
+    shards = []
+    for _ in range(draw(st.integers(0, 5))):
+        ids = draw(st.lists(st.integers(0, 15), min_size=1, max_size=8, unique=True))
+        points = draw(st.lists(st.sampled_from(GRID), min_size=len(ids), max_size=len(ids)))
+        shards.append(EmbeddingShard(dim=2, window_ids=np.array(ids, np.uint64), vectors=np.array(points)))
+    return hierarchy, quotas, shards
+
+
+def assert_round_trip(state):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = Path(tmp) / "sel.ckpt", Path(tmp) / "again.ckpt"
+        save_checkpoint(state, path)
+        loaded = load_checkpoint(path)
+        assert loaded == state
+        assert by_leaf(loaded) == by_leaf(state)
+        save_checkpoint(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+
+class TestSelectionReference:
+    """``fold``, ``stream_select`` and ``merge`` against ``synth.topn_per_leaf``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(record_chunks())
+    def test_fold_in_any_chunking_and_order_matches_reference(self, drawn):
+        quotas, records, chunks = drawn
+        state = SelectionState.empty(quotas)
+        for chunk in chunks:
+            state.fold(*columns(chunk))
+        expected = topn_per_leaf(*columns(records), quotas)
+        assert by_leaf(state) == expected
+        assert state.counts().tolist() == [len(leaf) for leaf in expected]
+
+    @settings(max_examples=200, deadline=None)
+    @given(record_chunks(), st.data())
+    def test_merge_of_random_partitions_matches_reference_and_round_trips(self, drawn, data):
+        quotas, records, chunks = drawn
+        labels = data.draw(st.lists(st.integers(0, 2), min_size=len(chunks), max_size=len(chunks)))
+        states = [SelectionState.empty(quotas) for _ in range(3)]
+        for chunk, label in zip(chunks, labels):
+            states[label].fold(*columns(chunk))
+        merged = reduce(merge, states)
+        assert by_leaf(merged) == topn_per_leaf(*columns(records), quotas)
+        assert merge(states[2], merge(states[1], states[0])) == merged
+        assert_round_trip(merged)
+
+    @settings(max_examples=100, deadline=None)
+    @given(shard_streams(), st.data())
+    def test_stream_select_and_merge_match_reference(self, drawn, data):
+        hierarchy, quotas, shards = drawn
+        leaves, ids, distances = [], [], []
+        for shard in shards:
+            leaf_idx, dist = assign_batch(shard.vectors, hierarchy)
+            leaves += leaf_idx.tolist()
+            ids += shard.window_ids.tolist()
+            distances += dist.tolist()
+        whole = stream_select(shards, hierarchy, quotas)
+        assert by_leaf(whole) == topn_per_leaf(leaves, ids, distances, quotas)
+        assert whole.processed == len(ids)
+        labels = data.draw(st.lists(st.integers(0, 2), min_size=len(shards), max_size=len(shards)))
+        parts = [[s for s, g in zip(shards, labels) if g == group][::-1] for group in range(3)]
+        assert reduce(merge, [stream_select(part, hierarchy, quotas) for part in parts]) == whole
+        assert_round_trip(whole)
 
 
 class TestEmitAndPopulations:
@@ -290,7 +389,7 @@ class TestEmitAndPopulations:
         assert all(len(e.cluster_path) == 2 for e in entries)
         leafs = {e.window_id: e.cluster_path[-1] for e in entries}
         for leaf in range(8):
-            for _, wid in state.entries(leaf):
+            for _, wid in by_leaf(state)[leaf]:
                 assert leafs[wid] == leaf
 
     def test_unknown_window_rejected(self):
@@ -347,7 +446,7 @@ class TestCheckpoint:
     def test_invalid_distance_rejected_at_its_entry(self, tmp_path, bad):
         state = SelectionState.empty([2, 0, 3])
         for wid, leaf, dist in [(5, 0, 0.25), (6, 0, 0.5), (7, 2, 0.125)]:
-            state.push(leaf, wid, dist)
+            state.fold([leaf], [wid], [dist])
         path = tmp_path / "c.ckpt"
         save_checkpoint(state, path)
         data = bytearray(path.read_bytes())
@@ -359,6 +458,24 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert err.value.offset == 76
 
+    def test_entries_in_any_order_load_to_the_same_state(self, tmp_path):
+        state = SelectionState.empty([0, 4, 3])
+        state.fold([1, 1, 1, 1, 2, 2, 2], [5, 9, 2, 7, 4, 8, 6], [0.5, 0.25, 0.5, 0.75, 0.0, 0.0, 1.0])
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(state, path)
+        data = path.read_bytes()
+        # leaf 1's four entries start at 44 + 16 + 16, leaf 2's three at 76 + 64 + 16
+        leaf1 = [data[76 + 16 * i : 92 + 16 * i] for i in range(4)]
+        leaf2 = [data[156 + 16 * i : 172 + 16 * i] for i in range(3)]
+        for n, order in enumerate(itertools.permutations(range(4))):
+            shuffled = data[:76] + b"".join(leaf1[i] for i in order) + data[140:156]
+            shuffled += b"".join(leaf2[(i + n) % 3] for i in range(3)) + data[204:]
+            path.write_bytes(shuffled)
+            loaded = load_checkpoint(path)
+            assert loaded == state
+            save_checkpoint(loaded, tmp_path / "again.ckpt")
+            assert (tmp_path / "again.ckpt").read_bytes() == data
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"BADMAGIC" + b"\x00" * 40)
@@ -367,16 +484,18 @@ class TestCheckpoint:
         assert err.value.offset == 0
 
     def test_duplicate_id_in_leaf_rejected(self, tmp_path):
-        state = SelectionState(quotas=np.array([2, 3]), heaps=[[], [(-0.5, -9), (-0.25, -9)]])
+        # A state never holds an id twice in a leaf, so the bytes are written here.
         path = tmp_path / "dup.ckpt"
-        save_checkpoint(state, path)
+        header = b"PAMSEL02" + struct.pack("<IQQQQ", 2, 2, 0, 0, 0)
+        leaves = struct.pack("<QQ", 2, 0) + struct.pack("<QQ", 3, 2) + struct.pack("<QdQd", 9, 0.25, 9, 0.5)
+        path.write_bytes(header + leaves + struct.pack("<Q", 0))
         with pytest.raises(ParseError) as err:
             load_checkpoint(path)
         assert err.value.offset == 44 + 16 + 16
 
     def test_truncation_detected(self, tmp_path):
         state = SelectionState.empty([2, 1])
-        state.push(0, 5, 0.25)
+        state.fold([0], [5], [0.25])
         path = tmp_path / "c.ckpt"
         save_checkpoint(state, path)
         path.write_bytes(path.read_bytes()[:-4])
@@ -386,7 +505,7 @@ class TestCheckpoint:
     def test_every_truncation_is_a_parse_error(self, tmp_path):
         state = SelectionState.empty([2, 0, 3])
         for wid, leaf, dist in [(5, 0, 0.25), (6, 0, 0.5), (7, 2, 0.125)]:
-            state.push(leaf, wid, dist)
+            state.fold([leaf], [wid], [dist])
         state.shard_digests = [bytes(range(32)), bytes(32)]
         path = tmp_path / "c.ckpt"
         save_checkpoint(state, path)
@@ -401,7 +520,7 @@ class TestCheckpoint:
 
     def test_shard_digest_trailer(self, tmp_path):
         state = SelectionState.empty([1, 2])
-        state.push(1, 9, 0.5)
+        state.fold([1], [9], [0.5])
         digests = [hashlib.sha256(b"shard-a").digest(), hashlib.sha256(b"shard-b").digest()]
         state.shard_digests = list(digests)
         path = tmp_path / "c.ckpt"

@@ -39,7 +39,7 @@ def _aligned_set(deployment):
 
 def _state():
     state = hsample.SelectionState.empty([2, 1])
-    state.push(0, 5, 0.25)
+    state.fold([0], [5], [0.25])
     state.shard_digests = [bytes(32)]
     return state
 
