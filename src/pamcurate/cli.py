@@ -55,11 +55,13 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _partitioned(items: list, workers: int, run) -> list:
-    """``run`` on each of ``workers`` strided partitions of ``items``, one
-    after another.  Callers fold the results with an associative,
-    commutative combine, so the worker count never changes outputs."""
-    return [run(items[i::workers]) for i in range(workers)]
+def _partitioned(items, workers: int, run) -> list:
+    """``run`` on each of ``min(workers, len(items))`` strided partitions of
+    ``items`` (once on an empty ``items``), one after another.  Callers fold
+    the results with an associative, commutative combine, so the worker
+    count never changes outputs."""
+    parts = max(1, min(workers, len(items)))
+    return [run(items[i::parts]) for i in range(parts)]
 
 
 # ---------------------------------------------------------------------------

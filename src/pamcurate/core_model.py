@@ -26,11 +26,13 @@ import os
 import re
 import struct
 import tempfile
+from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -54,7 +56,8 @@ MANIFEST_KEYS = ("window_id", "hydrophone_id", "recording_id", "offset_s", "sour
 _BY_WINDOW_ID = attrgetter("window_id")
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_.\-]+\Z")
-_U64_MAX = 2**64 - 1
+U64_MAX = 2**64 - 1
+MAX_MMSI = 999_999_999
 _token_cache: set[str] = set()
 _UMASK = os.umask(0o022)  # mkstemp creates 0600 files; outputs get 0666 & ~umask
 os.umask(_UMASK)
@@ -92,7 +95,12 @@ def _require_token(value: str, what: str) -> str:
 
 
 def parse_utc(text: str) -> int:
-    """Parse ``YYYY-MM-DDTHH:MM:SS`` (naive = UTC) to Unix epoch seconds."""
+    """Unix epoch seconds of an ISO-8601 timestamp, as ``datetime.fromisoformat``
+    reads it: ``YYYY-MM-DDTHH:MM:SS`` and, on Python 3.11+, also a space
+    separator, the compact ``20230601T000005`` form, ``Z`` or a UTC offset
+    (converted to UTC), and fractional seconds (truncated toward zero).  A
+    timestamp without an offset is UTC.  Hour 24, second 60, impossible dates
+    and non-ASCII digits raise :class:`ValidationError`."""
     try:
         dt = datetime.fromisoformat(text)
     except ValueError as exc:
@@ -151,6 +159,10 @@ class Recording:
     def window_count(self) -> int:
         return window_count(self.duration_s)
 
+    @property
+    def window_offsets(self) -> range:
+        return range(0, self.window_count * WINDOW_S, WINDOW_S)
+
 
 @dataclass(frozen=True, slots=True)
 class Hydrophone:
@@ -188,20 +200,6 @@ class AudioWindow:
             raise ValidationError(f"window offset {self.offset_s} must be a non-negative multiple of {WINDOW_S}")
 
 
-@dataclass(frozen=True, slots=True)
-class AisPulse:
-    """One timestamped, geolocated vessel ping."""
-
-    mmsi: int
-    time: int
-    position: GeoPoint
-    vessel_type: int | None = None
-
-    def __post_init__(self):
-        if not 0 < self.mmsi <= 999_999_999:
-            raise ValidationError(f"mmsi {self.mmsi} outside 1..999999999")
-
-
 # ---------------------------------------------------------------------------
 # Window arithmetic and identifiers
 # ---------------------------------------------------------------------------
@@ -228,6 +226,75 @@ def window_id_of(hydrophone_id: str, recording_id: str, offset_s: int) -> int:
         raise ValidationError(f"window offset {offset_s} must be a non-negative multiple of {WINDOW_S}")
     key = f"{hydrophone_id}/{recording_id}/{offset_s}".encode()
     return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
+
+
+def window_ids_of(hydrophone_id: str, recording_id: str, offsets: Iterable[int]) -> list[int]:
+    """:func:`window_id_of` of each of ``offsets`` in one recording, hashing
+    the key prefix they share once."""
+    _require_token(hydrophone_id, "hydrophone id")
+    _require_token(recording_id, "recording id")
+    prefix = hashlib.blake2b(f"{hydrophone_id}/{recording_id}/".encode(), digest_size=8)
+    ids = []
+    for offset_s in offsets:
+        if offset_s < 0 or offset_s % WINDOW_S != 0:
+            raise ValidationError(f"window offset {offset_s} must be a non-negative multiple of {WINDOW_S}")
+        key = prefix.copy()
+        key.update(b"%d" % offset_s)
+        ids.append(int.from_bytes(key.digest(), "big"))
+    return ids
+
+
+class WindowIndex(Mapping[int, AudioWindow]):
+    """Every window of a deployment by id, as a sorted ``uint64`` id array
+    with the recording and offset of each id.  An :class:`AudioWindow` is
+    built only when an id is looked up: one at a time through the mapping
+    interface (``index[wid]``, ``.get``, ``in``), or many at once with
+    :meth:`lookup`.  Iteration yields the ids in ascending order."""
+
+    def __init__(self, config: "DeploymentConfig"):
+        recordings = [(h.id, rec) for h in config.hydrophones for rec in h.recordings]
+        self._recordings = [(hid, rec.id) for hid, rec in recordings]
+        counts = np.array([rec.window_count for _, rec in recordings], dtype=np.int64)
+        ids = np.fromiter(
+            chain.from_iterable(window_ids_of(hid, rec.id, rec.window_offsets) for hid, rec in recordings),
+            dtype=np.uint64,
+            count=int(counts.sum()),
+        )
+        recording = np.repeat(np.arange(len(recordings)), counts)
+        first = np.repeat(np.cumsum(counts) - counts, counts)  # index of the first window of each id's recording
+        offset = (np.arange(len(ids)) - first) * WINDOW_S
+        order = np.argsort(ids, kind="stable")
+        self.ids, self._recording, self._offset = ids[order], recording[order], offset[order]
+        collided = np.flatnonzero(self.ids[1:] == self.ids[:-1])
+        if len(collided):
+            raise ValidationError(f"window id collision on {self.ids[collided[0]]}")
+
+    def lookup(self, ids) -> list[AudioWindow | None]:
+        """The window of each of ``ids`` (``uint64`` values), ``None`` for
+        an id the deployment does not have."""
+        keys = np.asarray(ids, dtype=np.uint64)
+        if not len(self.ids):
+            return [None] * len(keys)
+        pos = np.minimum(np.searchsorted(self.ids, keys), len(self.ids) - 1)
+        found = (self.ids[pos] == keys).tolist()
+        recording, offset = self._recording[pos].tolist(), self._offset[pos].tolist()
+        return [
+            AudioWindow(wid, *self._recordings[r], off) if hit else None
+            for wid, r, off, hit in zip(keys.tolist(), recording, offset, found)
+        ]
+
+    def __getitem__(self, window_id) -> AudioWindow:
+        if isinstance(window_id, (int, np.integer)) and 0 <= window_id <= U64_MAX:
+            (window,) = self.lookup([window_id])
+            if window is not None:
+                return window
+        raise KeyError(window_id)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.ids.tolist())
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +439,7 @@ class ManifestEntry:
     cluster_path: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if not 0 <= self.window_id <= _U64_MAX:
+        if not 0 <= self.window_id <= U64_MAX:
             raise ValidationError(f"window_id {self.window_id} outside u64 range")
         _require_token(self.hydrophone_id, "hydrophone id")
         _require_token(self.recording_id, "recording id")
@@ -380,7 +447,7 @@ class ManifestEntry:
             raise ValidationError(f"offset_s {self.offset_s} must be a non-negative multiple of {WINDOW_S}")
         if self.source not in MANIFEST_SOURCES:
             raise ValidationError(f"source {self.source!r} not in {MANIFEST_SOURCES}")
-        if self.mmsi is not None and not 0 < self.mmsi <= 999_999_999:
+        if self.mmsi is not None and not 0 < self.mmsi <= MAX_MMSI:
             raise ValidationError(f"mmsi {self.mmsi} outside 1..999999999")
         if self.cluster_path is not None:
             path = tuple(int(c) for c in self.cluster_path)
@@ -487,17 +554,12 @@ class DeploymentConfig:
     def iter_windows(self) -> Iterator[AudioWindow]:
         for h in self.hydrophones:
             for rec in h.recordings:
-                for i in range(rec.window_count):
-                    off = i * WINDOW_S
+                for off in rec.window_offsets:
                     yield AudioWindow(window_id_of(h.id, rec.id, off), h.id, rec.id, off)
 
-    def window_index(self) -> dict[int, AudioWindow]:
-        index: dict[int, AudioWindow] = {}
-        for w in self.iter_windows():
-            if w.window_id in index:
-                raise ValidationError(f"window id collision on {w.window_id}")
-            index[w.window_id] = w
-        return index
+    def window_index(self) -> WindowIndex:
+        """Every window by id; raises :class:`ValidationError` on an id collision."""
+        return WindowIndex(self)
 
     def total_windows(self) -> int:
         return sum(rec.window_count for h in self.hydrophones for rec in h.recordings)

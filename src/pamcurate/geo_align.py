@@ -12,19 +12,24 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .core_model import (
-    AisPulse,
+    MAX_MMSI,
+    U64_MAX,
+    WINDOW_S,
     AudioWindow,
     DeploymentConfig,
     GeoPoint,
     Hydrophone,
-    WINDOW_S,
     parse_utc,
-    window_id_of,
+    window_ids_of,
     write_atomic,
 )
 from .errors import ParseError, ValidationError
@@ -64,24 +69,16 @@ def fence_of(hydrophone: Hydrophone | GeoPoint, side_km: float) -> GeoFence:
     return GeoFence(center=center, half_side_m=half_side_m, lat_span_deg=lat_span, lon_span_deg=lon_span)
 
 
-def contains(fence: GeoFence, point: GeoPoint) -> bool:
-    """Closed-boundary membership test (points exactly on the edge are in)."""
-    if abs(point.lat - fence.center.lat) > fence.lat_span_deg:
-        return False
-    dlon = abs((point.lon - fence.center.lon + 180.0) % 360.0 - 180.0)
-    return dlon <= fence.lon_span_deg
+def contains(fence: GeoFence, lat, lon):
+    """Closed-boundary membership of points given as latitude and longitude
+    arrays (or scalars); points exactly on the edge are in."""
+    dlon = np.abs(np.remainder(lon - fence.center.lon + 180.0, 360.0) - 180.0)
+    return (np.abs(lat - fence.center.lat) <= fence.lat_span_deg) & (dlon <= fence.lon_span_deg)
 
 
 # ---------------------------------------------------------------------------
 # Alignment
 # ---------------------------------------------------------------------------
-
-
-class AlignedPulse(NamedTuple):
-    mmsi: int
-    time: int
-    window_id: int
-    hydrophone_id: str
 
 
 @dataclass
@@ -123,49 +120,64 @@ class AlignedWindowSet:
 
 @dataclass
 class AlignmentResult:
-    pulses: list[AlignedPulse]
+    """``pulses`` holds one row per aligned (pulse, hydrophone) pair, sorted
+    by ``(mmsi, time, window_id, hydrophone_id)``."""
+
+    pulses: np.ndarray
     windows: AlignedWindowSet
     rejects: dict[str, int]
 
 
-def align(
-    pulses: Iterable[AisPulse],
-    config: DeploymentConfig,
-    side_km: float = 4.0,
-) -> AlignmentResult:
-    """Match pulses to complete recording windows inside hydrophone fences.
+def align(pulses: np.ndarray, config: DeploymentConfig, side_km: float = 4.0) -> AlignmentResult:
+    """Match pulses (an :data:`AIS_COLUMNS` array) to complete recording
+    windows inside hydrophone fences.
 
     A pulse landing inside the fences of several hydrophones aligns to each
     of them independently.  The result is a pure set-level function of the
     pulse collection: input order does not matter.
     """
-    fences = [(h, fence_of(h, side_km)) for h in config.hydrophones]
-    result = AlignmentResult(pulses=[], windows=AlignedWindowSet(), rejects={})
-    for pulse in pulses:
-        matched = False
-        for hydrophone, fence in fences:
-            if not contains(fence, pulse.position):
-                continue
-            window = _window_at(hydrophone, pulse.time)
-            if window is None:
-                continue
-            result.windows.add(window, pulse.mmsi)
-            result.pulses.append(AlignedPulse(pulse.mmsi, pulse.time, window.window_id, hydrophone.id))
-            matched = True
-        if not matched:
-            result.rejects["unaligned"] = result.rejects.get("unaligned", 0) + 1
-    result.pulses.sort()
-    return result
+    fences = [fence_of(h, side_km) for h in config.hydrophones]
+    windows = AlignedWindowSet()
+    # Per hydrophone: the aligned pulse rows, their window ids and the hydrophone id.
+    rows, ids, owners = [np.empty(0, np.int64)], [np.empty(0, np.uint64)], [np.empty(0, str)]
+    for hydrophone, fence in zip(config.hydrophones, fences):
+        recordings = sorted((r for r in hydrophone.recordings if r.window_count), key=attrgetter("start"))
+        inside = np.flatnonzero(contains(fence, pulses["lat"], pulses["lon"]))
+        if not recordings or not len(inside):
+            continue
+        # Complete windows only: a recording's incomplete tail is a gap.
+        starts = np.array([r.start for r in recordings], dtype=np.int64)
+        counts = np.array([r.window_count for r in recordings], dtype=np.int64)
+        time = pulses["time"][inside]
+        rec = np.searchsorted(starts, time, side="right") - 1
+        slot = (time - starts[rec]) // WINDOW_S
+        hit = (rec >= 0) & (slot < counts[rec])
+        inside, rec, slot = inside[hit], rec[hit], slot[hit]
+        # Hash each window hit once, one recording at a time.
+        keys, inverse = np.unique(rec * counts.max() + slot, return_inverse=True)
+        hit_rec, hit_offset = np.divmod(keys, counts.max())
+        hit_offset *= WINDOW_S
+        hit_ids: list[int] = []
+        for r in np.unique(hit_rec).tolist():
+            recording_id, offsets = recordings[r].id, hit_offset[hit_rec == r].tolist()
+            for wid, offset in zip(window_ids_of(hydrophone.id, recording_id, offsets), offsets):
+                windows.windows.setdefault(wid, AudioWindow(wid, hydrophone.id, recording_id, offset))
+                hit_ids.append(wid)
+        rows.append(inside)
+        ids.append(np.array(hit_ids, dtype=np.uint64)[inverse])
+        owners.append(np.full(len(inside), hydrophone.id))
 
-
-def _window_at(hydrophone: Hydrophone, time: int) -> AudioWindow | None:
-    for rec in hydrophone.recordings:
-        if rec.start <= time < rec.end:
-            offset = (time - rec.start) // WINDOW_S * WINDOW_S
-            if offset + WINDOW_S <= rec.duration_s:
-                return AudioWindow(window_id_of(hydrophone.id, rec.id, offset), hydrophone.id, rec.id, offset)
-            return None
-    return None
+    rows, owners = np.concatenate(rows), np.concatenate(owners)
+    fields = [("mmsi", "<i8"), ("time", "<i8"), ("window_id", "<u8"), ("hydrophone_id", owners.dtype)]
+    out = np.empty(len(rows), dtype=fields)
+    out["mmsi"], out["time"], out["window_id"], out["hydrophone_id"] = (
+        pulses["mmsi"][rows], pulses["time"][rows], np.concatenate(ids), owners
+    )
+    out = out[np.lexsort((out["hydrophone_id"], out["window_id"], out["time"], out["mmsi"]))]
+    for wid, mmsi in zip(out["window_id"].tolist(), out["mmsi"].tolist()):
+        windows.ships.setdefault(wid, set()).add(mmsi)
+    unaligned = len(pulses) - len(np.unique(rows))
+    return AlignmentResult(pulses=out, windows=windows, rejects={"unaligned": unaligned} if unaligned else {})
 
 
 # ---------------------------------------------------------------------------
@@ -173,38 +185,81 @@ def _window_at(hydrophone: Hydrophone, time: int) -> AudioWindow | None:
 # ---------------------------------------------------------------------------
 
 _REQUIRED_COLUMNS = ("MMSI", "BaseDateTime", "LAT", "LON")
+# Accepted pulses: ``lon`` is normalized to [-180, 180) as GeoPoint does.
+AIS_COLUMNS = np.dtype([("mmsi", "<i8"), ("time", "<i8"), ("lat", "<f8"), ("lon", "<f8")])
+_CANONICAL_UTC = re.compile(r"([0-9]{4}-[0-9]{2}-[0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})")
 
 
-def read_ais_csv(path: str | Path) -> tuple[list[AisPulse], int]:
-    """Read AIS pulses from a headered CSV; malformed rows are counted, not fatal.
+def read_ais_csv(path: str | Path) -> tuple[np.ndarray, int]:
+    """Read AIS pulses from a headered CSV into an :data:`AIS_COLUMNS` array,
+    in file order; malformed rows are counted, not fatal.
 
-    Recognized columns: MMSI, BaseDateTime (UTC, ISO-8601 seconds), LAT, LON
-    and the optional VesselType.  Extra columns are ignored.
+    Recognized columns: MMSI (1..999999999), BaseDateTime (see
+    :func:`parse_utc`), LAT (-90..90), LON (finite, wrapped) and the
+    optional VesselType, a finite number that is checked but not kept.
+    Extra columns are ignored; a repeated column name means its last
+    column, and a short row's missing cells are empty.
     """
-    pulses: list[AisPulse] = []
+    mmsi, time, lat, lon = [], [], [], []
     rejected = 0
+    days: dict[str, int | None] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         missing = [c for c in _REQUIRED_COLUMNS if c not in header]
         if missing:
             raise ParseError(f"AIS CSV missing columns {missing}", path=str(path), offset=1)
+        column = {name: i for i, name in enumerate(header)}
+        at_mmsi, at_time, at_lat, at_lon = (column[c] for c in _REQUIRED_COLUMNS)
+        at_vessel = column.get("VesselType")
         for row in reader:
+            if not row:
+                continue
+            if len(row) < len(header):
+                row += [None] * (len(header) - len(row))
             try:
-                vessel_raw = (row.get("VesselType") or "").strip()
-                pulse = AisPulse(
-                    mmsi=int(row["MMSI"]),
-                    time=parse_utc(row["BaseDateTime"]),
-                    position=GeoPoint(float(row["LAT"]), float(row["LON"])),
-                    vessel_type=int(float(vessel_raw)) if vessel_raw else None,
-                )
-            except (ValueError, TypeError, ValidationError):
+                vessel = (row[at_vessel] or "").strip() if at_vessel is not None else ""
+                if vessel:
+                    int(float(vessel))
+                ship = int(row[at_mmsi])
+                if not 0 < ship <= MAX_MMSI:
+                    raise ValueError(ship)
+                when = _epoch(row[at_time], days)
+                row_lat, row_lon = float(row[at_lat]), float(row[at_lon])
+            except (ValueError, TypeError, OverflowError, ValidationError):
                 rejected += 1
                 continue
-            pulses.append(pulse)
+            mmsi.append(ship)
+            time.append(when)
+            lat.append(row_lat)
+            lon.append(row_lon)
+    pulses = np.empty(len(mmsi), dtype=AIS_COLUMNS)
+    pulses["mmsi"], pulses["time"], pulses["lat"], pulses["lon"] = mmsi, time, lat, lon
+    valid = np.isfinite(pulses["lat"]) & np.isfinite(pulses["lon"]) & (np.abs(pulses["lat"]) <= 90.0)
+    rejected += len(pulses) - int(valid.sum())
+    pulses = pulses[valid]
+    pulses["lon"] = np.remainder(pulses["lon"] + 180.0, 360.0) - 180.0
     if rejected:
         logger.info("read_ais_csv: skipped %d malformed rows in %s", rejected, path)
     return pulses, rejected
+
+
+def _epoch(text: str, days: dict[str, int | None]) -> int:
+    """``parse_utc(text)``.  A canonical ``YYYY-MM-DDTHH:MM:SS`` timestamp in
+    ASCII digits parses its date once per distinct date; every other one goes
+    to :func:`parse_utc`."""
+    match = _CANONICAL_UTC.fullmatch(text)
+    if match is not None:
+        day, hour, minute, second = match.groups()
+        if day not in days:
+            try:
+                days[day] = parse_utc(day)
+            except ValidationError:
+                days[day] = None
+        h, m, s = int(hour), int(minute), int(second)
+        if days[day] is not None and h < 24 and m < 60 and s < 60:
+            return days[day] + 3600 * h + 60 * m + s
+    return parse_utc(text)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +282,10 @@ def read_sidecar(path: str | Path) -> list[tuple[int, int]]:
                 continue
             try:
                 wid_text, mmsi_text = line.split(",")
-                pairs.append((int(wid_text), int(mmsi_text)))
+                wid = int(wid_text)
+                if not 0 <= wid <= U64_MAX:
+                    raise ValueError(wid)
+                pairs.append((wid, int(mmsi_text)))
             except ValueError:
                 raise ParseError(f"bad sidecar line {line!r}", path=str(path), offset=lineno) from None
     return pairs
@@ -235,10 +293,9 @@ def read_sidecar(path: str | Path) -> list[tuple[int, int]]:
 
 def aligned_from_sidecar(pairs: Sequence[tuple[int, int]], config: DeploymentConfig) -> AlignedWindowSet:
     """Rebuild an AlignedWindowSet from sidecar pairs, validating every id."""
-    index = config.window_index()
+    windows = config.window_index().lookup([wid for wid, _ in pairs])
     out = AlignedWindowSet()
-    for wid, mmsi in pairs:
-        window = index.get(wid)
+    for (wid, mmsi), window in zip(pairs, windows):
         if window is None:
             raise ValidationError(f"window_id {wid} not present in the deployment config")
         out.add(window, mmsi)

@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core_model import AudioWindow, BinaryReader, EmbeddingShard, ManifestEntry, write_atomic
+from .core_model import BinaryReader, EmbeddingShard, ManifestEntry, WindowIndex, write_atomic
 from .errors import ValidationError
 from .hkmeans import ClusterHierarchy, assign_batch
 
@@ -245,14 +245,14 @@ def count_populations(shards: Iterable[EmbeddingShard], hierarchy: ClusterHierar
 def emit(
     state: SelectionState,
     hierarchy: ClusterHierarchy,
-    window_index: dict[int, AudioWindow],
+    window_index: WindowIndex,
 ) -> list[ManifestEntry]:
     """Manifest entries for the selected windows, sorted by window_id."""
     paths = [hierarchy.path_of(leaf) for leaf in range(len(state.quotas))]
     held = state.held[np.argsort(state.held["window_id"], kind="stable")]
+    windows = window_index.lookup(held["window_id"])
     entries = []
-    for leaf, wid in zip(held["leaf"].tolist(), held["window_id"].tolist()):
-        window = window_index.get(wid)
+    for leaf, wid, window in zip(held["leaf"].tolist(), held["window_id"].tolist(), windows):
         if window is None:
             raise ValidationError(f"selected window_id {wid} not present in the deployment config")
         entries.append(

@@ -8,13 +8,16 @@ code paths, not shared helpers.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from pamcurate.core_model import (
-    AisPulse,
+    AudioWindow,
     DeploymentConfig,
     GeoPoint,
     Hydrophone,
@@ -23,7 +26,8 @@ from pamcurate.core_model import (
     parse_utc,
     window_id_of,
 )
-from pamcurate.errors import ValidationError
+from pamcurate.errors import ParseError, ValidationError
+from pamcurate.geo_align import AIS_COLUMNS, AlignedWindowSet, GeoFence, fence_of
 
 # ---------------------------------------------------------------------------
 # Gaussian mixtures
@@ -72,6 +76,106 @@ def gen_mixture(spec: MixtureSpec) -> tuple[np.ndarray, np.ndarray]:
     noise = rng.standard_normal((spec.n, spec.dim))
     points = means[labels] + stddevs[labels][:, None] * noise
     return points, labels
+
+
+# ---------------------------------------------------------------------------
+# Per-row AIS reference: one object per pulse, as the package read and
+# aligned pulses before its columnar path
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class AisPulse:
+    """One timestamped, geolocated vessel ping."""
+
+    mmsi: int
+    time: int
+    position: GeoPoint
+    vessel_type: int | None = None
+
+    def __post_init__(self):
+        if not 0 < self.mmsi <= 999_999_999:
+            raise ValidationError(f"mmsi {self.mmsi} outside 1..999999999")
+
+
+def ais_columns(pulses: Iterable[AisPulse]) -> np.ndarray:
+    """The pulses as the ``geo_align.AIS_COLUMNS`` array the package reads."""
+    return np.array([(p.mmsi, p.time, p.position.lat, p.position.lon) for p in pulses], dtype=AIS_COLUMNS)
+
+
+def read_ais_csv_reference(path: str | Path) -> tuple[list[AisPulse], int]:
+    """Per-row ``csv.DictReader`` reader; a malformed row is counted, not fatal."""
+    pulses: list[AisPulse] = []
+    rejected = 0
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        missing = [c for c in ("MMSI", "BaseDateTime", "LAT", "LON") if c not in header]
+        if missing:
+            raise ParseError(f"AIS CSV missing columns {missing}", path=str(path), offset=1)
+        for row in reader:
+            try:
+                vessel_raw = (row.get("VesselType") or "").strip()
+                pulse = AisPulse(
+                    mmsi=int(row["MMSI"]),
+                    time=parse_utc(row["BaseDateTime"]),
+                    position=GeoPoint(float(row["LAT"]), float(row["LON"])),
+                    vessel_type=int(float(vessel_raw)) if vessel_raw else None,
+                )
+            except (ValueError, TypeError, OverflowError, ValidationError):
+                rejected += 1
+                continue
+            pulses.append(pulse)
+    return pulses, rejected
+
+
+def contains_reference(fence: GeoFence, point: GeoPoint) -> bool:
+    if abs(point.lat - fence.center.lat) > fence.lat_span_deg:
+        return False
+    dlon = abs((point.lon - fence.center.lon + 180.0) % 360.0 - 180.0)
+    return dlon <= fence.lon_span_deg
+
+
+class AlignedPulse(NamedTuple):
+    mmsi: int
+    time: int
+    window_id: int
+    hydrophone_id: str
+
+
+def align_reference(
+    pulses: Iterable[AisPulse], config: DeploymentConfig, side_km: float = 4.0
+) -> tuple[list[AlignedPulse], AlignedWindowSet, dict[str, int]]:
+    """Every pulse against every hydrophone's fence and recordings in turn;
+    returns the sorted aligned pulses, the aligned windows and the rejects."""
+    fences = [(h, fence_of(h, side_km)) for h in config.hydrophones]
+    aligned: list[AlignedPulse] = []
+    windows = AlignedWindowSet()
+    rejects: dict[str, int] = {}
+    for pulse in pulses:
+        matched = False
+        for hydrophone, fence in fences:
+            if not contains_reference(fence, pulse.position):
+                continue
+            window = _window_at(hydrophone, pulse.time)
+            if window is None:
+                continue
+            windows.add(window, pulse.mmsi)
+            aligned.append(AlignedPulse(pulse.mmsi, pulse.time, window.window_id, hydrophone.id))
+            matched = True
+        if not matched:
+            rejects["unaligned"] = rejects.get("unaligned", 0) + 1
+    return sorted(aligned), windows, rejects
+
+
+def _window_at(hydrophone: Hydrophone, time: int) -> AudioWindow | None:
+    for rec in hydrophone.recordings:
+        if rec.start <= time < rec.end:
+            offset = (time - rec.start) // WINDOW_S * WINDOW_S
+            if offset + WINDOW_S <= rec.duration_s:
+                return AudioWindow(window_id_of(hydrophone.id, rec.id, offset), hydrophone.id, rec.id, offset)
+            return None
+    return None
 
 
 # ---------------------------------------------------------------------------

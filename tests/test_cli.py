@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pamcurate import hsample
-from pamcurate.cli import _sha256, main
+from pamcurate.cli import _partitioned, _sha256, main
 from pamcurate.core_model import EmbeddingShard, read_manifest, read_shard, write_shard
 from conftest import build_pipeline_fixture
 
@@ -127,6 +127,15 @@ class TestAlign:
             stats.append((out / "align_stats.json").read_bytes())
         assert outs[0] == outs[1]
         assert stats[0] == stats[1]
+
+    def test_infinite_vessel_type_counted_as_rejected(self, tmp_path):
+        fixture = build_pipeline_fixture(tmp_path / "fx")
+        ais = tmp_path / "ais.csv"
+        rows = [f"300000001,2023-06-01T00:00:05,0.001,-0.001,0.0,{v}" for v in ("inf", "-inf", "1e400")]
+        ais.write_text(fixture["ais"].read_text() + "\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        assert run("align", "--config", fixture["config"], "--ais", ais, "--out", out) == 0
+        assert json.loads((out / "align_stats.json").read_text())["rejected_rows"] == 2 + 3
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
@@ -293,6 +302,32 @@ class TestSampleContract:
         assert stats["rejected_shards"] == 1
         manifest = "manifest_hkmeans.txt"
         assert (tmp_path / "s" / manifest).read_bytes() == (out / manifest).read_bytes()
+
+
+class TestPartitioned:
+    @pytest.mark.parametrize("count, workers", [(5, 1), (5, 3), (5, 5), (5, 20000), (0, 1), (0, 4)])
+    def test_one_run_per_partition_and_no_empty_ones(self, count, workers):
+        items = list(range(count))
+        parts = []
+        _partitioned(items, workers, parts.append)
+        assert len(parts) == max(1, min(workers, count))
+        assert sorted(x for part in parts for x in part) == items
+        assert all(parts) or parts == [[]]
+
+    def test_align_and_sample_outputs_do_not_depend_on_many_workers(self, tmp_path):
+        fixture = build_pipeline_fixture(tmp_path / "fx")
+        ref = tmp_path / "ref"
+        run_pipeline(fixture, ref)
+        outputs = {}
+        for workers in (1, 50):
+            out = tmp_path / f"w{workers}"
+            argv = ["align", "--config", fixture["config"], "--ais", fixture["ais"], "--workers", workers]
+            assert run(*argv, "--out", out) == 0
+            argv = ["sample", "--config", fixture["config"], "--model", ref / "model.bin", "--shards", *fixture["shards"]]
+            assert run(*argv, "--target-n", 60, "--workers", workers, "--out", out) == 0
+            names = ("aligned.csv", "align_stats.json", "manifest_hkmeans.txt", "sample_stats.json")
+            outputs[workers] = {name: (out / name).read_bytes() for name in names}
+        assert outputs[1] == outputs[50]
 
 
 class Crash(BaseException):

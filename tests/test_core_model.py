@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pamcurate import core_model
 from pamcurate.core_model import (
     CurationManifest,
+    DeploymentConfig,
     EmbeddingShard,
     GeoPoint,
     Hydrophone,
@@ -16,6 +18,7 @@ from pamcurate.core_model import (
     save_deployment,
     window_count,
     window_id_of,
+    window_ids_of,
     write_manifest,
     write_shard,
 )
@@ -275,3 +278,64 @@ class TestDeploymentConfig:
         path.write_text("{nope")
         with pytest.raises(ParseError):
             load_deployment(path)
+
+
+class TestWindowIndex:
+    def test_ids_equal_iter_windows(self, deployment):
+        windows = list(deployment.iter_windows())
+        index = deployment.window_index()
+        assert index.ids.tolist() == sorted(w.window_id for w in windows)
+        assert list(index) == sorted(w.window_id for w in windows)
+        assert len(index) == deployment.total_windows()
+        assert index.lookup([w.window_id for w in windows]) == windows
+        assert all(index[w.window_id] == w and index.get(w.window_id) == w for w in windows)
+        assert dict(index) == {w.window_id: w for w in windows}
+
+    @settings(max_examples=50, deadline=None)
+    @given(durations=st.lists(st.lists(st.integers(0, 95), max_size=4), min_size=1, max_size=3))
+    def test_ids_equal_iter_windows_on_any_deployment(self, durations):
+        config = DeploymentConfig(
+            hydrophones=tuple(
+                Hydrophone(
+                    id=f"H{h}",
+                    location=GeoPoint(0.0, 0.0),
+                    recordings=tuple(
+                        Recording(id=f"R{r}", start=1000 * r, duration_s=d, native_sample_rate_hz=1)
+                        for r, d in enumerate(recs)
+                    ),
+                )
+                for h, recs in enumerate(durations)
+            )
+        )
+        windows = sorted(config.iter_windows(), key=lambda w: w.window_id)
+        index = config.window_index()
+        assert index.ids.tolist() == [w.window_id for w in windows]
+        assert index.lookup(index.ids) == windows
+
+    def test_unknown_ids_miss(self, deployment):
+        index = deployment.window_index()
+        known = index.ids[0]
+        assert index.lookup([known + 1, known, 0, 2**64 - 1]) == [None, index[int(known)], None, None]
+        for key in (-1, 2**64, int(known) + 1, "x", 1.5, None):
+            assert key not in index
+            with pytest.raises(KeyError):
+                index[key]
+        empty = DeploymentConfig(hydrophones=()).window_index()
+        assert len(empty) == 0 and empty.lookup([1, 2]) == [None, None] and empty.get(1) is None
+
+    def test_planted_collision_rejected(self, deployment, monkeypatch):
+        real = core_model.window_ids_of
+        monkeypatch.setattr(
+            core_model, "window_ids_of", lambda h, r, offsets: [wid % 7 for wid in real(h, r, offsets)]
+        )
+        with pytest.raises(ValidationError, match="window id collision"):
+            deployment.window_index()
+
+    def test_window_ids_of_matches_window_id_of(self):
+        offsets = [0, 10, 990, 10**12]
+        assert window_ids_of("H1", "R1", offsets) == [window_id_of("H1", "R1", o) for o in offsets]
+        for bad in ([15], [-10]):
+            with pytest.raises(ValidationError):
+                window_ids_of("H1", "R1", bad)
+        with pytest.raises(ValidationError):
+            window_ids_of("H 1", "R1", [0])

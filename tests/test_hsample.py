@@ -32,6 +32,8 @@ from pamcurate.hsample import (
 from synth import by_leaf, exact_topn_per_cluster, topn_per_leaf
 from conftest import T0, make_hierarchy, random_shard
 
+NO_WINDOWS = DeploymentConfig(hydrophones=()).window_index()
+
 
 def one_leaf_hierarchy():
     return ClusterHierarchy(
@@ -369,7 +371,7 @@ class TestEmitAndPopulations:
         rng = np.random.default_rng(23)
         hierarchy = make_hierarchy(rng, ks=(3, 2), dim=3)
         state = SelectionState.empty([0, 0, 0])
-        assert emit(state, hierarchy, {}) == []
+        assert emit(state, hierarchy, NO_WINDOWS) == []
 
     def test_desk_scale_exact_target(self):
         rng = np.random.default_rng(29)
@@ -396,7 +398,7 @@ class TestEmitAndPopulations:
         hierarchy = one_leaf_hierarchy()
         state = stream_select([angle_shard([777], [5.0])], hierarchy, [1])
         with pytest.raises(ValidationError):
-            emit(state, hierarchy, {})
+            emit(state, hierarchy, NO_WINDOWS)
 
     def test_production_target_constant(self):
         from pamcurate.hsample import PRODUCTION_TARGET_N

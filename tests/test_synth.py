@@ -6,6 +6,7 @@ from pamcurate.geo_align import align
 from synth import (
     MixtureSpec,
     TrafficSpec,
+    ais_columns,
     exact_topn_per_cluster,
     gen_mixture,
     gen_traffic,
@@ -75,7 +76,7 @@ class TestGenTraffic:
     def test_alignment_reproduces_ground_truth(self):
         spec = TrafficSpec(ships=25, alpha=1.8, occ_min=1, occ_max=40, seed=11)
         sample = gen_traffic(spec)
-        result = align(sample.pulses, sample.deployment, side_km=4.0)
+        result = align(ais_columns(sample.pulses), sample.deployment, side_km=4.0)
         assert result.windows.ships == sample.windows
 
 

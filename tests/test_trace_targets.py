@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from pamcurate import geo_align
+from pamcurate.core_model import load_deployment
 from conftest import build_pipeline_fixture
 from test_cli import run_pipeline
 
@@ -42,3 +44,18 @@ def test_sample_stats_carry_the_keys_layer_metrics_reads(spans, tmp_path):
     run_pipeline(build_pipeline_fixture(tmp_path / "fx"), out, workers=2)
     stats = json.loads((out / "sample_stats.json").read_text())
     assert keys <= stats.keys()
+
+
+def test_call_shapes_the_counters_read_match_the_stats(tmp_path):
+    """The counters of ``read_ais_csv``, ``align`` and ``window_index`` take
+    ``len`` of what those calls return; the lengths must be the counts the
+    stages report."""
+    fixture = build_pipeline_fixture(tmp_path / "fx")
+    out = tmp_path / "out"
+    run_pipeline(fixture, out)
+    stats = json.loads((out / "align_stats.json").read_text())
+    config = load_deployment(fixture["config"])
+    pulses, rejected = geo_align.read_ais_csv(fixture["ais"])
+    assert len(pulses) + rejected == stats["pulses_read"] + stats["rejected_rows"]
+    assert len(geo_align.align(pulses, config, side_km=stats["side_km"]).pulses) == stats["aligned_pulses"]
+    assert len(config.window_index()) == config.total_windows() == fixture["window_count"]

@@ -245,3 +245,55 @@ def test_package_decodes_only_through_binary_reader():
         if (sites := read_sites(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+# ---------------------------------------------------------------------------
+# One AIS path: the package reads AIS rows into columns, never into per-row
+# objects (those live in tests/synth.py as the reference)
+# ---------------------------------------------------------------------------
+
+PER_ROW_AIS = {"DictReader", "AisPulse"}
+
+
+def per_row_ais_sites(source: str) -> list[int]:
+    """Line numbers where ``csv.DictReader`` or ``AisPulse`` is named, defined or imported."""
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            name = node.name
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in PER_ROW_AIS:
+            sites.append(node.lineno)
+    return sorted(sites)
+
+
+def test_guard_finds_every_per_row_ais_name():
+    source = "\n".join(
+        [
+            "reader = csv.DictReader(fh)",
+            "from csv import DictReader",
+            "from csv import DictReader as Rows",
+            "class AisPulse:\n    pass",
+            "pulse = core_model.AisPulse(1, 2)",
+            "rows = AisPulse",
+            "reader = csv.reader(fh)",
+            "pulses = np.empty(3, AIS_COLUMNS)",
+        ]
+    )
+    assert per_row_ais_sites(source) == [1, 2, 3, 4, 6, 7]
+
+
+def test_package_has_one_ais_path():
+    found = {
+        path.name: sites
+        for path in sorted(SRC.glob("*.py"))
+        if (sites := per_row_ais_sites(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
