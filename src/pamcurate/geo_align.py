@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import logging
 import math
-import re
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
@@ -29,7 +28,7 @@ from .core_model import (
     GeoPoint,
     Hydrophone,
     parse_utc,
-    window_ids_of,
+    window_id_of,
     write_atomic,
 )
 from .errors import ParseError, ValidationError
@@ -153,16 +152,15 @@ def align(pulses: np.ndarray, config: DeploymentConfig, side_km: float = 4.0) ->
         slot = (time - starts[rec]) // WINDOW_S
         hit = (rec >= 0) & (slot < counts[rec])
         inside, rec, slot = inside[hit], rec[hit], slot[hit]
-        # Hash each window hit once, one recording at a time.
+        # Hash each window hit once.
         keys, inverse = np.unique(rec * counts.max() + slot, return_inverse=True)
-        hit_rec, hit_offset = np.divmod(keys, counts.max())
-        hit_offset *= WINDOW_S
+        hit_rec, hit_slot = np.divmod(keys, counts.max())
         hit_ids: list[int] = []
-        for r in np.unique(hit_rec).tolist():
-            recording_id, offsets = recordings[r].id, hit_offset[hit_rec == r].tolist()
-            for wid, offset in zip(window_ids_of(hydrophone.id, recording_id, offsets), offsets):
-                windows.windows.setdefault(wid, AudioWindow(wid, hydrophone.id, recording_id, offset))
-                hit_ids.append(wid)
+        for r, offset in zip(hit_rec.tolist(), (hit_slot * WINDOW_S).tolist()):
+            recording_id = recordings[r].id
+            wid = window_id_of(hydrophone.id, recording_id, offset)
+            windows.windows.setdefault(wid, AudioWindow(wid, hydrophone.id, recording_id, offset))
+            hit_ids.append(wid)
         rows.append(inside)
         ids.append(np.array(hit_ids, dtype=np.uint64)[inverse])
         owners.append(np.full(len(inside), hydrophone.id))
@@ -187,7 +185,6 @@ def align(pulses: np.ndarray, config: DeploymentConfig, side_km: float = 4.0) ->
 _REQUIRED_COLUMNS = ("MMSI", "BaseDateTime", "LAT", "LON")
 # Accepted pulses: ``lon`` is normalized to [-180, 180) as GeoPoint does.
 AIS_COLUMNS = np.dtype([("mmsi", "<i8"), ("time", "<i8"), ("lat", "<f8"), ("lon", "<f8")])
-_CANONICAL_UTC = re.compile(r"([0-9]{4}-[0-9]{2}-[0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})")
 
 
 def read_ais_csv(path: str | Path) -> tuple[np.ndarray, int]:
@@ -202,7 +199,6 @@ def read_ais_csv(path: str | Path) -> tuple[np.ndarray, int]:
     """
     mmsi, time, lat, lon = [], [], [], []
     rejected = 0
-    days: dict[str, int | None] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -224,7 +220,7 @@ def read_ais_csv(path: str | Path) -> tuple[np.ndarray, int]:
                 ship = int(row[at_mmsi])
                 if not 0 < ship <= MAX_MMSI:
                     raise ValueError(ship)
-                when = _epoch(row[at_time], days)
+                when = parse_utc(row[at_time])
                 row_lat, row_lon = float(row[at_lat]), float(row[at_lon])
             except (ValueError, TypeError, OverflowError, ValidationError):
                 rejected += 1
@@ -242,24 +238,6 @@ def read_ais_csv(path: str | Path) -> tuple[np.ndarray, int]:
     if rejected:
         logger.info("read_ais_csv: skipped %d malformed rows in %s", rejected, path)
     return pulses, rejected
-
-
-def _epoch(text: str, days: dict[str, int | None]) -> int:
-    """``parse_utc(text)``.  A canonical ``YYYY-MM-DDTHH:MM:SS`` timestamp in
-    ASCII digits parses its date once per distinct date; every other one goes
-    to :func:`parse_utc`."""
-    match = _CANONICAL_UTC.fullmatch(text)
-    if match is not None:
-        day, hour, minute, second = match.groups()
-        if day not in days:
-            try:
-                days[day] = parse_utc(day)
-            except ValidationError:
-                days[day] = None
-        h, m, s = int(hour), int(minute), int(second)
-        if days[day] is not None and h < 24 and m < 60 and s < 60:
-            return days[day] + 3600 * h + 60 * m + s
-    return parse_utc(text)
 
 
 # ---------------------------------------------------------------------------

@@ -151,8 +151,7 @@ def build_pipeline_fixture(root: Path) -> dict:
     ais_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
     rng = np.random.default_rng(123)
-    index = config.window_index()
-    ids = np.array(sorted(index), dtype=np.uint64)
+    ids = config.window_index().ids
     means = np.array(
         [[6.0, 0, 0, 0, 0, 0], [0, 6.0, 0, 0, 0, 0], [0, 0, 6.0, 0, 0, 0]], dtype=np.float64
     )

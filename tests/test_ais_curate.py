@@ -34,7 +34,8 @@ def make_aligned(ship_windows: dict[int, list[int]]) -> AlignedWindowSet:
             ),
         )
     )
-    windows = sorted(config.window_index().values(), key=lambda w: w.offset_s)
+    index = config.window_index()
+    windows = sorted(index.lookup(index.ids), key=lambda w: w.offset_s)
     aligned = AlignedWindowSet()
     for mmsi, slots in ship_windows.items():
         for slot in slots:
@@ -54,11 +55,11 @@ class TestHistogram:
 
     def test_matches_generator_ground_truth(self):
         sample = gen_traffic(TrafficSpec(ships=40, alpha=2.0, occ_min=1, occ_max=60, seed=5))
-        index = sample.deployment.window_index()
+        windows = sample.deployment.window_index().lookup(sample.windows)
         aligned = AlignedWindowSet()
-        for wid, mmsis in sample.windows.items():
+        for window, mmsis in zip(windows, sample.windows.values()):
             for mmsi in mmsis:
-                aligned.add(index[wid], mmsi)
+                aligned.add(window, mmsi)
         assert histogram(aligned).counts == sample.counts
 
 

@@ -1,3 +1,5 @@
+from datetime import datetime, timedelta, timezone
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,12 +15,12 @@ from pamcurate.core_model import (
     ManifestEntry,
     Recording,
     load_deployment,
+    parse_utc,
     read_manifest,
     read_shard,
     save_deployment,
     window_count,
     window_id_of,
-    window_ids_of,
     write_manifest,
     write_shard,
 )
@@ -55,6 +57,31 @@ class TestWindowArithmetic:
     def test_negative_duration_rejected(self):
         with pytest.raises(ValidationError):
             window_count(-1)
+
+
+class TestParseUtc:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        when=st.datetimes(min_value=datetime(1430, 1, 2), max_value=datetime(2510, 12, 30)),
+        zone=st.sampled_from([None, timezone.utc, timezone(timedelta(hours=5, minutes=30)), timezone(-timedelta(hours=11))]),
+        sep=st.sampled_from(["T", " "]),
+    )
+    def test_matches_timestamp_truncated(self, when, zone, sep):
+        # Where a float holds every microsecond, int(timestamp()) is exact.
+        text = when.replace(tzinfo=zone).isoformat(sep=sep)
+        expected = datetime.fromisoformat(text)
+        expected = expected if zone is not None else expected.replace(tzinfo=timezone.utc)
+        assert parse_utc(text) == int(expected.timestamp())
+
+    def test_edges(self):
+        assert parse_utc("1970-01-01T00:00:00") == 0
+        assert parse_utc("1969-12-31T23:59:59.5") == 0  # toward zero, not down
+        assert parse_utc("1969-12-31T23:59:59") == -1
+        assert parse_utc("2023-06-01T02:00:05+02:00") == parse_utc("20230601T000005") == 1685577605
+        assert parse_utc("9999-12-31T23:59:59.999999") == 253402300799
+        for bad in ("2023-02-30T00:00:00", "2023-06-01T24:00:00", "2023-06-01T00:00:60", "garbage"):
+            with pytest.raises(ValidationError):
+                parse_utc(bad)
 
 
 class TestWindowId:
@@ -285,11 +312,9 @@ class TestWindowIndex:
         windows = list(deployment.iter_windows())
         index = deployment.window_index()
         assert index.ids.tolist() == sorted(w.window_id for w in windows)
-        assert list(index) == sorted(w.window_id for w in windows)
         assert len(index) == deployment.total_windows()
         assert index.lookup([w.window_id for w in windows]) == windows
-        assert all(index[w.window_id] == w and index.get(w.window_id) == w for w in windows)
-        assert dict(index) == {w.window_id: w for w in windows}
+        assert index.lookup(np.array([w.window_id for w in windows], dtype=np.uint64)) == windows
 
     @settings(max_examples=50, deadline=None)
     @given(durations=st.lists(st.lists(st.integers(0, 95), max_size=4), min_size=1, max_size=3))
@@ -314,28 +339,16 @@ class TestWindowIndex:
 
     def test_unknown_ids_miss(self, deployment):
         index = deployment.window_index()
-        known = index.ids[0]
-        assert index.lookup([known + 1, known, 0, 2**64 - 1]) == [None, index[int(known)], None, None]
-        for key in (-1, 2**64, int(known) + 1, "x", 1.5, None):
-            assert key not in index
-            with pytest.raises(KeyError):
-                index[key]
+        known = int(index.ids[0])
+        (window,) = index.lookup([known])
+        assert window is not None and window.window_id == known
+        keys = [known + 1, known, 0, 2**64 - 1, -1, 2**64, 1.5, float(known), "x", None]
+        assert index.lookup(keys) == [None, window] + [None] * 8
         empty = DeploymentConfig(hydrophones=()).window_index()
-        assert len(empty) == 0 and empty.lookup([1, 2]) == [None, None] and empty.get(1) is None
+        assert len(empty) == 0 and empty.lookup([1, 2]) == [None, None] and empty.lookup([]) == []
 
     def test_planted_collision_rejected(self, deployment, monkeypatch):
-        real = core_model.window_ids_of
-        monkeypatch.setattr(
-            core_model, "window_ids_of", lambda h, r, offsets: [wid % 7 for wid in real(h, r, offsets)]
-        )
+        real = core_model.window_id_of
+        monkeypatch.setattr(core_model, "window_id_of", lambda h, r, offset: real(h, r, offset) % 7)
         with pytest.raises(ValidationError, match="window id collision"):
             deployment.window_index()
-
-    def test_window_ids_of_matches_window_id_of(self):
-        offsets = [0, 10, 990, 10**12]
-        assert window_ids_of("H1", "R1", offsets) == [window_id_of("H1", "R1", o) for o in offsets]
-        for bad in ([15], [-10]):
-            with pytest.raises(ValidationError):
-                window_ids_of("H1", "R1", bad)
-        with pytest.raises(ValidationError):
-            window_ids_of("H 1", "R1", [0])

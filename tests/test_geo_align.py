@@ -247,10 +247,11 @@ class TestSidecar:
         aligned = AlignedWindowSet()
         config = one_hydrophone_config(duration_s=300)
         index = config.window_index()
-        wids = sorted(index)[:3]
-        aligned.add(index[wids[0]], 12)
-        aligned.add(index[wids[0]], 7)
-        aligned.add(index[wids[2]], 7)
+        wids = index.ids[:3].tolist()
+        first, _, third = index.lookup(wids)
+        aligned.add(first, 12)
+        aligned.add(first, 7)
+        aligned.add(third, 7)
         path = tmp_path / "aligned.csv"
         write_sidecar(aligned, path)
         lines = path.read_text().splitlines()
@@ -262,8 +263,9 @@ class TestSidecar:
 
     def test_unknown_window_rejected(self):
         config = one_hydrophone_config()
-        with pytest.raises(ValidationError):
-            aligned_from_sidecar([(12345, 1)], config)
+        for wid in (12345, -1, 2**64, 1.5):
+            with pytest.raises(ValidationError, match="not present"):
+                aligned_from_sidecar([(wid, 1)], config)
 
     def test_bad_line_error(self, tmp_path):
         path = tmp_path / "s.csv"

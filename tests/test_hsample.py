@@ -378,7 +378,7 @@ class TestEmitAndPopulations:
         hierarchy = make_hierarchy(rng, ks=(8, 2), dim=4)
         config = self._deployment_with_windows(1000)
         index = config.window_index()
-        ids = np.fromiter(index.keys(), dtype=np.uint64)
+        ids = index.ids
         shard = EmbeddingShard(dim=4, window_ids=ids, vectors=rng.standard_normal((1000, 4)).astype(np.float32))
 
         pops = count_populations([shard], hierarchy)
