@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import ManifestEntry
+from .core_model import ManifestEntry, WindowIndex
 from .errors import ValidationError
 from .geo_align import AlignedWindowSet
 
@@ -50,14 +50,12 @@ class Threshold:
 def histogram(aligned: AlignedWindowSet) -> OccurrenceHistogram:
     """Count, per ship, the distinct windows it was heard in.
 
-    A window shared by several ships counts once for each of them.  Partial
-    histograms from workers over disjoint pulse partitions may be combined
-    by building from the unioned AlignedWindowSet.
+    A window shared by several ships counts once for each of them.  The
+    union of partial alignments over disjoint pulse partitions gives the
+    histogram of the whole.
     """
-    counts: dict[int, int] = {}
-    for mmsis in aligned.ships.values():
-        for mmsi in mmsis:
-            counts[mmsi] = counts.get(mmsi, 0) + 1
+    ships, windows = np.unique(aligned.pairs["mmsi"], return_counts=True)
+    counts = dict(zip(ships.tolist(), windows.tolist()))
     return OccurrenceHistogram(counts=counts, total_ships=len(counts), total_windows=len(aligned))
 
 
@@ -99,8 +97,9 @@ def sampling_probability(occurrence: int, t: int) -> float:
     return t / occurrence
 
 
-def curate(aligned: AlignedWindowSet, threshold: Threshold, seed: int) -> list[ManifestEntry]:
-    """Thin the aligned windows ship by ship; returns manifest entries.
+def curate(aligned: AlignedWindowSet, threshold: Threshold, seed: int, index: WindowIndex) -> list[ManifestEntry]:
+    """Thin the aligned windows ship by ship; returns manifest entries, with
+    each window's coordinates taken from ``index``.
 
     Each ship uses its own generator seeded with ``seed XOR mmsi`` and draws
     over its windows in ascending window_id order, so the output does not
@@ -108,28 +107,23 @@ def curate(aligned: AlignedWindowSet, threshold: Threshold, seed: int) -> list[M
     from several ships is kept if at least one of them retains it, and the
     entry records the smallest retaining mmsi.
     """
-    by_ship: dict[int, list[int]] = {}
-    for wid, mmsis in aligned.ships.items():
-        for mmsi in mmsis:
-            by_ship.setdefault(mmsi, []).append(wid)
-
-    retained: dict[int, int] = {}
-    for mmsi in sorted(by_ship):
-        wids = sorted(by_ship[mmsi])
-        p = sampling_probability(len(wids), threshold.t)
-        if p >= 1.0:
-            kept = wids
-        else:
-            rng = np.random.default_rng(np.random.PCG64(seed ^ mmsi))
-            draws = rng.random(len(wids))
-            kept = [wid for wid, u in zip(wids, draws) if u < p]
-        for wid in kept:
-            if wid not in retained or mmsi < retained[wid]:
-                retained[wid] = mmsi
-
+    pairs = aligned.pairs
+    by_ship = np.lexsort((pairs["window_id"], pairs["mmsi"]))
+    ships, starts, counts = np.unique(pairs["mmsi"][by_ship], return_index=True, return_counts=True)
+    kept = np.ones(len(pairs), dtype=bool)
+    for mmsi, start, count in zip(ships.tolist(), starts.tolist(), counts.tolist()):
+        p = sampling_probability(count, threshold.t)
+        if p < 1.0:
+            draws = np.random.default_rng(np.random.PCG64(seed ^ mmsi)).random(count)
+            kept[by_ship[start : start + count]] = draws < p
+    # ``pairs`` is sorted by (window_id, mmsi): a window's first kept pair has its smallest retaining mmsi.
+    retained = pairs[kept]
+    window_ids, first = np.unique(retained["window_id"], return_index=True)
+    windows = index.lookup(window_ids)
     entries = []
-    for wid in sorted(retained):
-        window = aligned.windows[wid]
+    for wid, mmsi, window in zip(window_ids.tolist(), retained["mmsi"][first].tolist(), windows):
+        if window is None:
+            raise ValidationError(f"retained window_id {wid} not present in the deployment config")
         entries.append(
             ManifestEntry(
                 window_id=wid,
@@ -137,7 +131,7 @@ def curate(aligned: AlignedWindowSet, threshold: Threshold, seed: int) -> list[M
                 recording_id=window.recording_id,
                 offset_s=window.offset_s,
                 source="ais",
-                mmsi=retained[wid],
+                mmsi=mmsi,
             )
         )
     return entries

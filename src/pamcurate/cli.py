@@ -106,14 +106,14 @@ def cmd_align(args) -> int:
 def cmd_curate_ais(args) -> int:
     out = _out_dir(args)
     config = load_deployment(args.config)
-    pairs = geo_align.read_sidecar(args.aligned)
-    aligned = geo_align.aligned_from_sidecar(pairs, config)
+    index = config.window_index()
+    aligned = geo_align.aligned_from_sidecar(geo_align.read_sidecar(args.aligned), index)
     hist = ais_curate.histogram(aligned)
     if args.threshold is not None:
         threshold = ais_curate.Threshold(t=args.threshold, origin="manual")
     else:
         threshold = ais_curate.detect_knee(hist)
-    entries = ais_curate.curate(aligned, threshold, seed=args.seed)
+    entries = ais_curate.curate(aligned, threshold, args.seed, index)
 
     manifest_path = out / "manifest_ais.txt"
     write_manifest(CurationManifest(entries=tuple(entries)), manifest_path)
@@ -277,9 +277,9 @@ def cmd_stats(args) -> int:
     if args.aligned:
         if not args.config:
             raise ValidationError("--aligned requires --config to resolve window ids")
+        manual = None if args.threshold is None else ais_curate.Threshold(t=args.threshold, origin="manual")
         config = load_deployment(args.config)
-        pairs = geo_align.read_sidecar(args.aligned)
-        aligned = geo_align.aligned_from_sidecar(pairs, config)
+        aligned = geo_align.aligned_from_sidecar(geo_align.read_sidecar(args.aligned), config.window_index())
         hist = ais_curate.histogram(aligned)
         curve = ais_curate.occurrence_curve(hist)
         curve_path = out / "occurrence_curve.csv"
@@ -287,8 +287,8 @@ def cmd_stats(args) -> int:
         outputs.append(curve_path)
         inputs.append(Path(args.aligned))
         payload.update({"ships": hist.total_ships, "aligned_windows": hist.total_windows})
-        if args.threshold is not None:
-            payload.update({"threshold": args.threshold, "threshold_origin": "manual"})
+        if manual is not None:
+            payload.update({"threshold": manual.t, "threshold_origin": manual.origin})
         else:
             try:
                 knee = ais_curate.detect_knee(hist)

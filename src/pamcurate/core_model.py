@@ -98,17 +98,16 @@ def parse_utc(text: str) -> int:
     """Unix epoch seconds of an ISO-8601 timestamp, as ``datetime.fromisoformat``
     reads it: ``YYYY-MM-DDTHH:MM:SS`` and, on Python 3.11+, also a space
     separator, the compact ``20230601T000005`` form, ``Z`` or a UTC offset
-    (converted to UTC), and fractional seconds (truncated toward zero).  A
-    timestamp without an offset is UTC.  Hour 24, second 60, impossible dates
-    and non-ASCII digits raise :class:`ValidationError`."""
+    (converted to UTC), and fractional seconds (rounded down, before 1970
+    too).  A timestamp without an offset is UTC.  Hour 24, second 60,
+    impossible dates and non-ASCII digits raise :class:`ValidationError`."""
     try:
         dt = datetime.fromisoformat(text)
     except ValueError as exc:
         raise ValidationError(f"bad UTC timestamp {text!r}: {exc}") from None
     # Exact integer arithmetic; ``replace`` and ``timestamp`` cost five times more.
     elapsed = dt - (_EPOCH if dt.tzinfo is None else _EPOCH_UTC)
-    seconds = elapsed.days * 86400 + elapsed.seconds
-    return seconds + 1 if seconds < 0 and elapsed.microseconds else seconds
+    return elapsed.days * 86400 + elapsed.seconds
 
 
 def format_utc(epoch_s: int) -> str:
@@ -252,20 +251,27 @@ class WindowIndex:
         if len(collided):
             raise ValidationError(f"window id collision on {self.ids[collided[0]]}")
 
-    def lookup(self, ids) -> list[AudioWindow | None]:
-        """The window of each of ``ids``; ``None`` for an id the deployment
-        does not have, and for a key that is not an integer in 0..U64_MAX."""
+    def positions(self, ids) -> np.ndarray:
+        """The position in :attr:`ids` of each of ``ids``; -1 for an id the
+        deployment does not have, and for a key that is not an integer in
+        0..U64_MAX."""
         ids = list(ids)
         valid = [isinstance(wid, (int, np.integer)) and 0 <= wid <= U64_MAX for wid in ids]
         keys = np.array([wid if ok else 0 for wid, ok in zip(ids, valid)], dtype=np.uint64)
         if not len(self.ids):
-            return [None] * len(keys)
+            return np.full(len(keys), -1)
         pos = np.minimum(np.searchsorted(self.ids, keys), len(self.ids) - 1)
-        found = ((self.ids[pos] == keys) & np.array(valid, dtype=bool)).tolist()
-        recording, offset = self._recording[pos].tolist(), self._offset[pos].tolist()
+        return np.where(np.array(valid, dtype=bool) & (self.ids[pos] == keys), pos, -1)
+
+    def lookup(self, ids) -> list[AudioWindow | None]:
+        """The window of each of ``ids``; ``None`` where :meth:`positions` is -1."""
+        pos = self.positions(ids)
+        if not len(self.ids):
+            return [None] * len(pos)
+        window_ids, recording, offset = (column[pos].tolist() for column in (self.ids, self._recording, self._offset))
         return [
-            AudioWindow(wid, *self._recordings[r], off) if hit else None
-            for wid, r, off, hit in zip(keys.tolist(), recording, offset, found)
+            AudioWindow(wid, *self._recordings[r], off) if p >= 0 else None
+            for p, wid, r, off in zip(pos.tolist(), window_ids, recording, offset)
         ]
 
     def __len__(self) -> int:

@@ -23,10 +23,10 @@ from .core_model import (
     MAX_MMSI,
     U64_MAX,
     WINDOW_S,
-    AudioWindow,
     DeploymentConfig,
     GeoPoint,
     Hydrophone,
+    WindowIndex,
     parse_utc,
     window_id_of,
     write_atomic,
@@ -80,41 +80,41 @@ def contains(fence: GeoFence, lat, lon):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+# One (window, ship) pair: the ship was heard in the window.
+PAIRS = np.dtype([("window_id", "<u8"), ("mmsi", "<i8")])
+
+
+@dataclass(frozen=True, eq=False)
 class AlignedWindowSet:
-    """Windows with at least one aligned pulse, with the ships heard in each.
+    """Windows with at least one aligned pulse, with the ships heard in each:
+    ``pairs`` is a :data:`PAIRS` array sorted by ``(window_id, mmsi)`` with
+    no repeated row.  ``len`` is the number of distinct windows."""
 
-    ``windows`` maps window_id to the window's coordinates in the deployment;
-    ``ships`` maps window_id to the (non-empty) set of mmsi observed there.
-    """
+    pairs: np.ndarray = field(default_factory=lambda: np.empty(0, PAIRS))
 
-    windows: dict[int, AudioWindow] = field(default_factory=dict)
-    ships: dict[int, set[int]] = field(default_factory=dict)
-
-    def add(self, window: AudioWindow, mmsi: int) -> None:
-        self.windows.setdefault(window.window_id, window)
-        self.ships.setdefault(window.window_id, set()).add(mmsi)
+    @staticmethod
+    def of(window_ids, mmsis) -> "AlignedWindowSet":
+        """The set of the ``(window_ids[i], mmsis[i])`` pairs, in any order and with repeats."""
+        pairs = np.empty(len(window_ids), PAIRS)
+        pairs["window_id"], pairs["mmsi"] = window_ids, mmsis
+        pairs = pairs[np.lexsort((pairs["mmsi"], pairs["window_id"]))]
+        fresh = np.ones(len(pairs), dtype=bool)
+        fresh[1:] = pairs[1:] != pairs[:-1]
+        return AlignedWindowSet(pairs[fresh])
 
     def __len__(self) -> int:
-        return len(self.windows)
+        return len(np.unique(self.pairs["window_id"]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlignedWindowSet):
             return NotImplemented
-        return self.windows == other.windows and self.ships == other.ships
+        return np.array_equal(self.pairs, other.pairs)
 
     @staticmethod
     def union(a: "AlignedWindowSet", b: "AlignedWindowSet") -> "AlignedWindowSet":
         """Associative, commutative merge of partial alignments."""
-        out = AlignedWindowSet(windows=dict(a.windows), ships={w: set(s) for w, s in a.ships.items()})
-        for wid, window in b.windows.items():
-            out.windows.setdefault(wid, window)
-        for wid, mmsis in b.ships.items():
-            out.ships.setdefault(wid, set()).update(mmsis)
-        return out
-
-    def to_pairs(self) -> list[tuple[int, int]]:
-        return [(wid, mmsi) for wid in self.ships for mmsi in self.ships[wid]]
+        both = np.concatenate((a.pairs, b.pairs))
+        return AlignedWindowSet.of(both["window_id"], both["mmsi"])
 
 
 @dataclass
@@ -136,7 +136,6 @@ def align(pulses: np.ndarray, config: DeploymentConfig, side_km: float = 4.0) ->
     pulse collection: input order does not matter.
     """
     fences = [fence_of(h, side_km) for h in config.hydrophones]
-    windows = AlignedWindowSet()
     # Per hydrophone: the aligned pulse rows, their window ids and the hydrophone id.
     rows, ids, owners = [np.empty(0, np.int64)], [np.empty(0, np.uint64)], [np.empty(0, str)]
     for hydrophone, fence in zip(config.hydrophones, fences):
@@ -155,12 +154,10 @@ def align(pulses: np.ndarray, config: DeploymentConfig, side_km: float = 4.0) ->
         # Hash each window hit once.
         keys, inverse = np.unique(rec * counts.max() + slot, return_inverse=True)
         hit_rec, hit_slot = np.divmod(keys, counts.max())
-        hit_ids: list[int] = []
-        for r, offset in zip(hit_rec.tolist(), (hit_slot * WINDOW_S).tolist()):
-            recording_id = recordings[r].id
-            wid = window_id_of(hydrophone.id, recording_id, offset)
-            windows.windows.setdefault(wid, AudioWindow(wid, hydrophone.id, recording_id, offset))
-            hit_ids.append(wid)
+        hit_ids = [
+            window_id_of(hydrophone.id, recordings[r].id, offset)
+            for r, offset in zip(hit_rec.tolist(), (hit_slot * WINDOW_S).tolist())
+        ]
         rows.append(inside)
         ids.append(np.array(hit_ids, dtype=np.uint64)[inverse])
         owners.append(np.full(len(inside), hydrophone.id))
@@ -172,9 +169,8 @@ def align(pulses: np.ndarray, config: DeploymentConfig, side_km: float = 4.0) ->
         pulses["mmsi"][rows], pulses["time"][rows], np.concatenate(ids), owners
     )
     out = out[np.lexsort((out["hydrophone_id"], out["window_id"], out["time"], out["mmsi"]))]
-    for wid, mmsi in zip(out["window_id"].tolist(), out["mmsi"].tolist()):
-        windows.ships.setdefault(wid, set()).add(mmsi)
     unaligned = len(pulses) - len(np.unique(rows))
+    windows = AlignedWindowSet.of(out["window_id"], out["mmsi"])
     return AlignmentResult(pulses=out, windows=windows, rejects={"unaligned": unaligned} if unaligned else {})
 
 
@@ -247,11 +243,14 @@ def read_ais_csv(path: str | Path) -> tuple[np.ndarray, int]:
 
 def write_sidecar(aligned: AlignedWindowSet, path: str | Path) -> None:
     """Write ``window_id,mmsi`` lines, sorted lexicographically as strings."""
-    lines = sorted(f"{wid},{mmsi}" for wid, mmsi in aligned.to_pairs())
+    lines = sorted(f"{wid},{mmsi}" for wid, mmsi in aligned.pairs.tolist())
     write_atomic(path, "".join(line + "\n" for line in lines))
 
 
 def read_sidecar(path: str | Path) -> list[tuple[int, int]]:
+    """The ``(window_id, mmsi)`` pair of every line, in file order; a line
+    that is not two integers, a window id outside 0..U64_MAX or an mmsi
+    outside 1..MAX_MMSI raises :class:`ParseError` at its line number."""
     pairs: list[tuple[int, int]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -260,21 +259,18 @@ def read_sidecar(path: str | Path) -> list[tuple[int, int]]:
                 continue
             try:
                 wid_text, mmsi_text = line.split(",")
-                wid = int(wid_text)
-                if not 0 <= wid <= U64_MAX:
-                    raise ValueError(wid)
-                pairs.append((wid, int(mmsi_text)))
+                wid, mmsi = int(wid_text), int(mmsi_text)
+                if not (0 <= wid <= U64_MAX and 0 < mmsi <= MAX_MMSI):
+                    raise ValueError(line)
+                pairs.append((wid, mmsi))
             except ValueError:
                 raise ParseError(f"bad sidecar line {line!r}", path=str(path), offset=lineno) from None
     return pairs
 
 
-def aligned_from_sidecar(pairs: Sequence[tuple[int, int]], config: DeploymentConfig) -> AlignedWindowSet:
-    """Rebuild an AlignedWindowSet from sidecar pairs, validating every id."""
-    windows = config.window_index().lookup([wid for wid, _ in pairs])
-    out = AlignedWindowSet()
-    for (wid, mmsi), window in zip(pairs, windows):
-        if window is None:
-            raise ValidationError(f"window_id {wid} not present in the deployment config")
-        out.add(window, mmsi)
-    return out
+def aligned_from_sidecar(pairs: Sequence[tuple[int, int]], index: WindowIndex) -> AlignedWindowSet:
+    """Rebuild an AlignedWindowSet from sidecar pairs; every window id must be one of ``index``'s."""
+    pos = index.positions(wid for wid, _ in pairs)
+    if (pos < 0).any():
+        raise ValidationError(f"window_id {pairs[int(pos.argmin())][0]} not present in the deployment config")
+    return AlignedWindowSet.of(index.ids[pos], [mmsi for _, mmsi in pairs])

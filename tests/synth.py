@@ -16,11 +16,13 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from pamcurate.ais_curate import OccurrenceHistogram, Threshold, sampling_probability
 from pamcurate.core_model import (
     AudioWindow,
     DeploymentConfig,
     GeoPoint,
     Hydrophone,
+    ManifestEntry,
     Recording,
     WINDOW_S,
     parse_utc,
@@ -150,7 +152,7 @@ def align_reference(
     returns the sorted aligned pulses, the aligned windows and the rejects."""
     fences = [(h, fence_of(h, side_km)) for h in config.hydrophones]
     aligned: list[AlignedPulse] = []
-    windows = AlignedWindowSet()
+    ships: dict[int, set[int]] = {}
     rejects: dict[str, int] = {}
     for pulse in pulses:
         matched = False
@@ -160,12 +162,18 @@ def align_reference(
             window = _window_at(hydrophone, pulse.time)
             if window is None:
                 continue
-            windows.add(window, pulse.mmsi)
+            ships.setdefault(window.window_id, set()).add(pulse.mmsi)
             aligned.append(AlignedPulse(pulse.mmsi, pulse.time, window.window_id, hydrophone.id))
             matched = True
         if not matched:
             rejects["unaligned"] = rejects.get("unaligned", 0) + 1
-    return sorted(aligned), windows, rejects
+    return sorted(aligned), aligned_of(ships), rejects
+
+
+def aligned_of(ships: dict[int, set[int]]) -> AlignedWindowSet:
+    """The AlignedWindowSet of a ``window_id -> set of mmsi`` map."""
+    pairs = [(wid, mmsi) for wid, mmsis in ships.items() for mmsi in mmsis]
+    return AlignedWindowSet.of([wid for wid, _ in pairs], [mmsi for _, mmsi in pairs])
 
 
 def _window_at(hydrophone: Hydrophone, time: int) -> AudioWindow | None:
@@ -176,6 +184,61 @@ def _window_at(hydrophone: Hydrophone, time: int) -> AudioWindow | None:
                 return AudioWindow(window_id_of(hydrophone.id, rec.id, offset), hydrophone.id, rec.id, offset)
             return None
     return None
+
+
+# ---------------------------------------------------------------------------
+# Occurrence histogram and thinning, one ship at a time
+# ---------------------------------------------------------------------------
+
+
+def histogram_reference(ships: dict[int, set[int]]) -> OccurrenceHistogram:
+    """Per-ship distinct-window counts of a ``window_id -> set of mmsi`` map."""
+    counts: dict[int, int] = {}
+    for mmsis in ships.values():
+        for mmsi in mmsis:
+            counts[mmsi] = counts.get(mmsi, 0) + 1
+    return OccurrenceHistogram(counts=counts, total_ships=len(counts), total_windows=len(ships))
+
+
+def curate_reference(
+    ships: dict[int, set[int]], windows: dict[int, AudioWindow], threshold: Threshold, seed: int
+) -> list[ManifestEntry]:
+    """``ais_curate.curate`` with dicts: each ship's own ``PCG64(seed ^ mmsi)``
+    draws over its windows in ascending id order, and the smallest retaining
+    mmsi per window; ``windows`` maps every window id to its coordinates."""
+    by_ship: dict[int, list[int]] = {}
+    for wid, mmsis in ships.items():
+        for mmsi in mmsis:
+            by_ship.setdefault(mmsi, []).append(wid)
+
+    retained: dict[int, int] = {}
+    for mmsi in sorted(by_ship):
+        wids = sorted(by_ship[mmsi])
+        p = sampling_probability(len(wids), threshold.t)
+        if p >= 1.0:
+            kept = wids
+        else:
+            rng = np.random.default_rng(np.random.PCG64(seed ^ mmsi))
+            draws = rng.random(len(wids))
+            kept = [wid for wid, u in zip(wids, draws) if u < p]
+        for wid in kept:
+            if wid not in retained or mmsi < retained[wid]:
+                retained[wid] = mmsi
+
+    entries = []
+    for wid in sorted(retained):
+        window = windows[wid]
+        entries.append(
+            ManifestEntry(
+                window_id=wid,
+                hydrophone_id=window.hydrophone_id,
+                recording_id=window.recording_id,
+                offset_s=window.offset_s,
+                source="ais",
+                mmsi=retained[wid],
+            )
+        )
+    return entries
 
 
 # ---------------------------------------------------------------------------

@@ -167,9 +167,9 @@ def test_c5_ais_curation_statistics():
     details = []
     ok = True
     for c in (100, 250, 500, 10_000):
-        aligned = make_aligned({777: list(range(c))})
+        aligned, index = make_aligned({777: list(range(c))})
         threshold = Threshold(t=t, origin="manual")
-        retained = [len(curate(aligned, threshold, seed=s)) for s in range(seeds)]
+        retained = [len(curate(aligned, threshold, s, index)) for s in range(seeds)]
         mean = float(np.mean(retained))
         expected = min(c, t)
         p = min(1.0, t / c)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pamcurate.ais_curate import (
     OccurrenceHistogram,
@@ -10,37 +12,40 @@ from pamcurate.ais_curate import (
     occurrence_curve,
     sampling_probability,
 )
-from pamcurate.core_model import DeploymentConfig, GeoPoint, Hydrophone, Recording
+from pamcurate.core_model import MAX_MMSI, DeploymentConfig, GeoPoint, Hydrophone, Recording, WindowIndex
 from pamcurate.errors import ValidationError
 from pamcurate.geo_align import AlignedWindowSet
-from synth import TrafficSpec, gen_traffic, kneedle_dense_oracle
+from synth import TrafficSpec, aligned_of, curate_reference, gen_traffic, histogram_reference, kneedle_dense_oracle
 from conftest import T0
 
 
-def make_aligned(ship_windows: dict[int, list[int]]) -> AlignedWindowSet:
-    """Aligned set over a synthetic single-recording deployment.
-
-    ``ship_windows`` maps mmsi -> window slot numbers (0-based).
-    """
-    max_slot = max((s for slots in ship_windows.values() for s in slots), default=0)
-    config = DeploymentConfig(
+def one_recording(n_windows: int) -> DeploymentConfig:
+    return DeploymentConfig(
         hydrophones=(
             Hydrophone(
                 id="H1",
                 location=GeoPoint(0.0, 0.0),
-                recordings=(
-                    Recording(id="R1", start=T0, duration_s=(max_slot + 1) * 10, native_sample_rate_hz=1000),
-                ),
+                recordings=(Recording(id="R1", start=T0, duration_s=n_windows * 10, native_sample_rate_hz=1000),),
             ),
         )
     )
-    index = config.window_index()
+
+
+def make_aligned(ship_windows: dict[int, list[int]]) -> tuple[AlignedWindowSet, WindowIndex]:
+    """Aligned set over a synthetic single-recording deployment, and the
+    deployment's window index.
+
+    ``ship_windows`` maps mmsi -> window slot numbers (0-based).
+    """
+    max_slot = max((s for slots in ship_windows.values() for s in slots), default=0)
+    index = one_recording(max_slot + 1).window_index()
     windows = sorted(index.lookup(index.ids), key=lambda w: w.offset_s)
-    aligned = AlignedWindowSet()
-    for mmsi, slots in ship_windows.items():
-        for slot in slots:
-            aligned.add(windows[slot], mmsi)
-    return aligned
+    pairs = [(windows[slot].window_id, mmsi) for mmsi, slots in ship_windows.items() for slot in slots]
+    return AlignedWindowSet.of([wid for wid, _ in pairs], [mmsi for _, mmsi in pairs]), index
+
+
+def window_ids(aligned: AlignedWindowSet) -> set[int]:
+    return set(aligned.pairs["window_id"].tolist())
 
 
 class TestHistogram:
@@ -49,18 +54,13 @@ class TestHistogram:
         assert hist.counts == {} and hist.total_ships == 0 and hist.total_windows == 0
 
     def test_shared_window_counts_for_each_ship(self):
-        hist = histogram(make_aligned({11: [0], 22: [0]}))
+        hist = histogram(make_aligned({11: [0], 22: [0]})[0])
         assert hist.counts == {11: 1, 22: 1}
         assert hist.total_windows == 1
 
     def test_matches_generator_ground_truth(self):
         sample = gen_traffic(TrafficSpec(ships=40, alpha=2.0, occ_min=1, occ_max=60, seed=5))
-        windows = sample.deployment.window_index().lookup(sample.windows)
-        aligned = AlignedWindowSet()
-        for window, mmsis in zip(windows, sample.windows.values()):
-            for mmsi in mmsis:
-                aligned.add(window, mmsi)
-        assert histogram(aligned).counts == sample.counts
+        assert histogram(aligned_of(sample.windows)).counts == sample.counts
 
 
 class TestDetectKnee:
@@ -110,56 +110,85 @@ class TestSamplingProbability:
 
 class TestCurate:
     def test_identity_regime(self):
-        aligned = make_aligned({1: [0, 1, 2], 2: [3, 4], 3: [2, 5]})
-        entries = curate(aligned, Threshold(t=10, origin="manual"), seed=0)
-        assert {e.window_id for e in entries} == set(aligned.windows)
+        aligned, index = make_aligned({1: [0, 1, 2], 2: [3, 4], 3: [2, 5]})
+        entries = curate(aligned, Threshold(t=10, origin="manual"), 0, index)
+        assert {e.window_id for e in entries} == window_ids(aligned)
         assert all(e.source == "ais" for e in entries)
 
     def test_binomial_regime_single_run(self):
         c, t = 10_000, 250
-        aligned = make_aligned({777: list(range(c))})
-        entries = curate(aligned, Threshold(t=t, origin="manual"), seed=42)
+        aligned, index = make_aligned({777: list(range(c))})
+        entries = curate(aligned, Threshold(t=t, origin="manual"), 42, index)
         sigma = np.sqrt(c * (t / c) * (1 - t / c))
         assert abs(len(entries) - t) <= 3 * sigma
 
     def test_shared_window_union_retention_and_min_mmsi(self):
         # Ship 3 and ship 5 both below threshold: window kept, smaller mmsi wins.
-        aligned = make_aligned({5: [0], 3: [0, 1]})
-        entries = curate(aligned, Threshold(t=10, origin="manual"), seed=1)
+        aligned, index = make_aligned({5: [0], 3: [0, 1]})
+        entries = curate(aligned, Threshold(t=10, origin="manual"), 1, index)
         by_wid = {e.window_id: e for e in entries}
-        shared = [w for w, s in aligned.ships.items() if s == {3, 5}][0]
+        shared = [wid for wid, mmsi in aligned.pairs.tolist() if mmsi == 5][0]  # ship 5's one window is ship 3's too
         assert by_wid[shared].mmsi == 3
 
     def test_retained_subset_of_aligned(self):
         rng = np.random.default_rng(0)
         ship_windows = {int(m): sorted(set(rng.integers(0, 200, size=rng.integers(1, 80)).tolist())) for m in range(1, 30)}
-        aligned = make_aligned(ship_windows)
-        entries = curate(aligned, Threshold(t=5, origin="manual"), seed=3)
-        assert {e.window_id for e in entries} <= set(aligned.windows)
+        aligned, index = make_aligned(ship_windows)
+        entries = curate(aligned, Threshold(t=5, origin="manual"), 3, index)
+        assert {e.window_id for e in entries} <= window_ids(aligned)
 
     def test_deterministic(self):
-        aligned = make_aligned({1: list(range(100)), 2: list(range(50, 150))})
-        a = curate(aligned, Threshold(t=20, origin="manual"), seed=9)
-        b = curate(aligned, Threshold(t=20, origin="manual"), seed=9)
+        aligned, index = make_aligned({1: list(range(100)), 2: list(range(50, 150))})
+        a = curate(aligned, Threshold(t=20, origin="manual"), 9, index)
+        b = curate(aligned, Threshold(t=20, origin="manual"), 9, index)
         assert a == b
 
     def test_partition_invariance_over_ships(self):
         rng = np.random.default_rng(4)
         ship_windows = {int(m): sorted(set(rng.integers(0, 300, size=60).tolist())) for m in range(1, 21)}
-        aligned_all = make_aligned(ship_windows)
-        part_a = make_aligned({m: w for m, w in ship_windows.items() if m % 2 == 0})
-        part_b = make_aligned({m: w for m, w in ship_windows.items() if m % 2 == 1})
+        aligned_all, index = make_aligned(ship_windows)
+        part_a, index_a = make_aligned({m: w for m, w in ship_windows.items() if m % 2 == 0})
+        part_b, index_b = make_aligned({m: w for m, w in ship_windows.items() if m % 2 == 1})
         threshold = Threshold(t=25, origin="manual")
-        whole = {e.window_id for e in curate(aligned_all, threshold, seed=7)}
-        split = {e.window_id for e in curate(part_a, threshold, seed=7)} | {
-            e.window_id for e in curate(part_b, threshold, seed=7)
+        whole = {e.window_id for e in curate(aligned_all, threshold, 7, index)}
+        split = {e.window_id for e in curate(part_a, threshold, 7, index_a)} | {
+            e.window_id for e in curate(part_b, threshold, 7, index_b)
         }
         assert whole == split
 
     def test_expected_retention_flattens_head(self):
         # Mean retained per ship across seeds stays at min(c, t).
         c, t, seeds = 2_000, 100, 30
-        aligned = make_aligned({50: list(range(c))})
-        totals = [len(curate(aligned, Threshold(t=t, origin="manual"), seed=s)) for s in range(seeds)]
+        aligned, index = make_aligned({50: list(range(c))})
+        totals = [len(curate(aligned, Threshold(t=t, origin="manual"), s, index)) for s in range(seeds)]
         sigma_mean = np.sqrt(c * (t / c) * (1 - t / c) / seeds)
         assert abs(np.mean(totals) - t) <= 3 * sigma_mean
+
+
+SLOTS = 30
+
+
+@st.composite
+def ships_by_window(draw) -> dict[int, set[int]]:
+    """window slot -> ships: up to eight ships over a 30-window pool, so
+    windows are often shared and per-ship counts straddle small thresholds;
+    no ships at all is the empty set."""
+    ships = draw(st.lists(st.integers(1, MAX_MMSI), max_size=8, unique=True))
+    by_slot: dict[int, set[int]] = {}
+    for mmsi in ships:
+        for slot in draw(st.lists(st.integers(0, SLOTS - 1), min_size=1, max_size=SLOTS, unique=True)):
+            by_slot.setdefault(slot, set()).add(mmsi)
+    return by_slot
+
+
+@settings(max_examples=300, deadline=None)
+@given(by_slot=ships_by_window(), t=st.integers(1, 12), seed=st.integers(0, 2**64 - 1))
+def test_histogram_and_curate_match_reference(by_slot, t, seed):
+    config = one_recording(SLOTS)
+    windows = sorted(config.iter_windows(), key=lambda w: w.offset_s)
+    ships = {windows[slot].window_id: mmsis for slot, mmsis in by_slot.items()}
+    aligned = aligned_of(ships)
+    threshold = Threshold(t=t, origin="manual")
+    assert histogram(aligned) == histogram_reference(ships)
+    expected = curate_reference(ships, {w.window_id: w for w in windows}, threshold, seed)
+    assert curate(aligned, threshold, seed, config.window_index()) == expected

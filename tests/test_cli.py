@@ -189,6 +189,19 @@ class TestCurateAis:
         assert stats["retained_windows"] == stats["aligned_windows"]
 
 
+    @pytest.mark.parametrize("mmsi", [-5, 0, 2**70])
+    def test_sidecar_mmsi_out_of_range_is_a_located_error(self, tmp_path, capsys, mmsi):
+        fixture = build_pipeline_fixture(tmp_path / "fx")
+        out = tmp_path / "out"
+        run("align", "--config", fixture["config"], "--ais", fixture["ais"], "--out", out)
+        sidecar = out / "aligned.csv"
+        wid = sidecar.read_text().split(",")[0]
+        sidecar.write_text(f"{wid},{mmsi}\n")
+        argv = ["--config", fixture["config"], "--aligned", sidecar, "--seed", 1, "--threshold", 1, "--out", out]
+        assert run("curate-ais", *argv) == 2
+        assert "bad sidecar line" in capsys.readouterr().err
+
+
 class TestFullPipeline:
     def test_end_to_end_counts_and_golden_manifest(self, tmp_path):
         fixture = build_pipeline_fixture(tmp_path / "fx")
@@ -488,6 +501,16 @@ class TestStats:
 
     def test_stats_requires_some_input(self, tmp_path):
         assert run("stats", "--out", tmp_path / "o") == 2
+
+    @pytest.mark.parametrize("stage", ["stats", "curate-ais"])
+    def test_threshold_below_one_rejected_before_any_write(self, tmp_path, capsys, stage):
+        fixture = build_pipeline_fixture(tmp_path / "fx")
+        out = tmp_path / "out"
+        run("align", "--config", fixture["config"], "--ais", fixture["ais"], "--out", out)
+        argv = ["--config", fixture["config"], "--aligned", out / "aligned.csv", "--threshold", -4, "--out", out / "t"]
+        assert run(stage, *argv, *(["--seed", 1] if stage == "curate-ais" else [])) == 2
+        assert "threshold must be >= 1, got -4" in capsys.readouterr().err
+        assert list((out / "t").iterdir()) == []
 
 
 class TestRunRecord:

@@ -104,7 +104,7 @@ class TestAlign:
         assert len(result.pulses) == 1
         wid = int(result.pulses["window_id"][0])
         assert wid == window_id_of("H1", "R1", 20)
-        assert result.windows.windows[wid].offset_s == 20
+        assert result.windows.pairs.tolist() == [(wid, 5)]
 
     def test_two_ships_one_window(self):
         config = one_hydrophone_config()
@@ -114,7 +114,7 @@ class TestAlign:
         ]
         result = align(ais_columns(pulses), config)
         wid = window_id_of("H1", "R1", 40)
-        assert result.windows.ships == {wid: {111, 222}}
+        assert result.windows.pairs.tolist() == [(wid, 111), (wid, 222)]
 
     def test_incomplete_trailing_window_excluded(self):
         config = one_hydrophone_config(duration_s=25)
@@ -159,8 +159,8 @@ class TestAlign:
             )
             for _ in range(300)
         ]
-        wide = set(align(ais_columns(pulses), config, side_km=4.0).windows.windows)
-        narrow = set(align(ais_columns(pulses), config, side_km=2.0).windows.windows)
+        wide = set(align(ais_columns(pulses), config, side_km=4.0).windows.pairs["window_id"].tolist())
+        narrow = set(align(ais_columns(pulses), config, side_km=2.0).windows.pairs["window_id"].tolist())
         assert narrow <= wide
 
     def test_pulse_and_window_sets_consistent(self):
@@ -175,9 +175,9 @@ class TestAlign:
             for _ in range(100)
         ]
         result = align(ais_columns(pulses), config)
-        window_ids = set(result.windows.windows)
+        window_ids = set(result.windows.pairs["window_id"].tolist())
         assert set(result.pulses["window_id"].tolist()) == window_ids
-        assert all(result.windows.ships[wid] for wid in window_ids)
+        assert len(result.windows) == len(window_ids)
 
     def test_overlapping_fences_align_to_both(self):
         offset_deg = 1000.0 / 111195.0  # 1 km apart: both 4 km fences cover the midpoint
@@ -244,28 +244,24 @@ class TestAisCsv:
 
 class TestSidecar:
     def test_round_trip_and_lexicographic_order(self, tmp_path):
-        aligned = AlignedWindowSet()
         config = one_hydrophone_config(duration_s=300)
         index = config.window_index()
         wids = index.ids[:3].tolist()
-        first, _, third = index.lookup(wids)
-        aligned.add(first, 12)
-        aligned.add(first, 7)
-        aligned.add(third, 7)
+        aligned = AlignedWindowSet.of([wids[0], wids[0], wids[2]], [12, 7, 7])
         path = tmp_path / "aligned.csv"
         write_sidecar(aligned, path)
         lines = path.read_text().splitlines()
         assert lines == sorted(lines)
         pairs = read_sidecar(path)
         assert sorted(pairs) == sorted([(wids[0], 12), (wids[0], 7), (wids[2], 7)])
-        rebuilt = aligned_from_sidecar(pairs, config)
+        rebuilt = aligned_from_sidecar(pairs, index)
         assert rebuilt == aligned
 
     def test_unknown_window_rejected(self):
-        config = one_hydrophone_config()
+        index = one_hydrophone_config().window_index()
         for wid in (12345, -1, 2**64, 1.5):
             with pytest.raises(ValidationError, match="not present"):
-                aligned_from_sidecar([(wid, 1)], config)
+                aligned_from_sidecar([(wid, 1)], index)
 
     def test_bad_line_error(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -278,6 +274,14 @@ class TestSidecar:
     def test_window_id_outside_u64_is_a_bad_line(self, tmp_path, wid):
         path = tmp_path / "s.csv"
         path.write_text(f"1,2\n{wid},2\n")
+        with pytest.raises(ParseError) as err:
+            read_sidecar(path)
+        assert err.value.offset == 2
+
+    @pytest.mark.parametrize("mmsi", [-5, 0, 10**9, 2**70])
+    def test_mmsi_outside_range_is_a_bad_line(self, tmp_path, mmsi):
+        path = tmp_path / "s.csv"
+        path.write_text(f"1,2\n3,{mmsi}\n")
         with pytest.raises(ParseError) as err:
             read_sidecar(path)
         assert err.value.offset == 2

@@ -47,9 +47,10 @@ def test_sample_stats_carry_the_keys_layer_metrics_reads(spans, tmp_path):
 
 
 def test_call_shapes_the_counters_read_match_the_stats(tmp_path):
-    """The counters of ``read_ais_csv``, ``align`` and ``window_index`` take
-    ``len`` of what those calls return; the lengths must be the counts the
-    stages report."""
+    """The counters of ``read_ais_csv``, ``align``, ``window_index``,
+    ``read_sidecar`` and ``curate`` take ``len`` of what those calls return
+    or take; the lengths must be the counts the stages report (sidecar lines
+    for ``read_sidecar``, distinct windows for the aligned set)."""
     fixture = build_pipeline_fixture(tmp_path / "fx")
     out = tmp_path / "out"
     run_pipeline(fixture, out)
@@ -59,3 +60,8 @@ def test_call_shapes_the_counters_read_match_the_stats(tmp_path):
     assert len(pulses) + rejected == stats["pulses_read"] + stats["rejected_rows"]
     assert len(geo_align.align(pulses, config, side_km=stats["side_km"]).pulses) == stats["aligned_pulses"]
     assert len(config.window_index()) == config.total_windows() == fixture["window_count"]
+    sidecar = out / "aligned.csv"
+    pairs = geo_align.read_sidecar(sidecar)
+    assert len(pairs) == len(sidecar.read_text().splitlines())
+    curated = json.loads((out / "curate_stats.json").read_text())
+    assert len(geo_align.aligned_from_sidecar(pairs, config.window_index())) == curated["aligned_windows"] < len(pairs)
