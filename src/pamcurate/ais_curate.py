@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import ManifestEntry, WindowIndex
+from .core_model import CurationManifest, WindowIndex
 from .errors import ValidationError
 from .geo_align import AlignedWindowSet
 
@@ -97,15 +97,15 @@ def sampling_probability(occurrence: int, t: int) -> float:
     return t / occurrence
 
 
-def curate(aligned: AlignedWindowSet, threshold: Threshold, seed: int, index: WindowIndex) -> list[ManifestEntry]:
-    """Thin the aligned windows ship by ship; returns manifest entries, with
-    each window's coordinates taken from ``index``.
+def curate(aligned: AlignedWindowSet, threshold: Threshold, seed: int, index: WindowIndex) -> CurationManifest:
+    """Thin the aligned windows ship by ship; returns the manifest of the
+    retained windows, with their coordinates taken from ``index``.
 
     Each ship uses its own generator seeded with ``seed XOR mmsi`` and draws
     over its windows in ascending window_id order, so the output does not
     depend on how ships were partitioned across workers.  A window heard
-    from several ships is kept if at least one of them retains it, and the
-    entry records the smallest retaining mmsi.
+    from several ships is kept if at least one of them retains it, and its
+    row records the smallest retaining mmsi.
     """
     pairs = aligned.pairs
     by_ship = np.lexsort((pairs["window_id"], pairs["mmsi"]))
@@ -119,19 +119,5 @@ def curate(aligned: AlignedWindowSet, threshold: Threshold, seed: int, index: Wi
     # ``pairs`` is sorted by (window_id, mmsi): a window's first kept pair has its smallest retaining mmsi.
     retained = pairs[kept]
     window_ids, first = np.unique(retained["window_id"], return_index=True)
-    windows = index.lookup(window_ids)
-    entries = []
-    for wid, mmsi, window in zip(window_ids.tolist(), retained["mmsi"][first].tolist(), windows):
-        if window is None:
-            raise ValidationError(f"retained window_id {wid} not present in the deployment config")
-        entries.append(
-            ManifestEntry(
-                window_id=wid,
-                hydrophone_id=window.hydrophone_id,
-                recording_id=window.recording_id,
-                offset_s=window.offset_s,
-                source="ais",
-                mmsi=mmsi,
-            )
-        )
-    return entries
+    coordinates = index.coordinates(window_ids, "retained")
+    return CurationManifest.of(window_ids, *coordinates, "ais", mmsi=retained["mmsi"][first])

@@ -1,52 +1,41 @@
-"""Final dataset assembly plus the teacher-weight EMA schedule utility."""
+"""Final dataset assembly of the two curated manifests, plus the teacher-weight EMA schedule utility."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import CurationManifest, ManifestEntry, WINDOW_S
+from .core_model import WINDOW_S, CurationManifest
 from .errors import ValidationError
 
 
-def assemble(ais_entries, hkmeans_entries) -> CurationManifest:
-    """Deduplicating union of the two curated entry sets.
+def assemble(ais: CurationManifest, hkmeans: CurationManifest) -> CurationManifest:
+    """Deduplicating union of the AIS-curated and the cluster-curated manifest.
 
-    Keyed by window_id; when a window was selected by both routes, the AIS
-    entry wins and inherits the cluster path from its counterpart, so no
-    provenance is lost.  Duplicates *within* one input are an error: they
-    would silently skew the balance the pipeline exists to create.
+    When a window is in both, the row with source ``ais`` wins and inherits
+    the other row's cluster path when it has none, so no provenance is lost;
+    two rows of one window with the same source are an error.  A manifest
+    holds each window once, so no input can skew the balance with repeats.
     """
-    merged: dict[int, ManifestEntry] = {}
-    for e in hkmeans_entries:
-        if e.window_id in merged:
-            raise ValidationError(f"duplicate window_id {e.window_id} within the cluster-curated entries")
-        merged[e.window_id] = e
-    seen_ais: set[int] = set()
-    for e in ais_entries:
-        if e.window_id in seen_ais:
-            raise ValidationError(f"duplicate window_id {e.window_id} within the AIS-curated entries")
-        seen_ais.add(e.window_id)
-        other = merged.get(e.window_id)
-        if other is None:
-            merged[e.window_id] = e
-            continue
-        if e.source == other.source:
-            raise ValidationError(f"window_id {e.window_id} appears in both inputs with source {e.source!r}")
-        winner, loser = (e, other) if e.source == "ais" else (other, e)
-        if winner.cluster_path is None and loser.cluster_path is not None:
-            winner = replace(winner, cluster_path=loser.cluster_path)
-        merged[e.window_id] = winner
-    return CurationManifest(entries=tuple(merged.values()))
+    both = np.concatenate((ais.rows, hkmeans.rows))
+    rows = both[np.lexsort((both["source"] != "ais", both["window_id"]))]
+    ids, cluster_path = rows["window_id"], rows["cluster_path"]
+    repeat = np.flatnonzero(ids[1:] == ids[:-1]) + 1  # each follows the row it collides with, the winner
+    same = rows["source"][repeat] == rows["source"][repeat - 1]
+    if same.any():
+        row = rows[repeat[same.argmax()]]
+        raise ValidationError(f"window_id {row['window_id']} appears in both inputs with source {row['source']!r}")
+    inherit = repeat[cluster_path[repeat - 1] == ""]
+    cluster_path[inherit - 1] = cluster_path[inherit]
+    return CurationManifest(np.delete(rows, repeat))
 
 
 def summarize(manifest: CurationManifest) -> dict:
     """Per-source counts, audio hours, and per-hydrophone breakdown."""
-    by_source = manifest.count_by_source()
-    per_hydrophone: dict[str, int] = {}
-    for e in manifest.entries:
-        per_hydrophone[e.hydrophone_id] = per_hydrophone.get(e.hydrophone_id, 0) + 1
+    by_source = Counter(manifest.rows["source"].tolist())
+    per_hydrophone = Counter(manifest.rows["hydrophone_id"].tolist())
     total = len(manifest)
     return {
         "total_entries": total,

@@ -17,7 +17,7 @@ from functools import reduce
 from pathlib import Path
 
 from . import ais_curate, assemble_ssl, geo_align, hkmeans, hsample
-from .core_model import CurationManifest, load_deployment, read_manifest, read_shard, write_atomic, write_manifest
+from .core_model import load_deployment, read_manifest, read_shard, write_atomic, write_manifest
 from .errors import PamCurateError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -113,10 +113,10 @@ def cmd_curate_ais(args) -> int:
         threshold = ais_curate.Threshold(t=args.threshold, origin="manual")
     else:
         threshold = ais_curate.detect_knee(hist)
-    entries = ais_curate.curate(aligned, threshold, args.seed, index)
+    manifest = ais_curate.curate(aligned, threshold, args.seed, index)
 
     manifest_path = out / "manifest_ais.txt"
-    write_manifest(CurationManifest(entries=tuple(entries)), manifest_path)
+    write_manifest(manifest, manifest_path)
     stats_path = out / "curate_stats.json"
     _write_json(
         stats_path,
@@ -125,13 +125,13 @@ def cmd_curate_ais(args) -> int:
             "threshold_origin": threshold.origin,
             "ships": hist.total_ships,
             "aligned_windows": hist.total_windows,
-            "retained_windows": len(entries),
+            "retained_windows": len(manifest),
         },
     )
     _write_run_record(
         out, "curate_ais", _flags(args), args.seed, [Path(args.config), Path(args.aligned)], [manifest_path, stats_path]
     )
-    logger.info("curate-ais: t=%d (%s), kept %d of %d windows", threshold.t, threshold.origin, len(entries), len(aligned))
+    logger.info("curate-ais: t=%d (%s), kept %d of %d windows", threshold.t, threshold.origin, len(manifest), len(aligned))
     return 0
 
 
@@ -217,19 +217,19 @@ def cmd_sample(args) -> int:
     )
     state = reduce(hsample.merge, states)
 
-    entries = hsample.emit(state, hierarchy, config.window_index())
+    manifest = hsample.emit(state, hierarchy, config.window_index())
     manifest_path = out / "manifest_hkmeans.txt"
-    write_manifest(CurationManifest(entries=tuple(entries)), manifest_path)
+    write_manifest(manifest, manifest_path)
     stats_path = out / "sample_stats.json"
     _write_json(
         stats_path,
         {
             "target_n": args.target_n,
             "quota_total": quotas.total,
-            "selected": len(entries),
+            "selected": len(manifest),
             "processed_records": state.processed,
             "rejected_shards": state.rejected_shards,
-            "evictions": state.processed - len(entries),
+            "evictions": state.processed - len(manifest),
         },
     )
     _write_run_record(
@@ -240,15 +240,13 @@ def cmd_sample(args) -> int:
         [Path(args.config), Path(args.model), *shard_paths],
         [manifest_path, stats_path],
     )
-    logger.info("sample: selected %d of target %d", len(entries), args.target_n)
+    logger.info("sample: selected %d of target %d", len(manifest), args.target_n)
     return 0
 
 
 def cmd_assemble(args) -> int:
     out = _out_dir(args)
-    ais_manifest = read_manifest(args.ais_manifest)
-    hk_manifest = read_manifest(args.hkmeans_manifest)
-    manifest = assemble_ssl.assemble(ais_manifest.entries, hk_manifest.entries)
+    manifest = assemble_ssl.assemble(read_manifest(args.ais_manifest), read_manifest(args.hkmeans_manifest))
     summary = assemble_ssl.summarize(manifest)
 
     manifest_path = out / "manifest.txt"
@@ -274,11 +272,11 @@ def cmd_stats(args) -> int:
     inputs = []
     outputs = []
     payload: dict = {}
+    if args.aligned and not args.config:
+        raise ValidationError("--aligned requires --config to resolve window ids")
+    config = load_deployment(args.config) if args.config else None
     if args.aligned:
-        if not args.config:
-            raise ValidationError("--aligned requires --config to resolve window ids")
         manual = None if args.threshold is None else ais_curate.Threshold(t=args.threshold, origin="manual")
-        config = load_deployment(args.config)
         aligned = geo_align.aligned_from_sidecar(geo_align.read_sidecar(args.aligned), config.window_index())
         hist = ais_curate.histogram(aligned)
         curve = ais_curate.occurrence_curve(hist)
@@ -295,8 +293,7 @@ def cmd_stats(args) -> int:
                 payload.update({"threshold": knee.t, "threshold_origin": knee.origin})
             except ValidationError as exc:
                 payload.update({"threshold": None, "threshold_error": str(exc)})
-    if args.config:
-        config = load_deployment(args.config)
+    if config is not None:
         hydro_path = out / "hydrophones.csv"
         write_atomic(hydro_path, "".join(f"{h.id},{h.location.lat},{h.location.lon}\n" for h in config.hydrophones))
         outputs.append(hydro_path)

@@ -10,7 +10,8 @@ File formats owned by this module:
 * Embedding shard (binary, little-endian): magic ``PAMEMB01``, ``u32 dim``,
   ``u64 count``, then ``count`` records of ``[u64 window_id][dim * f32]``.
 * Curation manifest (UTF-8 text): one ``key=value`` record per line in
-  canonical key order, lines sorted by ``window_id``.
+  canonical key order, lines sorted by ``window_id``; in memory a
+  :class:`CurationManifest`, one :data:`MANIFEST` array.
 * Deployment config (JSON): hydrophones with locations and recordings.
 
 Every file the package writes goes through :func:`write_atomic`, so a
@@ -25,12 +26,11 @@ import json
 import os
 import re
 import struct
+from sys import intern
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from operator import attrgetter
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -51,9 +51,17 @@ SHARD_MAGIC = b"PAMEMB01"
 MAX_SHARD_DIM = (2**31 - 1 - 8) // 4
 MANIFEST_SOURCES = ("ais", "hkmeans")
 MANIFEST_KEYS = ("window_id", "hydrophone_id", "recording_id", "offset_s", "source", "mmsi", "cluster_path")
-_BY_WINDOW_ID = attrgetter("window_id")
+# One manifest row per field of MANIFEST_KEYS; ``mmsi`` 0 and ``cluster_path`` "" mean absent.
+MANIFEST = np.dtype({"names": list(MANIFEST_KEYS), "formats": ["<u8", "O", "O", "<i8", "O", "<i8", "O"]})
+# Integers without leading zeros, so a file that reads back writes the same bytes.
+_MANIFEST_LINE = re.compile(
+    r"window_id=(0|[1-9][0-9]{0,19}) hydrophone_id=(\S*) recording_id=(\S*) offset_s=(0|[1-9][0-9]{0,17})"
+    r" source=(\S*)(?: mmsi=([1-9][0-9]{0,8}))?(?: cluster_path=(\S+))?"
+)
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_.\-]+\Z")
+_SOURCE_RE = re.compile(rf"(?:{'|'.join(MANIFEST_SOURCES)})\Z")
+_CLUSTER_PATH_RE = re.compile(r"(?:[0-9]+(?:/[0-9]+)*)?\Z")  # "" is an absent path
 U64_MAX = 2**64 - 1
 _EPOCH = datetime(1970, 1, 1)
 _EPOCH_UTC = _EPOCH.replace(tzinfo=timezone.utc)
@@ -83,8 +91,8 @@ def write_atomic(path: str | Path, data: bytes | str) -> None:
 
 
 def _require_token(value: str, what: str) -> str:
-    # Manifests repeat a handful of ids across hundreds of thousands of
-    # entries; memoize the accepted ones.
+    # A window index hashes every window of a deployment, which repeats a
+    # handful of ids; memoize the accepted ones.
     if value in _token_cache:
         return value
     if not isinstance(value, str) or not _TOKEN_RE.match(value):
@@ -186,20 +194,6 @@ class Hydrophone:
                 )
 
 
-@dataclass(frozen=True, slots=True)
-class AudioWindow:
-    """One complete 10-second slice of a recording."""
-
-    window_id: int
-    hydrophone_id: str
-    recording_id: str
-    offset_s: int
-
-    def __post_init__(self):
-        if self.offset_s < 0 or self.offset_s % WINDOW_S != 0:
-            raise ValidationError(f"window offset {self.offset_s} must be a non-negative multiple of {WINDOW_S}")
-
-
 # ---------------------------------------------------------------------------
 # Window arithmetic and identifiers
 # ---------------------------------------------------------------------------
@@ -229,13 +223,13 @@ def window_id_of(hydrophone_id: str, recording_id: str, offset_s: int) -> int:
 
 
 class WindowIndex:
-    """Every window of a deployment by id, as a sorted ``uint64`` id array
-    with the recording and offset of each id.  An :class:`AudioWindow` is
-    built only when its id is looked up with :meth:`lookup`."""
+    """Every window of a deployment by id: a sorted ``uint64`` id array with
+    the hydrophone, recording and offset of each id."""
 
     def __init__(self, config: "DeploymentConfig"):
         recordings = [(h.id, rec) for h in config.hydrophones for rec in h.recordings]
-        self._recordings = [(hid, rec.id) for hid, rec in recordings]
+        self._hydrophone_ids = np.array([hid for hid, _ in recordings], dtype=object)
+        self._recording_ids = np.array([rec.id for _, rec in recordings], dtype=object)
         counts = np.array([rec.window_count for _, rec in recordings], dtype=np.int64)
         ids = np.fromiter(
             (window_id_of(hid, rec.id, off) for hid, rec in recordings for off in rec.window_offsets),
@@ -251,28 +245,32 @@ class WindowIndex:
         if len(collided):
             raise ValidationError(f"window id collision on {self.ids[collided[0]]}")
 
+    def _find(self, keys: np.ndarray) -> np.ndarray:
+        """The position in :attr:`ids` of each of the ``uint64`` ``keys``; -1 for an id not there."""
+        if not len(self.ids):
+            return np.full(len(keys), -1)
+        pos = np.minimum(np.searchsorted(self.ids, keys), len(self.ids) - 1)
+        return np.where(self.ids[pos] == keys, pos, -1)
+
     def positions(self, ids) -> np.ndarray:
         """The position in :attr:`ids` of each of ``ids``; -1 for an id the
         deployment does not have, and for a key that is not an integer in
         0..U64_MAX."""
         ids = list(ids)
-        valid = [isinstance(wid, (int, np.integer)) and 0 <= wid <= U64_MAX for wid in ids]
+        valid = np.array([isinstance(wid, (int, np.integer)) and 0 <= wid <= U64_MAX for wid in ids], dtype=bool)
         keys = np.array([wid if ok else 0 for wid, ok in zip(ids, valid)], dtype=np.uint64)
-        if not len(self.ids):
-            return np.full(len(keys), -1)
-        pos = np.minimum(np.searchsorted(self.ids, keys), len(self.ids) - 1)
-        return np.where(np.array(valid, dtype=bool) & (self.ids[pos] == keys), pos, -1)
+        return np.where(valid, self._find(keys), -1)
 
-    def lookup(self, ids) -> list[AudioWindow | None]:
-        """The window of each of ``ids``; ``None`` where :meth:`positions` is -1."""
-        pos = self.positions(ids)
-        if not len(self.ids):
-            return [None] * len(pos)
-        window_ids, recording, offset = (column[pos].tolist() for column in (self.ids, self._recording, self._offset))
-        return [
-            AudioWindow(wid, *self._recordings[r], off) if p >= 0 else None
-            for p, wid, r, off in zip(pos.tolist(), window_ids, recording, offset)
-        ]
+    def coordinates(self, ids: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The hydrophone ids, recording ids and offsets of the windows of
+        the ``uint64`` array ``ids``; a :class:`ValidationError` names the
+        first id the deployment does not have, as a ``what`` window id."""
+        ids = np.asarray(ids, dtype=np.uint64)
+        pos = self._find(ids)
+        if (pos < 0).any():
+            raise ValidationError(f"{what} window_id {ids[pos.argmin()]} not present in the deployment config")
+        recording = self._recording[pos]
+        return self._hydrophone_ids[recording], self._recording_ids[recording], self._offset[pos]
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -409,110 +407,104 @@ def read_shard(path: str | Path, expect_dim: int | None = None) -> EmbeddingShar
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class ManifestEntry:
-    window_id: int
-    hydrophone_id: str
-    recording_id: str
-    offset_s: int
-    source: str
-    mmsi: int | None = None
-    cluster_path: tuple[int, ...] | None = None
+def _manifest_fault(rows: np.ndarray) -> tuple[int, str] | None:
+    """The position of the first row of ``rows`` that breaks a manifest rule,
+    and the rule; None if every row keeps them all.  Of a repeated window
+    id, every row but the first is at fault."""
 
-    def __post_init__(self):
-        if not 0 <= self.window_id <= U64_MAX:
-            raise ValidationError(f"window_id {self.window_id} outside u64 range")
-        _require_token(self.hydrophone_id, "hydrophone id")
-        _require_token(self.recording_id, "recording id")
-        if self.offset_s < 0 or self.offset_s % WINDOW_S != 0:
-            raise ValidationError(f"offset_s {self.offset_s} must be a non-negative multiple of {WINDOW_S}")
-        if self.source not in MANIFEST_SOURCES:
-            raise ValidationError(f"source {self.source!r} not in {MANIFEST_SOURCES}")
-        if self.mmsi is not None and not 0 < self.mmsi <= MAX_MMSI:
-            raise ValidationError(f"mmsi {self.mmsi} outside 1..999999999")
-        if self.cluster_path is not None:
-            path = tuple(int(c) for c in self.cluster_path)
-            if not path or any(c < 0 for c in path):
-                raise ValidationError(f"cluster_path {self.cluster_path!r} must be non-empty, non-negative")
-            object.__setattr__(self, "cluster_path", path)
+    def bad(key: str, pattern: re.Pattern) -> np.ndarray:
+        """Rows whose ``key`` is not a ``str`` that ``pattern`` matches; each distinct value is matched once."""
+        return np.isin(rows[key], [v for v in set(rows[key].tolist()) if not (isinstance(v, str) and pattern.match(v))])
+
+    ids, offsets, mmsis = rows["window_id"], rows["offset_s"], rows["mmsi"]
+    repeats = np.zeros(len(rows), dtype=bool)
+    if not (ids[1:] > ids[:-1]).all():
+        repeats[:] = True
+        repeats[np.unique(ids, return_index=True)[1]] = False
+    rules = (
+        (bad("hydrophone_id", _TOKEN_RE), "hydrophone_id", "hydrophone id {!r} is not a token of [A-Za-z0-9_.-]"),
+        (bad("recording_id", _TOKEN_RE), "recording_id", "recording id {!r} is not a token of [A-Za-z0-9_.-]"),
+        ((offsets < 0) | (offsets % WINDOW_S != 0), "offset_s", "offset_s {} is not a non-negative multiple of 10"),
+        (bad("source", _SOURCE_RE), "source", f"source {{!r}} not in {MANIFEST_SOURCES}"),
+        ((mmsis < 0) | (mmsis > MAX_MMSI), "mmsi", f"mmsi {{}} outside 1..{MAX_MMSI}"),
+        (bad("cluster_path", _CLUSTER_PATH_RE), "cluster_path", "cluster_path {!r} is not /-joined cluster indices"),
+        (repeats, "window_id", "duplicate window_id {} in manifest"),
+    )
+    faults = [(int(mask.argmax()), rule) for rule, (mask, _, _) in enumerate(rules) if mask.any()]
+    if not faults:
+        return None
+    row, rule = min(faults)
+    _, key, message = rules[rule]
+    return row, message.format(rows[row][key])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurationManifest:
-    """The assembled output dataset: deduplicated entries sorted by window_id."""
+    """The curated output dataset: ``rows`` is a :data:`MANIFEST` array sorted
+    by window id, each id once.  Rows given in any order are sorted, and a
+    row that breaks a rule of the manifest format is a ValidationError."""
 
-    entries: tuple[ManifestEntry, ...]
+    rows: np.ndarray = field(default_factory=lambda: np.empty(0, MANIFEST))
 
     def __post_init__(self):
-        entries = tuple(sorted(self.entries, key=_BY_WINDOW_ID))
-        ids = [e.window_id for e in entries]
-        if len(set(ids)) != len(ids):
-            dup = next(a for a, b in zip(ids, ids[1:]) if a == b)
-            raise ValidationError(f"duplicate window_id {dup} in manifest")
-        object.__setattr__(self, "entries", entries)
+        rows = np.asarray(self.rows, dtype=MANIFEST)
+        if (fault := _manifest_fault(rows)) is not None:
+            raise ValidationError(fault[1])
+        object.__setattr__(self, "rows", rows[np.argsort(rows["window_id"], kind="stable")])
+
+    @staticmethod
+    def of(window_id, hydrophone_id, recording_id, offset_s, source, mmsi=0, cluster_path="") -> "CurationManifest":
+        """The manifest of these columns; a scalar is repeated over every row."""
+        columns = (window_id, hydrophone_id, recording_id, offset_s, source, mmsi, cluster_path)
+        rows = np.empty(len(window_id), MANIFEST)
+        for key, column in zip(MANIFEST_KEYS, columns):
+            rows[key] = column
+        return CurationManifest(rows)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
-    def count_by_source(self) -> dict[str, int]:
-        counts = {s: 0 for s in MANIFEST_SOURCES}
-        for e in self.entries:
-            counts[e.source] += 1
-        return counts
-
-
-def _entry_to_line(e: ManifestEntry) -> str:
-    parts = [
-        f"window_id={e.window_id}",
-        f"hydrophone_id={e.hydrophone_id}",
-        f"recording_id={e.recording_id}",
-        f"offset_s={e.offset_s}",
-        f"source={e.source}",
-    ]
-    if e.mmsi is not None:
-        parts.append(f"mmsi={e.mmsi}")
-    if e.cluster_path is not None:
-        parts.append("cluster_path=" + "/".join(str(c) for c in e.cluster_path))
-    return " ".join(parts)
-
-
-def _entry_from_line(line: str, lineno: int, path: str) -> ManifestEntry:
-    fields: dict[str, str] = {}
-    for token in line.split(" "):
-        key, sep, value = token.partition("=")
-        if not sep or key not in MANIFEST_KEYS or key in fields:
-            raise ParseError(f"bad manifest token {token!r}", path=path, offset=lineno)
-        fields[key] = value
-    try:
-        cluster_path = None
-        if "cluster_path" in fields:
-            cluster_path = tuple(int(c) for c in fields["cluster_path"].split("/"))
-        return ManifestEntry(
-            window_id=int(fields["window_id"]),
-            hydrophone_id=fields["hydrophone_id"],
-            recording_id=fields["recording_id"],
-            offset_s=int(fields["offset_s"]),
-            source=fields["source"],
-            mmsi=int(fields["mmsi"]) if "mmsi" in fields else None,
-            cluster_path=cluster_path,
-        )
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"bad manifest line: {exc}", path=path, offset=lineno) from None
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CurationManifest):
+            return NotImplemented
+        return np.array_equal(self.rows, other.rows)
 
 
 def write_manifest(manifest: CurationManifest, path: str | Path) -> None:
-    write_atomic(path, "".join(_entry_to_line(e) + "\n" for e in manifest.entries))
+    lines = (
+        f"window_id={wid} hydrophone_id={hid} recording_id={rid} offset_s={off} source={source}"
+        f"{f' mmsi={mmsi}' if mmsi else ''}{f' cluster_path={cpath}' if cpath else ''}\n"
+        for wid, hid, rid, off, source, mmsi, cpath in manifest.rows.tolist()
+    )
+    write_atomic(path, "".join(lines))
 
 
 def read_manifest(path: str | Path) -> CurationManifest:
-    entries = []
+    """Read a manifest file.  Blank lines are skipped, and any other bad line
+    is a :class:`ParseError` at its line number: one that is not the keys in
+    canonical order, with integers in plain ASCII decimal that fit their
+    column, an mmsi in 1..MAX_MMSI and a non-empty cluster path; one with a
+    value :class:`CurationManifest` rejects; and a repeated window id, at
+    its second line."""
+    rows, linenos = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
+            if not (line := line.rstrip("\n")):
                 continue
-            entries.append(_entry_from_line(line, lineno, str(path)))
-    return CurationManifest(entries=tuple(entries))
+            match = _MANIFEST_LINE.fullmatch(line)
+            if not match or int(match[1]) > U64_MAX:
+                raise ParseError(f"bad manifest line {line!r}", path=str(path), offset=lineno)
+            wid, hid, rid, off, src, mmsi, cpath = match.groups()
+            # A handful of distinct ids, sources and paths repeat on every line: hold one copy of each.
+            rows.append((int(wid), intern(hid), intern(rid), int(off), intern(src), int(mmsi or 0), intern(cpath or "")))
+            linenos.append(lineno)
+    rows = np.array(rows, dtype=MANIFEST)
+    try:
+        return CurationManifest(rows)
+    except ValidationError:
+        # Located only on failure, so a good read does no extra work.
+        row, message = _manifest_fault(rows)
+        raise ParseError(message, path=str(path), offset=linenos[row]) from None
 
 
 # ---------------------------------------------------------------------------
@@ -531,12 +523,6 @@ class DeploymentConfig:
             if h.id in seen:
                 raise ValidationError(f"duplicate hydrophone id {h.id}")
             seen.add(h.id)
-
-    def iter_windows(self) -> Iterator[AudioWindow]:
-        for h in self.hydrophones:
-            for rec in h.recordings:
-                for off in rec.window_offsets:
-                    yield AudioWindow(window_id_of(h.id, rec.id, off), h.id, rec.id, off)
 
     def window_index(self) -> WindowIndex:
         """Every window by id; raises :class:`ValidationError` on an id collision."""

@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core_model import BinaryReader, EmbeddingShard, ManifestEntry, WindowIndex, write_atomic
+from .core_model import BinaryReader, CurationManifest, EmbeddingShard, WindowIndex, write_atomic
 from .errors import ValidationError
 from .hkmeans import ClusterHierarchy, assign_batch
 
@@ -242,30 +242,13 @@ def count_populations(shards: Iterable[EmbeddingShard], hierarchy: ClusterHierar
     return pops
 
 
-def emit(
-    state: SelectionState,
-    hierarchy: ClusterHierarchy,
-    window_index: WindowIndex,
-) -> list[ManifestEntry]:
-    """Manifest entries for the selected windows, sorted by window_id."""
-    paths = [hierarchy.path_of(leaf) for leaf in range(len(state.quotas))]
-    held = state.held[np.argsort(state.held["window_id"], kind="stable")]
-    windows = window_index.lookup(held["window_id"])
-    entries = []
-    for leaf, wid, window in zip(held["leaf"].tolist(), held["window_id"].tolist(), windows):
-        if window is None:
-            raise ValidationError(f"selected window_id {wid} not present in the deployment config")
-        entries.append(
-            ManifestEntry(
-                window_id=wid,
-                hydrophone_id=window.hydrophone_id,
-                recording_id=window.recording_id,
-                offset_s=window.offset_s,
-                source="hkmeans",
-                cluster_path=paths[leaf],
-            )
-        )
-    return entries
+def emit(state: SelectionState, hierarchy: ClusterHierarchy, window_index: WindowIndex) -> CurationManifest:
+    """The manifest of the selected windows: each row's coordinates from
+    ``window_index`` and the cluster path of its leaf."""
+    paths = np.array(["/".join(map(str, hierarchy.path_of(leaf))) for leaf in range(len(state.quotas))], dtype=object)
+    held = state.held
+    coordinates = window_index.coordinates(held["window_id"], "selected")
+    return CurationManifest.of(held["window_id"], *coordinates, "hkmeans", cluster_path=paths[held["leaf"]])
 
 
 # ---------------------------------------------------------------------------

@@ -12,17 +12,15 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from pamcurate.ais_curate import OccurrenceHistogram, Threshold, sampling_probability
 from pamcurate.core_model import (
-    AudioWindow,
     DeploymentConfig,
     GeoPoint,
     Hydrophone,
-    ManifestEntry,
     Recording,
     WINDOW_S,
     parse_utc,
@@ -176,6 +174,23 @@ def aligned_of(ships: dict[int, set[int]]) -> AlignedWindowSet:
     return AlignedWindowSet.of([wid for wid, _ in pairs], [mmsi for _, mmsi in pairs])
 
 
+class AudioWindow(NamedTuple):
+    """One complete 10-second slice of a recording."""
+
+    window_id: int
+    hydrophone_id: str
+    recording_id: str
+    offset_s: int
+
+
+def iter_windows(config: DeploymentConfig) -> Iterator[AudioWindow]:
+    """Every window of a deployment, one at a time, in config order."""
+    for h in config.hydrophones:
+        for rec in h.recordings:
+            for off in rec.window_offsets:
+                yield AudioWindow(window_id_of(h.id, rec.id, off), h.id, rec.id, off)
+
+
 def _window_at(hydrophone: Hydrophone, time: int) -> AudioWindow | None:
     for rec in hydrophone.recordings:
         if rec.start <= time < rec.end:
@@ -202,10 +217,11 @@ def histogram_reference(ships: dict[int, set[int]]) -> OccurrenceHistogram:
 
 def curate_reference(
     ships: dict[int, set[int]], windows: dict[int, AudioWindow], threshold: Threshold, seed: int
-) -> list[ManifestEntry]:
+) -> list[tuple]:
     """``ais_curate.curate`` with dicts: each ship's own ``PCG64(seed ^ mmsi)``
     draws over its windows in ascending id order, and the smallest retaining
-    mmsi per window; ``windows`` maps every window id to its coordinates."""
+    mmsi per window; ``windows`` maps every window id to its coordinates.
+    Returns the manifest rows as tuples, in window id order."""
     by_ship: dict[int, list[int]] = {}
     for wid, mmsis in ships.items():
         for mmsi in mmsis:
@@ -225,20 +241,52 @@ def curate_reference(
             if wid not in retained or mmsi < retained[wid]:
                 retained[wid] = mmsi
 
-    entries = []
-    for wid in sorted(retained):
-        window = windows[wid]
-        entries.append(
-            ManifestEntry(
-                window_id=wid,
-                hydrophone_id=window.hydrophone_id,
-                recording_id=window.recording_id,
-                offset_s=window.offset_s,
-                source="ais",
-                mmsi=retained[wid],
-            )
-        )
-    return entries
+    return [(*windows[wid], "ais", retained[wid], "") for wid in sorted(retained)]
+
+
+# ---------------------------------------------------------------------------
+# Manifest assembly, one row at a time
+# ---------------------------------------------------------------------------
+
+
+class ManifestRow(NamedTuple):
+    """One manifest line; ``mmsi`` 0 and ``cluster_path`` "" mean absent."""
+
+    window_id: int
+    hydrophone_id: str
+    recording_id: str
+    offset_s: int
+    source: str
+    mmsi: int = 0
+    cluster_path: str = ""
+
+
+def assemble_reference(ais_rows: Iterable[tuple], hkmeans_rows: Iterable[tuple]) -> list[ManifestRow]:
+    """``assemble_ssl.assemble`` with a dict keyed by window_id: on a
+    collision the ``ais`` row wins and inherits the other row's cluster path
+    when it has none; a repeat within one input, or a collision of two rows
+    with one source, raises ValidationError.  Returns rows in window id order."""
+    merged: dict[int, ManifestRow] = {}
+    for e in map(ManifestRow._make, hkmeans_rows):
+        if e.window_id in merged:
+            raise ValidationError(f"duplicate window_id {e.window_id} within the cluster-curated rows")
+        merged[e.window_id] = e
+    seen_ais: set[int] = set()
+    for e in map(ManifestRow._make, ais_rows):
+        if e.window_id in seen_ais:
+            raise ValidationError(f"duplicate window_id {e.window_id} within the AIS-curated rows")
+        seen_ais.add(e.window_id)
+        other = merged.get(e.window_id)
+        if other is None:
+            merged[e.window_id] = e
+            continue
+        if e.source == other.source:
+            raise ValidationError(f"window_id {e.window_id} appears in both inputs with source {e.source!r}")
+        winner, loser = (e, other) if e.source == "ais" else (other, e)
+        if not winner.cluster_path and loser.cluster_path:
+            winner = winner._replace(cluster_path=loser.cluster_path)
+        merged[e.window_id] = winner
+    return [merged[wid] for wid in sorted(merged)]
 
 
 # ---------------------------------------------------------------------------

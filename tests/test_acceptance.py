@@ -12,9 +12,9 @@ import numpy as np
 from pamcurate.ais_curate import OccurrenceHistogram, Threshold, curate, detect_knee, occurrence_curve
 from pamcurate.assemble_ssl import assemble, ema_update, summarize, tau_at
 from pamcurate.core_model import (
+    MANIFEST,
     CurationManifest,
     EmbeddingShard,
-    ManifestEntry,
     read_manifest,
     read_shard,
     write_manifest,
@@ -51,14 +51,10 @@ def norm_rows(x):
 
 
 def test_c1_dataset_arithmetic():
-    ais = [
-        ManifestEntry(window_id=i, hydrophone_id="H1", recording_id="R1", offset_s=i * 10, source="ais", mmsi=300000001)
-        for i in range(25_021)
-    ]
-    hk = [
-        ManifestEntry(window_id=25_021 + i, hydrophone_id="H1", recording_id="R1", offset_s=(25_021 + i) * 10, source="hkmeans")
-        for i in range(323_532)
-    ]
+    n_ais, n_hk = 25_021, 323_532
+    ais = CurationManifest.of(np.arange(n_ais), "H1", "R1", np.arange(n_ais) * 10, "ais", mmsi=300000001)
+    hk_ids = n_ais + np.arange(n_hk)
+    hk = CurationManifest.of(hk_ids, "H1", "R1", hk_ids * 10, "hkmeans")
     gc.collect()
     start = time.perf_counter()
     summary = summarize(assemble(ais, hk))
@@ -243,19 +239,16 @@ def test_c9_format_round_trips(tmp_path):
     for i in range(350):
         n = int(rng.integers(0, 30))
         wids = np.unique(rng.integers(0, 2**62, size=2 * n + 8, dtype=np.uint64))[:n]
-        entries = tuple(
-            ManifestEntry(
-                window_id=int(w),
-                hydrophone_id=f"H{rng.integers(5)}",
-                recording_id=f"R{rng.integers(5)}",
-                offset_s=int(rng.integers(0, 50)) * 10,
-                source="ais" if rng.random() < 0.5 else "hkmeans",
-                mmsi=int(rng.integers(1, 10**9)) if rng.random() < 0.5 else None,
-                cluster_path=tuple(int(c) for c in rng.integers(0, 9, size=2)) if rng.random() < 0.5 else None,
-            )
-            for w in wids
-        )
-        manifest = CurationManifest(entries=entries)
+        rows = np.empty(n, MANIFEST)
+        rows["window_id"] = wids
+        rows["hydrophone_id"] = [f"H{h}" for h in rng.integers(5, size=n)]
+        rows["recording_id"] = [f"R{r}" for r in rng.integers(5, size=n)]
+        rows["offset_s"] = rng.integers(0, 50, size=n) * 10
+        rows["source"] = np.where(rng.random(n) < 0.5, "ais", "hkmeans").astype(object)
+        rows["mmsi"] = np.where(rng.random(n) < 0.5, rng.integers(1, 10**9, size=n), 0)
+        paths = ["/".join(map(str, rng.integers(0, 9, size=2))) for _ in wids]
+        rows["cluster_path"] = np.where(rng.random(n) < 0.5, paths, "").astype(object)
+        manifest = CurationManifest(rows)
         path = tmp_path / "m.txt"
         write_manifest(manifest, path)
         ok &= read_manifest(path) == manifest

@@ -12,10 +12,26 @@ from pamcurate.ais_curate import (
     occurrence_curve,
     sampling_probability,
 )
-from pamcurate.core_model import MAX_MMSI, DeploymentConfig, GeoPoint, Hydrophone, Recording, WindowIndex
+from pamcurate.core_model import (
+    MAX_MMSI,
+    CurationManifest,
+    DeploymentConfig,
+    GeoPoint,
+    Hydrophone,
+    Recording,
+    WindowIndex,
+)
 from pamcurate.errors import ValidationError
 from pamcurate.geo_align import AlignedWindowSet
-from synth import TrafficSpec, aligned_of, curate_reference, gen_traffic, histogram_reference, kneedle_dense_oracle
+from synth import (
+    TrafficSpec,
+    aligned_of,
+    curate_reference,
+    gen_traffic,
+    histogram_reference,
+    iter_windows,
+    kneedle_dense_oracle,
+)
 from conftest import T0
 
 
@@ -38,14 +54,18 @@ def make_aligned(ship_windows: dict[int, list[int]]) -> tuple[AlignedWindowSet, 
     ``ship_windows`` maps mmsi -> window slot numbers (0-based).
     """
     max_slot = max((s for slots in ship_windows.values() for s in slots), default=0)
-    index = one_recording(max_slot + 1).window_index()
-    windows = sorted(index.lookup(index.ids), key=lambda w: w.offset_s)
+    config = one_recording(max_slot + 1)
+    windows = list(iter_windows(config))
     pairs = [(windows[slot].window_id, mmsi) for mmsi, slots in ship_windows.items() for slot in slots]
-    return AlignedWindowSet.of([wid for wid, _ in pairs], [mmsi for _, mmsi in pairs]), index
+    return AlignedWindowSet.of([wid for wid, _ in pairs], [mmsi for _, mmsi in pairs]), config.window_index()
 
 
 def window_ids(aligned: AlignedWindowSet) -> set[int]:
     return set(aligned.pairs["window_id"].tolist())
+
+
+def kept_ids(manifest: CurationManifest) -> set[int]:
+    return set(manifest.rows["window_id"].tolist())
 
 
 class TestHistogram:
@@ -111,31 +131,31 @@ class TestSamplingProbability:
 class TestCurate:
     def test_identity_regime(self):
         aligned, index = make_aligned({1: [0, 1, 2], 2: [3, 4], 3: [2, 5]})
-        entries = curate(aligned, Threshold(t=10, origin="manual"), 0, index)
-        assert {e.window_id for e in entries} == window_ids(aligned)
-        assert all(e.source == "ais" for e in entries)
+        manifest = curate(aligned, Threshold(t=10, origin="manual"), 0, index)
+        assert kept_ids(manifest) == window_ids(aligned)
+        assert set(manifest.rows["source"]) == {"ais"}
 
     def test_binomial_regime_single_run(self):
         c, t = 10_000, 250
         aligned, index = make_aligned({777: list(range(c))})
-        entries = curate(aligned, Threshold(t=t, origin="manual"), 42, index)
+        manifest = curate(aligned, Threshold(t=t, origin="manual"), 42, index)
         sigma = np.sqrt(c * (t / c) * (1 - t / c))
-        assert abs(len(entries) - t) <= 3 * sigma
+        assert abs(len(manifest) - t) <= 3 * sigma
 
     def test_shared_window_union_retention_and_min_mmsi(self):
         # Ship 3 and ship 5 both below threshold: window kept, smaller mmsi wins.
         aligned, index = make_aligned({5: [0], 3: [0, 1]})
-        entries = curate(aligned, Threshold(t=10, origin="manual"), 1, index)
-        by_wid = {e.window_id: e for e in entries}
+        rows = curate(aligned, Threshold(t=10, origin="manual"), 1, index).rows
+        mmsi_of = dict(zip(rows["window_id"].tolist(), rows["mmsi"].tolist()))
         shared = [wid for wid, mmsi in aligned.pairs.tolist() if mmsi == 5][0]  # ship 5's one window is ship 3's too
-        assert by_wid[shared].mmsi == 3
+        assert mmsi_of[shared] == 3
 
     def test_retained_subset_of_aligned(self):
         rng = np.random.default_rng(0)
         ship_windows = {int(m): sorted(set(rng.integers(0, 200, size=rng.integers(1, 80)).tolist())) for m in range(1, 30)}
         aligned, index = make_aligned(ship_windows)
-        entries = curate(aligned, Threshold(t=5, origin="manual"), 3, index)
-        assert {e.window_id for e in entries} <= window_ids(aligned)
+        manifest = curate(aligned, Threshold(t=5, origin="manual"), 3, index)
+        assert kept_ids(manifest) <= window_ids(aligned)
 
     def test_deterministic(self):
         aligned, index = make_aligned({1: list(range(100)), 2: list(range(50, 150))})
@@ -150,10 +170,8 @@ class TestCurate:
         part_a, index_a = make_aligned({m: w for m, w in ship_windows.items() if m % 2 == 0})
         part_b, index_b = make_aligned({m: w for m, w in ship_windows.items() if m % 2 == 1})
         threshold = Threshold(t=25, origin="manual")
-        whole = {e.window_id for e in curate(aligned_all, threshold, 7, index)}
-        split = {e.window_id for e in curate(part_a, threshold, 7, index_a)} | {
-            e.window_id for e in curate(part_b, threshold, 7, index_b)
-        }
+        whole = kept_ids(curate(aligned_all, threshold, 7, index))
+        split = kept_ids(curate(part_a, threshold, 7, index_a)) | kept_ids(curate(part_b, threshold, 7, index_b))
         assert whole == split
 
     def test_expected_retention_flattens_head(self):
@@ -185,10 +203,10 @@ def ships_by_window(draw) -> dict[int, set[int]]:
 @given(by_slot=ships_by_window(), t=st.integers(1, 12), seed=st.integers(0, 2**64 - 1))
 def test_histogram_and_curate_match_reference(by_slot, t, seed):
     config = one_recording(SLOTS)
-    windows = sorted(config.iter_windows(), key=lambda w: w.offset_s)
+    windows = list(iter_windows(config))
     ships = {windows[slot].window_id: mmsis for slot, mmsis in by_slot.items()}
     aligned = aligned_of(ships)
     threshold = Threshold(t=t, origin="manual")
     assert histogram(aligned) == histogram_reference(ships)
     expected = curate_reference(ships, {w.window_id: w for w in windows}, threshold, seed)
-    assert curate(aligned, threshold, seed, config.window_index()) == expected
+    assert curate(aligned, threshold, seed, config.window_index()).rows.tolist() == expected

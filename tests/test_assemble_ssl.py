@@ -1,6 +1,8 @@
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pamcurate.assemble_ssl import (
@@ -11,59 +13,57 @@ from pamcurate.assemble_ssl import (
     summarize,
     tau_at,
 )
-from pamcurate.core_model import ManifestEntry
+from pamcurate.core_model import CurationManifest
 from pamcurate.errors import ValidationError
+from synth import ManifestRow, assemble_reference
+
+EMPTY = CurationManifest()
 
 
-def ais_entry(wid, hydrophone="H1", mmsi=366000001):
-    return ManifestEntry(
-        window_id=wid, hydrophone_id=hydrophone, recording_id="R1", offset_s=0, source="ais", mmsi=mmsi
-    )
+def ais_row(wid, hydrophone="H1", mmsi=366000001):
+    return ManifestRow(wid, hydrophone, "R1", 0, "ais", mmsi=mmsi)
 
 
-def hk_entry(wid, hydrophone="H1", path=(1, 2)):
-    return ManifestEntry(
-        window_id=wid, hydrophone_id=hydrophone, recording_id="R1", offset_s=10, source="hkmeans", cluster_path=path
-    )
+def hk_row(wid, hydrophone="H1", path="1/2"):
+    return ManifestRow(wid, hydrophone, "R1", 10, "hkmeans", cluster_path=path)
+
+
+def manifest(*rows):
+    return CurationManifest.of(*zip(*rows)) if rows else EMPTY
 
 
 class TestAssemble:
     def test_disjoint_union_sorted(self):
-        manifest = assemble([ais_entry(5), ais_entry(1)], [hk_entry(3)])
-        assert [e.window_id for e in manifest.entries] == [1, 3, 5]
-        assert manifest.count_by_source() == {"ais": 2, "hkmeans": 1}
+        assembled = assemble(manifest(ais_row(5), ais_row(1)), manifest(hk_row(3)))
+        assert assembled.rows["window_id"].tolist() == [1, 3, 5]
+        assert Counter(assembled.rows["source"].tolist()) == {"ais": 2, "hkmeans": 1}
 
     def test_empty_ais_side(self):
-        manifest = assemble([], [hk_entry(1), hk_entry(2)])
-        assert len(manifest) == 2
-        assert manifest.count_by_source()["hkmeans"] == 2
+        assembled = assemble(EMPTY, manifest(hk_row(1), hk_row(2)))
+        assert len(assembled) == 2
+        assert summarize(assembled)["hkmeans_entries"] == 2
 
     def test_collision_ais_wins_and_keeps_cluster_path(self):
-        manifest = assemble([ais_entry(7)], [hk_entry(7, path=(4, 9))])
-        assert len(manifest) == 1
-        entry = manifest.entries[0]
-        assert entry.source == "ais"
-        assert entry.mmsi == 366000001
-        assert entry.cluster_path == (4, 9)
+        assembled = assemble(manifest(ais_row(7)), manifest(hk_row(7, path="4/9")))
+        assert assembled.rows.tolist() == [(7, "H1", "R1", 0, "ais", 366000001, "4/9")]
 
     def test_internal_duplicates_rejected(self):
         with pytest.raises(ValidationError, match="duplicate"):
-            assemble([ais_entry(1), ais_entry(1)], [])
+            assemble(manifest(ais_row(1), ais_row(1)), EMPTY)
         with pytest.raises(ValidationError, match="duplicate"):
-            assemble([], [hk_entry(2), hk_entry(2)])
+            assemble(EMPTY, manifest(hk_row(2), hk_row(2)))
 
     def test_same_source_collision_rejected(self):
-        with pytest.raises(ValidationError):
-            assemble([ais_entry(3)], [ais_entry(3)])
+        with pytest.raises(ValidationError, match="window_id 3 appears in both inputs with source 'ais'"):
+            assemble(manifest(ais_row(3)), manifest(ais_row(3)))
 
     def test_idempotent_on_own_output(self):
-        manifest = assemble([ais_entry(5), ais_entry(1)], [hk_entry(3)])
-        again = assemble(manifest.entries, [])
-        assert again == manifest
+        assembled = assemble(manifest(ais_row(5), ais_row(1)), manifest(hk_row(3)))
+        assert assemble(assembled, EMPTY) == assembled
 
     def test_summary_arithmetic(self):
-        manifest = assemble([ais_entry(1), ais_entry(2, hydrophone="H2")], [hk_entry(3)])
-        summary = summarize(manifest)
+        assembled = assemble(manifest(ais_row(1), ais_row(2, hydrophone="H2")), manifest(hk_row(3)))
+        summary = summarize(assembled)
         assert summary["total_entries"] == 3
         assert summary["total_seconds"] == 30
         assert summary["total_hours"] == 3 / 360
@@ -72,9 +72,57 @@ class TestAssemble:
         assert "entries: 3" in text and "H2: 1" in text
 
     def test_hours_exactly_entries_over_360(self):
-        entries = [hk_entry(i) for i in range(1, 73)]
-        summary = summarize(assemble([], entries))
+        summary = summarize(assemble(EMPTY, manifest(*(hk_row(i) for i in range(1, 73)))))
         assert summary["total_hours"] == 72 / 360
+
+
+@st.composite
+def manifest_pair(draw):
+    """The rows of two manifests, in window id order, over a pool of 12 ids,
+    so they often collide.
+    Either may hold rows of either source (an assembled manifest is a valid
+    AIS input) and either may be empty; a row has an mmsi, a cluster path,
+    both or neither."""
+
+    def side():
+        ids = sorted(draw(st.lists(st.integers(0, 11), unique=True, max_size=12)))
+        return [
+            ManifestRow(
+                wid,
+                draw(st.sampled_from(["H1", "H2", "H3"])),
+                "R1",
+                10 * wid,
+                draw(st.sampled_from(["ais", "hkmeans"])),
+                draw(st.sampled_from([0, 366000001, 999999999])),
+                draw(st.sampled_from(["", "0", "4/9", "1/2/3"])),
+            )
+            for wid in ids
+        ]
+
+    return side(), side()
+
+
+@settings(max_examples=300, deadline=None)
+@given(manifest_pair())
+@example(([], []))
+@example(([ais_row(1)], [hk_row(1, path="4/9")]))  # the AIS row inherits the path
+@example(([hk_row(1, path="4/9")], [ais_row(1, hydrophone="H2")]))  # an assembled AIS input: its row loses
+def test_assemble_and_summarize_match_reference(pair):
+    ais_rows, hk_rows = pair
+    try:
+        expected = assemble_reference(ais_rows, hk_rows)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError, match=str(exc)):
+            assemble(manifest(*ais_rows), manifest(*hk_rows))
+        return
+    assembled = assemble(manifest(*ais_rows), manifest(*hk_rows))
+    assert assembled.rows.tolist() == expected
+    summary = summarize(assembled)
+    sources = Counter(row.source for row in expected)
+    assert (summary["total_entries"], summary["ais_entries"], summary["hkmeans_entries"]) == (
+        len(expected), sources["ais"], sources["hkmeans"],
+    )
+    assert summary["per_hydrophone"] == dict(sorted(Counter(row.hydrophone_id for row in expected).items()))
 
 
 class TestTauSchedule:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pamcurate import hsample
+from pamcurate import cli, hsample
 from pamcurate.cli import _partitioned, _sha256, main
 from pamcurate.core_model import EmbeddingShard, read_manifest, read_shard, write_shard
 from conftest import build_pipeline_fixture
@@ -166,7 +166,7 @@ class TestCurateAis:
         assert stats["threshold_origin"] == "detected"
         assert stats["threshold"] >= 1
         manifest = read_manifest(out / "manifest_ais.txt")
-        assert all(e.source == "ais" for e in manifest.entries)
+        assert set(manifest.rows["source"]) == {"ais"}
 
     def test_manual_threshold_wins(self, tmp_path):
         fixture = build_pipeline_fixture(tmp_path / "fx")
@@ -498,6 +498,16 @@ class TestStats:
         assert hydro == ["H1,0.0,0.0", "H2,0.5,0.5"]
         stats = json.loads((out / "stats.json").read_text())
         assert stats["ships"] == 5
+
+    def test_deployment_loaded_once(self, tmp_path, monkeypatch):
+        fixture = build_pipeline_fixture(tmp_path / "fx")
+        out = tmp_path / "out"
+        run("align", "--config", fixture["config"], "--ais", fixture["ais"], "--out", out)
+        loads = []
+        real = cli.load_deployment
+        monkeypatch.setattr(cli, "load_deployment", lambda path: loads.append(path) or real(path))
+        assert run("stats", "--config", fixture["config"], "--aligned", out / "aligned.csv", "--out", out) == 0
+        assert loads == [str(fixture["config"])]
 
     def test_stats_requires_some_input(self, tmp_path):
         assert run("stats", "--out", tmp_path / "o") == 2

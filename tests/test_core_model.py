@@ -13,7 +13,7 @@ from pamcurate.core_model import (
     EmbeddingShard,
     GeoPoint,
     Hydrophone,
-    ManifestEntry,
+    MANIFEST,
     Recording,
     load_deployment,
     parse_utc,
@@ -34,6 +34,7 @@ from pamcurate.errors import (
 )
 
 from conftest import random_shard
+from synth import iter_windows
 
 # Pinned once from the documented id scheme (BLAKE2b-64 of "H1/R1/0").
 GOLDEN_WINDOW_ID = 3636452270766846254
@@ -105,7 +106,7 @@ class TestWindowId:
             window_id_of("H1", "a/b", 0)
 
     def test_collision_free_over_corpus(self, deployment):
-        ids = [w.window_id for w in deployment.iter_windows()]
+        ids = [w.window_id for w in iter_windows(deployment)]
         assert len(ids) == deployment.total_windows() == 60
         assert len(set(ids)) == len(ids)
 
@@ -191,36 +192,32 @@ class TestShardIO:
 
 
 class TestManifestIO:
-    def _entries(self):
-        return (
-            ManifestEntry(window_id=5, hydrophone_id="H1", recording_id="R1", offset_s=0, source="ais", mmsi=366000001),
-            ManifestEntry(window_id=2, hydrophone_id="H1", recording_id="R1", offset_s=10, source="hkmeans", cluster_path=(1, 3)),
+    def _manifest(self):
+        return CurationManifest.of(
+            [5, 2], ["H1", "H1"], ["R1", "R1"], [0, 10], ["ais", "hkmeans"], [366000001, 0], ["", "1/3"]
         )
 
     def test_two_entry_golden_content(self, tmp_path):
         path = tmp_path / "m.txt"
-        write_manifest(CurationManifest(entries=self._entries()), path)
-        assert path.read_text() == (
-            "window_id=2 hydrophone_id=H1 recording_id=R1 offset_s=10 source=hkmeans cluster_path=1/3\n"
-            "window_id=5 hydrophone_id=H1 recording_id=R1 offset_s=0 source=ais mmsi=366000001\n"
-        )
+        write_manifest(self._manifest(), path)
+        assert path.read_text() == GOOD_LINES
 
     def test_round_trip(self, tmp_path):
-        manifest = CurationManifest(entries=self._entries())
+        manifest = self._manifest()
         path = tmp_path / "m.txt"
         write_manifest(manifest, path)
         assert read_manifest(path) == manifest
 
     def test_empty_manifest_empty_file(self, tmp_path):
         path = tmp_path / "e.txt"
-        write_manifest(CurationManifest(entries=()), path)
+        write_manifest(CurationManifest(), path)
         assert path.read_bytes() == b""
         assert len(read_manifest(path)) == 0
 
     def test_duplicate_window_id_rejected(self):
-        e = self._entries()[0]
+        rows = self._manifest().rows
         with pytest.raises(ValidationError, match="5"):
-            CurationManifest(entries=(e, e))
+            CurationManifest(rows[[1, 1]])
 
     def test_bad_line_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -229,39 +226,78 @@ class TestManifestIO:
             read_manifest(path)
         assert err.value.offset == 2
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("offset_s", "3"),
+            ("source", "other"),
+            ("window_id", "-2"),
+            ("window_id", "+9"),
+            ("window_id", str(2**64)),
+            ("window_id", "2"),  # line 1's id
+            ("window_id", "09"),
+            ("hydrophone_id", ""),
+            ("recording_id", "R/1"),
+            ("offset_s", str(2**63 * 10)),
+            ("offset_s", "00"),
+            ("mmsi", "0"),
+            ("mmsi", "1_0"),
+            ("mmsi", "\u0661\u0660"),
+            ("mmsi", "1000000000"),
+            ("mmsi", "0366000001"),
+            ("cluster_path", "-1"),
+            ("cluster_path", ""),
+            ("cluster_path", "1//2"),
+        ],
+    )
+    def test_every_bad_line_is_located(self, tmp_path, key, value):
+        third = {"window_id": "9", "hydrophone_id": "H1", "recording_id": "R1", "offset_s": "0", "source": "ais"}
+        path = tmp_path / "m.txt"
+        path.write_text(GOOD_LINES + " ".join(f"{k}={v}" for k, v in {**third, key: value}.items()) + "\n")
+        with pytest.raises(ParseError) as err:
+            read_manifest(path)
+        assert err.value.offset == 3
+
     def test_entry_validation(self):
-        with pytest.raises(ValidationError):
-            ManifestEntry(window_id=1, hydrophone_id="H1", recording_id="R1", offset_s=0, source="other")
-        with pytest.raises(ValidationError):
-            ManifestEntry(window_id=1, hydrophone_id="H1", recording_id="R1", offset_s=3, source="ais")
-        with pytest.raises(ValidationError):
-            ManifestEntry(window_id=-1, hydrophone_id="H1", recording_id="R1", offset_s=0, source="ais")
+        row = self._manifest().rows[:1]
+        for key, value in [("source", "other"), ("offset_s", 3), ("hydrophone_id", "H 1"), ("recording_id", None),
+                           ("mmsi", -1), ("mmsi", 10**9), ("cluster_path", "-1"), ("cluster_path", "1/")]:
+            bad = row.copy()
+            bad[key] = value
+            with pytest.raises(ValidationError):
+                CurationManifest(bad)
+        with pytest.raises(OverflowError):
+            CurationManifest.of([-1], ["H1"], ["R1"], [0], ["ais"])
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32), st.integers(0, 25))
     def test_round_trip_property(self, tmp_path_factory, seed, n):
         rng = np.random.default_rng(seed)
         wids = np.unique(rng.integers(0, 2**62, size=2 * n + 16, dtype=np.uint64))[:n]
-        entries = []
-        for wid in wids:
-            source = "ais" if rng.random() < 0.5 else "hkmeans"
-            entries.append(
-                ManifestEntry(
-                    window_id=int(wid),
-                    hydrophone_id=f"H{rng.integers(9)}",
-                    recording_id=f"R{rng.integers(9)}",
-                    offset_s=int(rng.integers(100)) * 10,
-                    source=source,
-                    mmsi=int(rng.integers(1, 10**9)) if rng.random() < 0.5 else None,
-                    cluster_path=tuple(int(c) for c in rng.integers(0, 50, size=rng.integers(1, 4)))
-                    if rng.random() < 0.5
-                    else None,
-                )
-            )
-        manifest = CurationManifest(entries=tuple(entries))
+        rows = np.empty(n, MANIFEST)
+        rows["window_id"] = rng.permutation(wids)
+        rows["hydrophone_id"] = [f"H{h}" for h in rng.integers(9, size=n)]
+        rows["recording_id"] = [f"R{r}" for r in rng.integers(9, size=n)]
+        rows["offset_s"] = rng.integers(100, size=n) * 10
+        rows["source"] = np.where(rng.random(n) < 0.5, "ais", "hkmeans").astype(object)
+        rows["mmsi"] = np.where(rng.random(n) < 0.5, rng.integers(1, 10**9, size=n), 0)
+        rows["cluster_path"] = [
+            "/".join(str(c) for c in rng.integers(0, 50, size=rng.integers(1, 4))) if rng.random() < 0.5 else ""
+            for _ in range(n)
+        ]
+        manifest = CurationManifest(rows)
+        assert manifest.rows["window_id"].tolist() == sorted(wids.tolist())
         path = tmp_path_factory.mktemp("manifests") / "p.txt"
         write_manifest(manifest, path)
         assert read_manifest(path) == manifest
+        write_manifest(read_manifest(path), path.with_suffix(".again"))
+        assert path.with_suffix(".again").read_bytes() == path.read_bytes()
+
+
+GOOD_LINES = (
+    "window_id=2 hydrophone_id=H1 recording_id=R1 offset_s=10 source=hkmeans cluster_path=1/3\n"
+    "window_id=5 hydrophone_id=H1 recording_id=R1 offset_s=0 source=ais mmsi=366000001\n"
+)
 
 
 class TestGeoPoint:
@@ -310,12 +346,12 @@ class TestDeploymentConfig:
 
 class TestWindowIndex:
     def test_ids_equal_iter_windows(self, deployment):
-        windows = list(deployment.iter_windows())
+        windows = list(iter_windows(deployment))
         index = deployment.window_index()
         assert index.ids.tolist() == sorted(w.window_id for w in windows)
         assert len(index) == deployment.total_windows()
-        assert index.lookup([w.window_id for w in windows]) == windows
-        assert index.lookup(np.array([w.window_id for w in windows], dtype=np.uint64)) == windows
+        ids = np.array([w.window_id for w in windows], dtype=np.uint64)
+        assert list(zip(ids.tolist(), *index.coordinates(ids, "known"))) == windows
 
     @settings(max_examples=50, deadline=None)
     @given(durations=st.lists(st.lists(st.integers(0, 95), max_size=4), min_size=1, max_size=3))
@@ -333,20 +369,23 @@ class TestWindowIndex:
                 for h, recs in enumerate(durations)
             )
         )
-        windows = sorted(config.iter_windows(), key=lambda w: w.window_id)
+        windows = sorted(iter_windows(config), key=lambda w: w.window_id)
         index = config.window_index()
         assert index.ids.tolist() == [w.window_id for w in windows]
-        assert index.lookup(index.ids) == windows
+        assert list(zip(index.ids.tolist(), *index.coordinates(index.ids, "known"))) == windows
 
     def test_unknown_ids_miss(self, deployment):
         index = deployment.window_index()
         known = int(index.ids[0])
-        (window,) = index.lookup([known])
-        assert window is not None and window.window_id == known
         keys = [known + 1, known, 0, 2**64 - 1, -1, 2**64, 1.5, float(known), "x", None]
-        assert index.lookup(keys) == [None, window] + [None] * 8
+        assert index.positions(keys).tolist() == [-1, 0] + [-1] * 8
+        with pytest.raises(ValidationError, match=f"selected window_id {known + 1} not present in the deployment"):
+            index.coordinates(np.array([known, known + 1], dtype=np.uint64), "selected")
         empty = DeploymentConfig(hydrophones=()).window_index()
-        assert len(empty) == 0 and empty.lookup([1, 2]) == [None, None] and empty.lookup([]) == []
+        assert len(empty) == 0 and empty.positions([1, 2]).tolist() == [-1, -1]
+        assert all(len(column) == 0 for column in empty.coordinates(np.empty(0, np.uint64), "any"))
+        with pytest.raises(ValidationError, match="not present"):
+            empty.coordinates(np.array([1], dtype=np.uint64), "any")
 
     def test_planted_collision_rejected(self, deployment, monkeypatch):
         real = core_model.window_id_of

@@ -371,7 +371,7 @@ class TestEmitAndPopulations:
         rng = np.random.default_rng(23)
         hierarchy = make_hierarchy(rng, ks=(3, 2), dim=3)
         state = SelectionState.empty([0, 0, 0])
-        assert emit(state, hierarchy, NO_WINDOWS) == []
+        assert len(emit(state, hierarchy, NO_WINDOWS)) == 0
 
     def test_desk_scale_exact_target(self):
         rng = np.random.default_rng(29)
@@ -385,11 +385,12 @@ class TestEmitAndPopulations:
         assert pops.sum() == 1000
         tree = allocate_quotas(hierarchy, pops, n_target=100)
         state = stream_select([shard], hierarchy, tree)
-        entries = emit(state, hierarchy, index)
-        assert len(entries) == 100
-        assert all(e.source == "hkmeans" for e in entries)
-        assert all(len(e.cluster_path) == 2 for e in entries)
-        leafs = {e.window_id: e.cluster_path[-1] for e in entries}
+        rows = emit(state, hierarchy, index).rows
+        assert len(rows) == 100
+        assert set(rows["source"]) == {"hkmeans"}
+        paths = [tuple(map(int, path.split("/"))) for path in rows["cluster_path"]]
+        assert all(len(path) == 2 for path in paths)
+        leafs = {wid: path[-1] for wid, path in zip(rows["window_id"].tolist(), paths)}
         for leaf in range(8):
             for _, wid in by_leaf(state)[leaf]:
                 assert leafs[wid] == leaf

@@ -17,13 +17,13 @@ from pamcurate import cli, geo_align, hkmeans, hsample
 from pamcurate.core_model import (
     CurationManifest,
     EmbeddingShard,
-    ManifestEntry,
     save_deployment,
     write_atomic,
     write_manifest,
     write_shard,
 )
 from conftest import build_pipeline_fixture, make_hierarchy
+from synth import iter_windows
 from test_cli import run, run_pipeline
 
 SRC = Path(cli.__file__).parent
@@ -31,7 +31,7 @@ OLD = b"old bytes\n"
 
 
 def _aligned_set(deployment):
-    window_ids = [window.window_id for window in list(deployment.iter_windows())[:3]]
+    window_ids = [window.window_id for window in list(iter_windows(deployment))[:3]]
     return geo_align.AlignedWindowSet.of(window_ids, [300000001] * 3)
 
 
@@ -50,7 +50,7 @@ WRITERS = {
     ),
     "write_manifest": (
         "m.txt",
-        lambda p, d: write_manifest(CurationManifest((ManifestEntry(7, "H1", "R1", 0, "ais", mmsi=1),)), p),
+        lambda p, d: write_manifest(CurationManifest.of([7], "H1", "R1", 0, "ais", mmsi=1), p),
     ),
     "save_deployment": ("d.json", lambda p, d: save_deployment(d, p)),
     "write_sidecar": ("a.csv", lambda p, d: geo_align.write_sidecar(_aligned_set(d), p)),
@@ -246,18 +246,18 @@ def test_package_decodes_only_through_binary_reader():
 
 
 # ---------------------------------------------------------------------------
-# One AIS path: the package reads AIS rows into columns, never into per-row
-# objects (those live in tests/synth.py as the reference)
+# One row path: the package holds AIS rows, windows and manifest rows in
+# columns, never in per-row objects (those live in tests/synth.py as the
+# reference)
 # ---------------------------------------------------------------------------
 
-PER_ROW_AIS = {"DictReader", "AisPulse"}
-# After alignment the AIS route holds (window_id, mmsi) pairs, never windows.
-PER_ROW_NAMES = {name: PER_ROW_AIS | {"AudioWindow"} for name in ("geo_align.py", "ais_curate.py")}
+PER_ROW_NAMES = {"DictReader", "AisPulse", "AudioWindow", "ManifestEntry", "lookup"}
 
 
-def per_row_ais_sites(source: str, names: set[str] = PER_ROW_AIS) -> list[int]:
-    """Line numbers where one of ``names`` (by default ``csv.DictReader`` and
-    ``AisPulse``) is named, defined or imported."""
+def per_row_sites(source: str, names: set[str] = PER_ROW_NAMES) -> list[int]:
+    """Line numbers where one of ``names`` (by default ``csv.DictReader``,
+    ``AisPulse``, ``AudioWindow``, ``ManifestEntry`` and ``lookup``) is
+    named, defined or imported."""
     sites = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
@@ -287,16 +287,17 @@ def test_guard_finds_every_per_row_ais_name():
             "reader = csv.reader(fh)",
             "pulses = np.empty(3, AIS_COLUMNS)",
             "from .core_model import AudioWindow",
+            "entries = [ManifestEntry(*window) for window in index.lookup(ids)]",
         ]
     )
-    assert per_row_ais_sites(source) == [1, 2, 3, 4, 6, 7]
-    assert per_row_ais_sites(source, PER_ROW_NAMES["geo_align.py"]) == [1, 2, 3, 4, 6, 7, 10]
+    assert per_row_sites(source) == [1, 2, 3, 4, 6, 7, 10, 11, 11]
+    assert per_row_sites(source, {"DictReader", "AisPulse"}) == [1, 2, 3, 4, 6, 7]
 
 
 def test_package_has_one_ais_path():
     found = {
         path.name: sites
         for path in sorted(SRC.glob("*.py"))
-        if (sites := per_row_ais_sites(path.read_text(encoding="utf-8"), PER_ROW_NAMES.get(path.name, PER_ROW_AIS)))
+        if (sites := per_row_sites(path.read_text(encoding="utf-8")))
     }
     assert found == {}
