@@ -55,15 +55,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _partitioned(items, workers: int, run) -> list:
-    """``run`` on each of ``min(workers, len(items))`` strided partitions of
-    ``items`` (once on an empty ``items``), one after another.  Callers fold
-    the results with an associative, commutative combine, so the worker
-    count never changes outputs."""
-    parts = max(1, min(workers, len(items)))
-    return [run(items[i::parts]) for i in range(parts)]
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -79,27 +70,26 @@ def cmd_align(args) -> int:
     out = _out_dir(args)
     config = load_deployment(args.config)
     pulses, rejected_rows = geo_align.read_ais_csv(args.ais)
-    results = _partitioned(pulses, args.workers, lambda part: geo_align.align(part, config, side_km=args.side_km))
-    windows = reduce(geo_align.AlignedWindowSet.union, (r.windows for r in results))
-    aligned_pulses = sum(len(r.pulses) for r in results)
-    unaligned = sum(r.rejects.get("unaligned", 0) for r in results)
+    result = geo_align.align(pulses, config, side_km=args.side_km)
 
     sidecar = out / "aligned.csv"
-    geo_align.write_sidecar(windows, sidecar)
+    geo_align.write_sidecar(result.windows, sidecar)
     stats_path = out / "align_stats.json"
     _write_json(
         stats_path,
         {
             "pulses_read": len(pulses),
             "rejected_rows": rejected_rows,
-            "aligned_pulses": aligned_pulses,
-            "unaligned_pulses": unaligned,
-            "aligned_windows": len(windows),
+            "aligned_pulses": len(result.pulses),
+            "unaligned_pulses": result.rejects.get("unaligned", 0),
+            "aligned_windows": len(result.windows),
             "side_km": args.side_km,
         },
     )
     _write_run_record(out, "align", _flags(args), None, [Path(args.config), Path(args.ais)], [sidecar, stats_path])
-    logger.info("align: %d pulses -> %d aligned windows (%d rows rejected)", len(pulses), len(windows), rejected_rows)
+    logger.info(
+        "align: %d pulses -> %d aligned windows (%d rows rejected)", len(pulses), len(result.windows), rejected_rows
+    )
     return 0
 
 
@@ -205,16 +195,14 @@ def cmd_sample(args) -> int:
     config = load_deployment(args.config)
     hierarchy = hkmeans.load_model(args.model)
     shard_paths = [Path(p) for p in args.shards]
-
-    if args.checkpoint and args.workers > 1:
-        raise ValidationError("--checkpoint requires --workers 1")
     checkpoint = Path(args.checkpoint) if args.checkpoint else None
 
     populations = hsample.count_populations((read_shard(p) for p in shard_paths), hierarchy)
     quotas = hsample.allocate_quotas(hierarchy, populations, args.target_n)
-    states = _partitioned(
-        shard_paths, args.workers, lambda part: _select_partition(part, hierarchy, quotas, checkpoint)
-    )
+    # Strided shard partitions, each streamed alone and merged; the result does
+    # not depend on their count.  A checkpoint holds one stream's state.
+    parts = 1 if checkpoint else min(args.workers, len(shard_paths))
+    states = [_select_partition(shard_paths[i::parts], hierarchy, quotas, checkpoint) for i in range(parts)]
     state = reduce(hsample.merge, states)
 
     manifest = hsample.emit(state, hierarchy, config.window_index())
@@ -325,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="deployment config JSON")
     p.add_argument("--ais", required=True, help="AIS pulse CSV")
     p.add_argument("--side-km", type=float, default=4.0, help="fence side length in km")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="no effect: the stage runs as one stream (must be at least 1)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_align)
 
@@ -353,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--shards", nargs="+", required=True)
     p.add_argument("--target-n", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--checkpoint", default=None, help="checkpoint file for resumable runs (workers=1)")
+    p.add_argument("--workers", type=int, default=1, help="shard partitions, selected in turn and merged")
+    p.add_argument("--checkpoint", default=None, help="checkpoint file for resumable runs, streamed as one partition")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
 

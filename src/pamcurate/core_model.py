@@ -53,19 +53,23 @@ MANIFEST_SOURCES = ("ais", "hkmeans")
 MANIFEST_KEYS = ("window_id", "hydrophone_id", "recording_id", "offset_s", "source", "mmsi", "cluster_path")
 # One manifest row per field of MANIFEST_KEYS; ``mmsi`` 0 and ``cluster_path`` "" mean absent.
 MANIFEST = np.dtype({"names": list(MANIFEST_KEYS), "formats": ["<u8", "O", "O", "<i8", "O", "<i8", "O"]})
-# Integers without leading zeros, so a file that reads back writes the same bytes.
+U64_MAX = 2**64 - 1
+MAX_MMSI = 999_999_999
+# Integers in plain ASCII digits without leading zeros, so a file that reads
+# back writes the same bytes.  A U64_DIGITS match can still exceed U64_MAX;
+# MAX_MMSI is all nines, so its digit count bounds an MMSI_DIGITS match.
+U64_DIGITS = r"0|[1-9][0-9]{0,19}"
+MMSI_DIGITS = rf"[1-9][0-9]{{0,{len(str(MAX_MMSI)) - 1}}}"
 _MANIFEST_LINE = re.compile(
-    r"window_id=(0|[1-9][0-9]{0,19}) hydrophone_id=(\S*) recording_id=(\S*) offset_s=(0|[1-9][0-9]{0,17})"
-    r" source=(\S*)(?: mmsi=([1-9][0-9]{0,8}))?(?: cluster_path=(\S+))?"
+    rf"window_id=({U64_DIGITS}) hydrophone_id=(\S*) recording_id=(\S*) offset_s=(0|[1-9][0-9]{{0,17}})"
+    rf" source=(\S*)(?: mmsi=({MMSI_DIGITS}))?(?: cluster_path=(\S+))?"
 )
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_.\-]+\Z")
 _SOURCE_RE = re.compile(rf"(?:{'|'.join(MANIFEST_SOURCES)})\Z")
 _CLUSTER_PATH_RE = re.compile(r"(?:[0-9]+(?:/[0-9]+)*)?\Z")  # "" is an absent path
-U64_MAX = 2**64 - 1
 _EPOCH = datetime(1970, 1, 1)
 _EPOCH_UTC = _EPOCH.replace(tzinfo=timezone.utc)
-MAX_MMSI = 999_999_999
 _token_cache: set[str] = set()
 _UMASK = os.umask(0o022)  # mkstemp creates 0600 files; outputs get 0666 & ~umask
 os.umask(_UMASK)
@@ -251,15 +255,6 @@ class WindowIndex:
             return np.full(len(keys), -1)
         pos = np.minimum(np.searchsorted(self.ids, keys), len(self.ids) - 1)
         return np.where(self.ids[pos] == keys, pos, -1)
-
-    def positions(self, ids) -> np.ndarray:
-        """The position in :attr:`ids` of each of ``ids``; -1 for an id the
-        deployment does not have, and for a key that is not an integer in
-        0..U64_MAX."""
-        ids = list(ids)
-        valid = np.array([isinstance(wid, (int, np.integer)) and 0 <= wid <= U64_MAX for wid in ids], dtype=bool)
-        keys = np.array([wid if ok else 0 for wid, ok in zip(ids, valid)], dtype=np.uint64)
-        return np.where(valid, self._find(keys), -1)
 
     def coordinates(self, ids: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The hydrophone ids, recording ids and offsets of the windows of

@@ -12,15 +12,17 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import re
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .core_model import (
     MAX_MMSI,
+    MMSI_DIGITS,
+    U64_DIGITS,
     U64_MAX,
     WINDOW_S,
     DeploymentConfig,
@@ -241,36 +243,36 @@ def read_ais_csv(path: str | Path) -> tuple[np.ndarray, int]:
 # ---------------------------------------------------------------------------
 
 
+_SIDECAR_LINE = re.compile(rf"({U64_DIGITS}),({MMSI_DIGITS})")
+
+
 def write_sidecar(aligned: AlignedWindowSet, path: str | Path) -> None:
     """Write ``window_id,mmsi`` lines, sorted lexicographically as strings."""
     lines = sorted(f"{wid},{mmsi}" for wid, mmsi in aligned.pairs.tolist())
     write_atomic(path, "".join(line + "\n" for line in lines))
 
 
-def read_sidecar(path: str | Path) -> list[tuple[int, int]]:
-    """The ``(window_id, mmsi)`` pair of every line, in file order; a line
-    that is not two integers, a window id outside 0..U64_MAX or an mmsi
-    outside 1..MAX_MMSI raises :class:`ParseError` at its line number."""
-    pairs: list[tuple[int, int]] = []
+def read_sidecar(path: str | Path) -> np.ndarray:
+    """The :data:`PAIRS` row of every line, in file order.  Empty lines are
+    skipped, and any other line that is not ``window_id,mmsi`` in plain ASCII
+    decimal without leading zeros, with a window id in 0..U64_MAX and an
+    mmsi in 1..MAX_MMSI, raises :class:`ParseError` at its line number."""
+    window_ids, mmsis = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not (line := line.rstrip("\n")):
                 continue
-            try:
-                wid_text, mmsi_text = line.split(",")
-                wid, mmsi = int(wid_text), int(mmsi_text)
-                if not (0 <= wid <= U64_MAX and 0 < mmsi <= MAX_MMSI):
-                    raise ValueError(line)
-                pairs.append((wid, mmsi))
-            except ValueError:
-                raise ParseError(f"bad sidecar line {line!r}", path=str(path), offset=lineno) from None
+            match = _SIDECAR_LINE.fullmatch(line)
+            if not match or (window_id := int(match[1])) > U64_MAX:
+                raise ParseError(f"bad sidecar line {line!r}", path=str(path), offset=lineno)
+            window_ids.append(window_id)
+            mmsis.append(int(match[2]))
+    pairs = np.empty(len(window_ids), PAIRS)
+    pairs["window_id"], pairs["mmsi"] = window_ids, mmsis
     return pairs
 
 
-def aligned_from_sidecar(pairs: Sequence[tuple[int, int]], index: WindowIndex) -> AlignedWindowSet:
-    """Rebuild an AlignedWindowSet from sidecar pairs; every window id must be one of ``index``'s."""
-    pos = index.positions(wid for wid, _ in pairs)
-    if (pos < 0).any():
-        raise ValidationError(f"window_id {pairs[int(pos.argmin())][0]} not present in the deployment config")
-    return AlignedWindowSet.of(index.ids[pos], [mmsi for _, mmsi in pairs])
+def aligned_from_sidecar(pairs: np.ndarray, index: WindowIndex) -> AlignedWindowSet:
+    """Rebuild an AlignedWindowSet from a :data:`PAIRS` array; every window id must be one of ``index``'s."""
+    index.coordinates(pairs["window_id"], "sidecar")
+    return AlignedWindowSet.of(pairs["window_id"], pairs["mmsi"])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pamcurate import cli, hsample
-from pamcurate.cli import _partitioned, _sha256, main
+from pamcurate.cli import _sha256, main
 from pamcurate.core_model import EmbeddingShard, read_manifest, read_shard, write_shard
 from conftest import build_pipeline_fixture
 
@@ -282,6 +282,7 @@ class TestSampleContract:
         fixture, out = setup
         runs = {f"w{w}": ("--workers", w) for w in (1, 2, 3)}
         runs["ckpt"] = ("--checkpoint", tmp_path / "sel.ckpt")
+        runs["w2ckpt"] = ("--workers", 2, "--checkpoint", tmp_path / "sel2.ckpt")
         for name, extra in runs.items():
             stats = self.sample(fixture, out, tmp_path / name, *extra)
             assert stats["evictions"] == stats["processed_records"] - stats["selected"]
@@ -318,15 +319,6 @@ class TestSampleContract:
 
 
 class TestPartitioned:
-    @pytest.mark.parametrize("count, workers", [(5, 1), (5, 3), (5, 5), (5, 20000), (0, 1), (0, 4)])
-    def test_one_run_per_partition_and_no_empty_ones(self, count, workers):
-        items = list(range(count))
-        parts = []
-        _partitioned(items, workers, parts.append)
-        assert len(parts) == max(1, min(workers, count))
-        assert sorted(x for part in parts for x in part) == items
-        assert all(parts) or parts == [[]]
-
     def test_align_and_sample_outputs_do_not_depend_on_many_workers(self, tmp_path):
         fixture = build_pipeline_fixture(tmp_path / "fx")
         ref = tmp_path / "ref"

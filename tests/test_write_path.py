@@ -3,7 +3,8 @@
 A failed write, at the fsync or at the rename, must leave the destination
 with its old bytes and no temporary file beside it; and no module may open
 a file for writing anywhere else.  Likewise, no module may decode binary
-bytes outside ``core_model.BinaryReader``.
+bytes outside ``core_model.BinaryReader``, and none may import
+``threading``, ``multiprocessing`` or ``concurrent``.
 """
 
 import ast
@@ -299,5 +300,66 @@ def test_package_has_one_ais_path():
         path.name: sites
         for path in sorted(SRC.glob("*.py"))
         if (sites := per_row_sites(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+# ---------------------------------------------------------------------------
+# One stream per stage: no module imports a thread or process pool.  A
+# parallel path comes back only with a measured gain over one stream.
+# ---------------------------------------------------------------------------
+
+CONCURRENCY_MODULES = {"threading", "multiprocessing", "concurrent"}
+
+
+def concurrency_imports(source: str) -> list[int]:
+    """Line numbers of every import of ``threading``, ``multiprocessing`` or
+    ``concurrent``, or of one of their submodules, by statement or by
+    ``__import__`` / ``importlib.import_module`` with a literal name."""
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in {"__import__", "import_module"}
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and isinstance(node.args[0].value, str)
+        ):
+            modules = [node.args[0].value]
+        else:
+            continue
+        if any(module.split(".")[0] in CONCURRENCY_MODULES for module in modules):
+            sites.append(node.lineno)
+    return sorted(sites)
+
+
+def test_guard_finds_every_concurrency_import():
+    source = "\n".join(
+        [
+            "import threading",
+            "import os, multiprocessing as mp",
+            "from concurrent.futures import ThreadPoolExecutor",
+            "from multiprocessing.pool import Pool",
+            "import concurrent.futures",
+            "pool = importlib.import_module('multiprocessing')",
+            "threads = __import__('threading')",
+            "import threadingx",
+            "from .threading import Lock",
+            "from pamcurate import threading_notes",
+            "threading = None",
+        ]
+    )
+    assert concurrency_imports(source) == [1, 2, 3, 4, 5, 6, 7]
+
+
+def test_package_runs_one_stream_per_stage():
+    found = {
+        path.name: sites
+        for path in sorted(SRC.glob("*.py"))
+        if (sites := concurrency_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
