@@ -50,9 +50,7 @@ class Threshold:
 def histogram(aligned: AlignedWindowSet) -> OccurrenceHistogram:
     """Count, per ship, the distinct windows it was heard in.
 
-    A window shared by several ships counts once for each of them.  The
-    union of partial alignments over disjoint pulse partitions gives the
-    histogram of the whole.
+    A window shared by several ships counts once for each of them.
     """
     ships, windows = np.unique(aligned.pairs["mmsi"], return_counts=True)
     counts = dict(zip(ships.tolist(), windows.tolist()))
@@ -103,7 +101,7 @@ def curate(aligned: AlignedWindowSet, threshold: Threshold, seed: int, index: Wi
 
     Each ship uses its own generator seeded with ``seed XOR mmsi`` and draws
     over its windows in ascending window_id order, so the output does not
-    depend on how ships were partitioned across workers.  A window heard
+    depend on the order of the pairs or of the other ships.  A window heard
     from several ships is kept if at least one of them retains it, and its
     row records the smallest retaining mmsi.
     """

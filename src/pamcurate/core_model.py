@@ -70,7 +70,6 @@ _SOURCE_RE = re.compile(rf"(?:{'|'.join(MANIFEST_SOURCES)})\Z")
 _CLUSTER_PATH_RE = re.compile(r"(?:[0-9]+(?:/[0-9]+)*)?\Z")  # "" is an absent path
 _EPOCH = datetime(1970, 1, 1)
 _EPOCH_UTC = _EPOCH.replace(tzinfo=timezone.utc)
-_token_cache: set[str] = set()
 _UMASK = os.umask(0o022)  # mkstemp creates 0600 files; outputs get 0666 & ~umask
 os.umask(_UMASK)
 
@@ -79,7 +78,9 @@ def write_atomic(path: str | Path, data: bytes | str) -> None:
     """Replace ``path`` with ``data`` (a ``str`` is written as UTF-8) through
     a fsynced temporary file in the same directory and :func:`os.replace`,
     so ``path`` only ever holds the old or the complete new bytes.  On any
-    exception the temporary file is removed."""
+    exception before the rename the temporary file is removed.  The
+    directory is fsynced after the rename, so a later write cannot reach the
+    disk before this one."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
@@ -92,17 +93,17 @@ def write_atomic(path: str | Path, data: bytes | str) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+    # The rename is durable only once the directory entry is on disk.
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def _require_token(value: str, what: str) -> str:
-    # A window index hashes every window of a deployment, which repeats a
-    # handful of ids; memoize the accepted ones.
-    if value in _token_cache:
-        return value
     if not isinstance(value, str) or not _TOKEN_RE.match(value):
         raise ValidationError(f"{what} must be a non-empty token of [A-Za-z0-9_.-], got {value!r}")
-    if len(_token_cache) < 65536:
-        _token_cache.add(value)
     return value
 
 
@@ -222,6 +223,12 @@ def window_id_of(hydrophone_id: str, recording_id: str, offset_s: int) -> int:
     _require_token(recording_id, "recording id")
     if offset_s < 0 or offset_s % WINDOW_S != 0:
         raise ValidationError(f"window offset {offset_s} must be a non-negative multiple of {WINDOW_S}")
+    return _window_id(hydrophone_id, recording_id, offset_s)
+
+
+def _window_id(hydrophone_id: str, recording_id: str, offset_s: int) -> int:
+    """:func:`window_id_of` without its checks, for the windows of a
+    :class:`DeploymentConfig`, whose ids were checked when it was built."""
     key = f"{hydrophone_id}/{recording_id}/{offset_s}".encode()
     return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
 
@@ -236,7 +243,7 @@ class WindowIndex:
         self._recording_ids = np.array([rec.id for _, rec in recordings], dtype=object)
         counts = np.array([rec.window_count for _, rec in recordings], dtype=np.int64)
         ids = np.fromiter(
-            (window_id_of(hid, rec.id, off) for hid, rec in recordings for off in rec.window_offsets),
+            (_window_id(hid, rec.id, off) for hid, rec in recordings for off in rec.window_offsets),
             dtype=np.uint64,
             count=int(counts.sum()),
         )
@@ -371,7 +378,7 @@ class BinaryReader:
             raise self.error(f"{len(self.data) - self.pos} trailing bytes", self.pos)
 
 
-def read_shard(path: str | Path, expect_dim: int | None = None) -> EmbeddingShard:
+def read_shard(path: str | Path) -> EmbeddingShard:
     """Read a shard file, raising a distinct error per malformation at the
     byte where it begins: magic at 0, dim at 8, count at 12, and record ``i``
     at ``20 + i*(8+4*dim)`` for the first incomplete record, non-finite
@@ -380,8 +387,6 @@ def read_shard(path: str | Path, expect_dim: int | None = None) -> EmbeddingShar
     (dim,) = reader.unpack("I", "dim")
     if not 1 <= dim <= MAX_SHARD_DIM:
         raise reader.error(f"dim {dim} outside 1..{MAX_SHARD_DIM}", kind=ShardDimError)
-    if expect_dim is not None and dim != expect_dim:
-        raise reader.error(f"dim {dim} != expected {expect_dim}", kind=ShardDimError)
     (count,) = reader.unpack("Q", "count")
     records = reader.array(_record_dtype(dim), count, "record")
     reader.end()
@@ -530,7 +535,7 @@ class DeploymentConfig:
 def load_deployment(path: str | Path) -> DeploymentConfig:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ParseError(f"bad deployment config: {exc}", path=str(path)) from None
     try:
         hydrophones = []
@@ -548,7 +553,7 @@ def load_deployment(path: str | Path) -> DeploymentConfig:
                 Hydrophone(id=h["id"], location=GeoPoint(float(h["lat"]), float(h["lon"])), recordings=recordings)
             )
         return DeploymentConfig(hydrophones=tuple(hydrophones))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad deployment config: missing/invalid field {exc}", path=str(path)) from None
 
 

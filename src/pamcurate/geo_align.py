@@ -27,10 +27,9 @@ from .core_model import (
     WINDOW_S,
     DeploymentConfig,
     GeoPoint,
-    Hydrophone,
     WindowIndex,
+    _window_id,
     parse_utc,
-    window_id_of,
     write_atomic,
 )
 from .errors import ParseError, ValidationError
@@ -55,9 +54,8 @@ class GeoFence:
     lon_span_deg: float
 
 
-def fence_of(hydrophone: Hydrophone | GeoPoint, side_km: float) -> GeoFence:
-    """Fence of side ``side_km`` km centred on a hydrophone (or bare point)."""
-    center = hydrophone.location if isinstance(hydrophone, Hydrophone) else hydrophone
+def fence_of(center: GeoPoint, side_km: float) -> GeoFence:
+    """Fence of side ``side_km`` km centred on ``center``."""
     if side_km <= 0:
         raise ValidationError(f"side_km must be positive, got {side_km}")
     if abs(center.lat) >= MAX_FENCE_LAT:
@@ -112,12 +110,6 @@ class AlignedWindowSet:
             return NotImplemented
         return np.array_equal(self.pairs, other.pairs)
 
-    @staticmethod
-    def union(a: "AlignedWindowSet", b: "AlignedWindowSet") -> "AlignedWindowSet":
-        """Associative, commutative merge of partial alignments."""
-        both = np.concatenate((a.pairs, b.pairs))
-        return AlignedWindowSet.of(both["window_id"], both["mmsi"])
-
 
 @dataclass
 class AlignmentResult:
@@ -137,7 +129,7 @@ def align(pulses: np.ndarray, config: DeploymentConfig, side_km: float = 4.0) ->
     of them independently.  The result is a pure set-level function of the
     pulse collection: input order does not matter.
     """
-    fences = [fence_of(h, side_km) for h in config.hydrophones]
+    fences = [fence_of(h.location, side_km) for h in config.hydrophones]
     # Per hydrophone: the aligned pulse rows, their window ids and the hydrophone id.
     rows, ids, owners = [np.empty(0, np.int64)], [np.empty(0, np.uint64)], [np.empty(0, str)]
     for hydrophone, fence in zip(config.hydrophones, fences):
@@ -157,7 +149,7 @@ def align(pulses: np.ndarray, config: DeploymentConfig, side_km: float = 4.0) ->
         keys, inverse = np.unique(rec * counts.max() + slot, return_inverse=True)
         hit_rec, hit_slot = np.divmod(keys, counts.max())
         hit_ids = [
-            window_id_of(hydrophone.id, recordings[r].id, offset)
+            _window_id(hydrophone.id, recordings[r].id, offset)
             for r, offset in zip(hit_rec.tolist(), (hit_slot * WINDOW_S).tolist())
         ]
         rows.append(inside)

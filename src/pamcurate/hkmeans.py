@@ -34,19 +34,6 @@ MODEL_MAGIC = b"PAMHKM01"
 PRODUCTION_LEVEL_KS = (6000, 400, 40, 10)
 
 
-def normalize(vector) -> np.ndarray:
-    """Scale a nonzero vector to unit L2 norm (float64)."""
-    v = np.asarray(vector, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValidationError(f"expected a 1-d vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValidationError("vector must be finite")
-    norm = np.sqrt((v * v).sum())
-    if norm == 0.0:
-        raise ValidationError("cannot normalize a zero vector")
-    return v / norm
-
-
 def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
     m = np.asarray(matrix, dtype=np.float64)
     if not np.all(np.isfinite(m)):
@@ -337,8 +324,7 @@ def minibatch_fit(
     k: int,
     config: FitConfig,
     init: np.ndarray | None = None,
-    collect_trajectory: bool = False,
-):
+) -> CentroidSet:
     """Streaming k-means: per batch, assign to the nearest centroid, then move
     each centroid to the running mean of the points it has absorbed.
 
@@ -347,9 +333,6 @@ def minibatch_fit(
     ``batch_size`` covering the whole stream each pass IS an exact Lloyd
     iteration.  Unless ``init`` is given, centroids are seeded by k-means++
     over a buffered prefix of ``max(10k, batch_size)`` points.
-
-    With ``collect_trajectory`` returns ``(centroid_set, trajectory)`` where
-    the trajectory holds the float64 centroids after each pass.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
@@ -360,7 +343,6 @@ def minibatch_fit(
         if centroids.ndim != 2 or centroids.shape[0] != k:
             raise ValidationError(f"init must have shape (k={k}, dim), got {centroids.shape}")
 
-    trajectory: list[np.ndarray] = []
     ever_absorbed = np.zeros(k, dtype=bool)
     bbox_min: np.ndarray | None = None
     bbox_max: np.ndarray | None = None
@@ -408,14 +390,9 @@ def minibatch_fit(
             ), "centroid escaped the data bounding box"
         if not counts.any():
             raise DegenerateFitError(f"pass {pass_idx + 1} of {config.passes}: stream yielded no points")
-        if collect_trajectory:
-            trajectory.append(centroids.copy())
         logger.debug("minibatch_fit pass %d/%d: %d absorptions", pass_idx + 1, config.passes, counts.sum())
 
-    result = CentroidSet(level=1, centroids=centroids.astype(np.float32), counts=counts.astype(np.uint64))
-    if collect_trajectory:
-        return result, trajectory
-    return result
+    return CentroidSet(level=1, centroids=centroids.astype(np.float32), counts=counts.astype(np.uint64))
 
 
 def resample_fit(source, k: int, config: FitConfig, init: np.ndarray | None = None) -> CentroidSet:
@@ -474,11 +451,13 @@ def _lloyd(points: np.ndarray, k: int, init: np.ndarray, max_iter: int = 200):
         if assign is not None and np.array_equal(idx, assign):
             break
         assign = idx
-        for c in range(k):
-            sel = points[idx == c]
-            if len(sel):
-                centroids[c] = sel.sum(axis=0) / len(sel)
-    counts = np.bincount(assign, minlength=k)
+        # ``add.at`` adds each cluster's points in point order, so a mean is its
+        # members' ``sum(axis=0) / count`` bit for bit; an empty cluster stays put.
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, idx, points)
+        counts = np.bincount(idx, minlength=k)
+        kept = counts > 0
+        centroids[kept] = sums[kept] / counts[kept, None]
     return centroids, counts
 
 
@@ -522,12 +501,6 @@ def assign_batch(vectors, hierarchy: ClusterHierarchy):
     normalized = _normalize_rows(v)
     idx, d2 = nearest_centroids(normalized, hierarchy.levels[0].centroids.astype(np.float64))
     return idx, np.sqrt(d2)
-
-
-def assign_path(vector, hierarchy: ClusterHierarchy) -> tuple[tuple[int, ...], float]:
-    """Root-to-leaf cluster path of one vector, plus its leaf distance."""
-    idx, dist = assign_batch(np.asarray(vector, dtype=np.float64)[None, :], hierarchy)
-    return hierarchy.path_of(int(idx[0])), float(dist[0])
 
 
 # ---------------------------------------------------------------------------

@@ -170,9 +170,6 @@ class SelectionState:
         """Entries held per leaf."""
         return np.bincount(self.held["leaf"], minlength=len(self.quotas))
 
-    def selected_ids(self) -> set[int]:
-        return set(self.held["window_id"].tolist())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SelectionState):
             return NotImplemented

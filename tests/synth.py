@@ -148,7 +148,7 @@ def align_reference(
 ) -> tuple[list[AlignedPulse], AlignedWindowSet, dict[str, int]]:
     """Every pulse against every hydrophone's fence and recordings in turn;
     returns the sorted aligned pulses, the aligned windows and the rejects."""
-    fences = [(h, fence_of(h, side_km)) for h in config.hydrophones]
+    fences = [(h, fence_of(h.location, side_km)) for h in config.hydrophones]
     aligned: list[AlignedPulse] = []
     ships: dict[int, set[int]] = {}
     rejects: dict[str, int] = {}

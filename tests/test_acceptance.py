@@ -145,7 +145,7 @@ def test_c4_long_tail_flattening():
         populations = count_populations([shard], hierarchy)
         tree = allocate_quotas(hierarchy, populations, 300)
         state = stream_select([shard], hierarchy, tree)
-        selected = np.fromiter(state.selected_ids(), dtype=np.int64)
+        selected = np.unique(state.held["window_id"]).astype(np.int64)
 
         kl_hier = kl_to_uniform(np.bincount(labels[selected], minlength=3))
         rng = np.random.default_rng(seed + 1_000)

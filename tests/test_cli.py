@@ -137,6 +137,33 @@ class TestAlign:
         assert run("align", "--config", fixture["config"], "--ais", ais, "--out", out) == 0
         assert json.loads((out / "align_stats.json").read_text())["rejected_rows"] == 2 + 3
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("duration_s", "ten"),  # ValueError
+            ("lat", "north"),  # ValueError
+            ("start", float("inf")),  # JSON Infinity: OverflowError
+            ("hydrophone", "H1"),  # a string, not an object: AttributeError
+            ("bytes", b"\xff\xfe{}"),  # not UTF-8: UnicodeDecodeError
+        ],
+    )
+    def test_bad_deployment_config_is_a_located_error(self, tmp_path, capsys, field, value):
+        fixture = build_pipeline_fixture(tmp_path / "fx")
+        doc = json.loads(fixture["config"].read_text())
+        hydrophone = doc["hydrophones"][0]
+        if field in ("duration_s", "start"):
+            hydrophone["recordings"][0][field] = value
+        elif field == "hydrophone":
+            doc["hydrophones"][0] = value
+        else:
+            hydrophone[field] = value
+        config = tmp_path / "bad.json"
+        config.write_bytes(value if field == "bytes" else json.dumps(doc).encode())
+        out = tmp_path / "out"
+        assert run("align", "--config", config, "--ais", fixture["ais"], "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad deployment config") and str(config) in err
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
         fixture = build_pipeline_fixture(tmp_path / "fx")

@@ -27,7 +27,6 @@ from pamcurate.core_model import (
 )
 from pamcurate.errors import (
     ParseError,
-    ShardDimError,
     ShardMagicError,
     ShardTruncatedError,
     ValidationError,
@@ -156,14 +155,6 @@ class TestShardIO:
         with pytest.raises(ShardMagicError) as err:
             read_shard(path)
         assert err.value.offset == 0
-
-    def test_dim_mismatch(self, tmp_path):
-        rng = np.random.default_rng(1)
-        path = tmp_path / "d.bin"
-        write_shard(random_shard(rng, 2, 6), path)
-        with pytest.raises(ShardDimError) as err:
-            read_shard(path, expect_dim=8)
-        assert err.value.offset == 8
 
     def test_trailing_bytes_rejected(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -388,7 +379,7 @@ class TestWindowIndex:
             empty.coordinates(np.array([1], dtype=np.uint64), "any")
 
     def test_planted_collision_rejected(self, deployment, monkeypatch):
-        real = core_model.window_id_of
-        monkeypatch.setattr(core_model, "window_id_of", lambda h, r, offset: real(h, r, offset) % 7)
+        real = core_model._window_id
+        monkeypatch.setattr(core_model, "_window_id", lambda h, r, offset: real(h, r, offset) % 7)
         with pytest.raises(ValidationError, match="window id collision"):
             deployment.window_index()

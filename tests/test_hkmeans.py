@@ -11,13 +11,13 @@ from pamcurate.hkmeans import (
     CentroidSet,
     ClusterHierarchy,
     FitConfig,
+    _lloyd,
+    _normalize_rows,
     assign_batch,
-    assign_path,
     build_hierarchy,
     load_model,
     minibatch_fit,
     nearest_centroids,
-    normalize,
     resample_fit,
     save_model,
 )
@@ -45,21 +45,20 @@ def three_blobs(seed, n=600, weights=(1 / 3, 1 / 3, 1 / 3), stddevs=(0.1, 0.1, 0
 
 class TestNormalize:
     def test_three_four_five(self):
-        assert np.allclose(normalize([3.0, 4.0]), [0.6, 0.8])
+        assert np.allclose(_normalize_rows([[3.0, 4.0]]), [[0.6, 0.8]])
 
     def test_idempotent_on_unit_vector(self):
-        v = normalize([1.0, 2.0, 2.0])
-        assert np.allclose(normalize(v), v, atol=1e-15)
+        v = _normalize_rows([[1.0, 2.0, 2.0]])
+        assert np.allclose(_normalize_rows(v), v, atol=1e-15)
 
     def test_random_vectors_unit_norm(self):
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            v = normalize(rng.normal(size=8))
-            assert abs(np.linalg.norm(v) - 1.0) <= 1e-6
+        v = _normalize_rows(rng.normal(size=(50, 8)))
+        assert np.all(np.abs(np.linalg.norm(v, axis=1) - 1.0) <= 1e-6)
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ValidationError):
-            normalize([0.0, 0.0])
+        with pytest.raises(ValidationError, match="zero vector at row 1"):
+            _normalize_rows([[1.0, 0.0], [0.0, 0.0]])
 
 
 class TestNearestCentroids:
@@ -161,30 +160,26 @@ class TestMinibatchFit:
         )
         assert best < 0.1
 
+    # The fit returns float32 centroids: a float64 value rounds to within 2**-24 of itself.
+    FLOAT32_RTOL = 2**-23
+
     def test_single_pass_full_batch_is_one_lloyd_iteration(self):
         rng = np.random.default_rng(5)
         points = norm_rows(rng.normal(size=(200, 6)))
         init = points[:8].copy()
-        _, mb_traj = minibatch_fit(
-            points, 8, FitConfig(batch_size=len(points), passes=1, seed=0), init=init, collect_trajectory=True
-        )
-        _, lloyd_traj = lloyd_reference(points, 8, init=init, max_iter=1, collect_trajectory=True)
-        assert len(mb_traj) == 1
-        assert np.allclose(mb_traj[0], lloyd_traj[0], rtol=1e-10, atol=1e-12)
+        cs = minibatch_fit(points, 8, FitConfig(batch_size=len(points), passes=1, seed=0), init=init)
+        expected = lloyd_reference(points, 8, init=init, max_iter=1)
+        assert np.allclose(cs.centroids, expected, rtol=self.FLOAT32_RTOL, atol=1e-12)
 
     def test_multi_pass_full_batch_follows_lloyd_trajectory(self):
         rng = np.random.default_rng(9)
         points = norm_rows(rng.normal(size=(300, 5)))
         init = points[::60].copy()  # 5 spread-out starting points
-        passes = 6
-        _, mb_traj = minibatch_fit(
-            points, 5, FitConfig(batch_size=len(points), passes=passes, seed=0), init=init, collect_trajectory=True
-        )
-        _, lloyd_traj = lloyd_reference(points, 5, init=init, max_iter=passes, collect_trajectory=True)
-        assert len(mb_traj) == passes
-        for i, got in enumerate(mb_traj):
-            expected = lloyd_traj[min(i, len(lloyd_traj) - 1)]
-            assert np.allclose(got, expected, rtol=1e-9, atol=1e-12)
+        _, trajectory = lloyd_reference(points, 5, init=init, max_iter=6, collect_trajectory=True)
+        for passes in range(1, 7):
+            cs = minibatch_fit(points, 5, FitConfig(batch_size=len(points), passes=passes, seed=0), init=init)
+            expected = trajectory[min(passes, len(trajectory)) - 1]
+            assert np.allclose(cs.centroids, expected, rtol=self.FLOAT32_RTOL, atol=1e-12)
 
     def test_fewer_distinct_points_than_k_rejected(self):
         points = np.repeat(norm_rows([[1.0, 0.0], [0.0, 1.0]]), 30, axis=0)
@@ -325,6 +320,33 @@ class TestBuildHierarchy:
         assert build_hierarchy(points, config) == build_hierarchy(points, config)
 
 
+class TestLloyd:
+    """``_lloyd`` (the upper levels) against ``lloyd_reference`` from the same init."""
+
+    def _check(self, points, init):
+        centroids, counts = _lloyd(points, len(init), init, max_iter=500)
+        expected = lloyd_reference(points, len(init), init=init, max_iter=500)
+        assert np.array_equal(centroids, expected)
+        nearest = ((points[:, None] - expected[None]) ** 2).sum(axis=2).argmin(axis=1)
+        assert np.array_equal(counts, np.bincount(nearest, minlength=len(init)))
+        return centroids, counts
+
+    def test_equals_reference_on_random_points(self):
+        rng = np.random.default_rng(23)
+        for n, d, k in [(40, 2, 3), (300, 16, 25), (500, 5, 60), (120, 33, 7)]:
+            points = rng.normal(size=(n, d))
+            self._check(points, points[rng.choice(n, size=k, replace=False)])
+
+    def test_centroid_that_loses_all_points_stays_put(self):
+        points = norm_rows(np.random.default_rng(29).normal(size=(60, 3)))
+        # Centroid 1 ties centroid 0 on every point and loses them all to the
+        # lower index; centroid 2 is nearer none of them.
+        init = np.vstack([points[0], points[0], [10.0, 10.0, 10.0], points[1]])
+        centroids, counts = self._check(points, init)
+        assert counts[2] == 0 and np.array_equal(centroids[2], init[2])
+        assert counts.sum() == len(points)
+
+
 class TestAssignPath:
     def _unit_hierarchy(self):
         cents = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=np.float32)
@@ -335,15 +357,19 @@ class TestAssignPath:
         parents = (np.array([0, 0, 1], np.uint32),)
         return ClusterHierarchy(levels=(level1, level2), parents=parents)
 
+    def _path(self, vector, hierarchy):
+        leaf, dist = assign_batch([vector], hierarchy)
+        return hierarchy.path_of(int(leaf[0])), float(dist[0])
+
     def test_vector_on_leaf_centroid(self):
         hierarchy = self._unit_hierarchy()
-        path, dist = assign_path([0.0, 1.0, 0.0], hierarchy)
+        path, dist = self._path([0.0, 1.0, 0.0], hierarchy)
         assert path == (0, 1)
         assert dist == 0.0
 
     def test_equidistant_tie_lower_leaf_wins(self):
         hierarchy = self._unit_hierarchy()
-        path, _ = assign_path([1.0, 1.0, 0.0], hierarchy)
+        path, _ = self._path([1.0, 1.0, 0.0], hierarchy)
         assert path[-1] == 0
 
     def test_path_matches_parent_chain_for_all_points(self):
@@ -351,14 +377,14 @@ class TestAssignPath:
         hierarchy = build_hierarchy(points, FitConfig(level_ks=(8, 3), batch_size=64, passes=1, seed=4))
         leaf_idx, _ = assign_batch(points, hierarchy)
         for vec, leaf in zip(points[:40], leaf_idx[:40]):
-            path, _ = assign_path(vec, hierarchy)
+            path, _ = self._path(vec, hierarchy)
             assert path[-1] == leaf
             assert path[-2] == int(hierarchy.parents[0][leaf])
 
     def test_dim_mismatch_rejected(self):
         hierarchy = self._unit_hierarchy()
         with pytest.raises(ValidationError):
-            assign_path([1.0, 0.0], hierarchy)
+            assign_batch([[1.0, 0.0]], hierarchy)
 
 
 class TestModelIO:

@@ -119,7 +119,7 @@ class TestStreamSelect:
         hierarchy = one_leaf_hierarchy()
         shard = angle_shard([1, 2, 3], [5.0, 40.0, 90.0])
         state = stream_select([shard], hierarchy, [10])
-        assert state.selected_ids() == {1, 2, 3}
+        assert set(state.held["window_id"].tolist()) == {1, 2, 3}
         assert state.processed == 3
 
     def test_eviction_trace(self):
@@ -127,7 +127,7 @@ class TestStreamSelect:
         # Arrival order encodes distances ranked 5,1,3,2.
         shard = angle_shard([50, 10, 30, 20], [50.0, 10.0, 30.0, 20.0])
         state = stream_select([shard], hierarchy, [2])
-        assert state.selected_ids() == {10, 20}
+        assert set(state.held["window_id"].tolist()) == {10, 20}
         assert state.processed - len(state.held) == 2
 
     def test_matches_offline_reference_and_split_invariance(self):
@@ -160,7 +160,7 @@ class TestStreamSelect:
         bad = EmbeddingShard(dim=3, window_ids=np.array([9], np.uint64), vectors=np.ones((1, 3), np.float32))
         state = stream_select([bad, good], hierarchy, [5])
         assert state.rejected_shards == 1
-        assert state.selected_ids() == {1}
+        assert set(state.held["window_id"].tolist()) == {1}
 
     def test_memory_bound_respected(self):
         rng = np.random.default_rng(11)
@@ -237,7 +237,7 @@ class TestMerge:
         for leaf in range(len(quotas)):
             leaf_ids = [wid for _, wid in by_leaf(whole)[leaf]]
             assert len(leaf_ids) == len(set(leaf_ids))
-        assert len(whole.held) == len(whole.selected_ids())
+        assert len(whole.held) == len(np.unique(whole.held["window_id"]))
         for labels in itertools.product(range(3), repeat=3):
             parts = [[s for s, g in zip(shards, labels) if g == group] for group in set(labels)]
             states = [stream_select(part[::-1], hierarchy, quotas) for part in parts]

@@ -1,14 +1,17 @@
 """Every file the package writes goes through ``core_model.write_atomic``.
 
 A failed write, at the fsync or at the rename, must leave the destination
-with its old bytes and no temporary file beside it; and no module may open
-a file for writing anywhere else.  Likewise, no module may decode binary
-bytes outside ``core_model.BinaryReader``, and none may import
-``threading``, ``multiprocessing`` or ``concurrent``.
+with its old bytes and no temporary file beside it; a good one fsyncs the
+directory after the rename; and no module may open a file for writing
+anywhere else.  Likewise, no module may decode binary bytes outside
+``core_model.BinaryReader``, none may import ``threading``,
+``multiprocessing`` or ``concurrent``, and every public name must be used
+elsewhere in the package.
 """
 
 import ast
 import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +118,29 @@ def test_failed_stage_write_keeps_old_destination(name, tmp_path, monkeypatch):
     assert sorted(p.name for p in out.iterdir()) == listing
     assert run(*argv) == 0
     assert dest.read_bytes() != OLD
+
+
+def test_directory_fsynced_after_rename(tmp_path, monkeypatch):
+    calls = []
+
+    def record(name):
+        real = getattr(os, name)
+
+        def recorded(*args):
+            if name == "fsync":
+                st = os.fstat(args[0])
+                calls.append(("fsync", "dir" if stat.S_ISDIR(st.st_mode) else "file", st.st_ino))
+            else:
+                calls.append(("replace", Path(args[1]).name))
+            return real(*args)
+
+        monkeypatch.setattr(os, name, recorded)
+
+    record("fsync")
+    record("replace")
+    write_atomic(tmp_path / "out.bin", b"new")
+    dest = (tmp_path / "out.bin").stat().st_ino
+    assert calls == [("fsync", "file", dest), ("replace", "out.bin"), ("fsync", "dir", tmp_path.stat().st_ino)]
 
 
 def test_written_files_get_the_usual_permissions(tmp_path):
@@ -363,3 +389,72 @@ def test_package_runs_one_stream_per_stage():
         if (sites := concurrency_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+# ---------------------------------------------------------------------------
+# Only what the stages run: every public name in the package is used by
+# another part of it, except the entry point and the library API that README
+# documents for callers outside the pipeline
+# ---------------------------------------------------------------------------
+
+LIBRARY_API = {
+    "cli.entry",
+    "core_model.write_shard",
+    "core_model.save_deployment",
+    "core_model.window_id_of",
+    "assemble_ssl.tau_at",
+    "assemble_ssl.ema_update",
+}
+
+
+def unused_public_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of every public module-level function or class, and
+    ``module.Class.method`` of every public method, whose name no
+    ``ast.Name`` or ``ast.Attribute`` in any of ``sources`` (module name ->
+    source) refers to."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((f"{module}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef):
+                        defined.append((f"{module}.{node.name}.{method.name}", method.name))
+    return sorted(qualified for qualified, name in defined if not name.startswith("_") and name not in used)
+
+
+def test_guard_finds_every_unused_public_name():
+    sources = {
+        "a": "\n".join(
+            [
+                "def used(): pass",
+                "def unused(): pass",
+                "def _private(): pass",
+                "class Shape:",
+                "    def area(self): pass",
+                "    def spare(self): pass",
+                "    def __eq__(self, other): pass",
+                "    @property",
+                "    def width(self): pass",
+                "class Lonely: pass",
+                "def outer():",
+                "    def inner(): pass",
+            ]
+        ),
+        "b": "from a import unused, Lonely\nused()\nx: Shape = s.area() + s.width\n",
+    }
+    assert unused_public_names(sources) == ["a.Lonely", "a.Shape.spare", "a.outer", "a.unused"]
+
+
+def test_package_defines_only_what_it_uses():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert set(unused_public_names(sources)) == LIBRARY_API
