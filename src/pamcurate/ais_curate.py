@@ -25,14 +25,15 @@ class OccurrenceHistogram:
     """Distinct-window counts per ship over an aligned window set."""
 
     counts: dict[int, int]
-    total_ships: int
     total_windows: int
 
     def __post_init__(self):
         if any(c < 1 for c in self.counts.values()):
             raise ValidationError("occurrence counts must be >= 1")
-        if self.total_ships != len(self.counts):
-            raise ValidationError("total_ships inconsistent with counts")
+
+    @property
+    def total_ships(self) -> int:
+        return len(self.counts)
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ def histogram(aligned: AlignedWindowSet) -> OccurrenceHistogram:
     """
     ships, windows = np.unique(aligned.pairs["mmsi"], return_counts=True)
     counts = dict(zip(ships.tolist(), windows.tolist()))
-    return OccurrenceHistogram(counts=counts, total_ships=len(counts), total_windows=len(aligned))
+    return OccurrenceHistogram(counts=counts, total_windows=len(aligned))
 
 
 def occurrence_curve(hist: OccurrenceHistogram) -> list[tuple[int, int]]:

@@ -374,3 +374,7 @@ def main(argv=None) -> int:
 def entry() -> None:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

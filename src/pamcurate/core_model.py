@@ -553,7 +553,7 @@ def load_deployment(path: str | Path) -> DeploymentConfig:
                 Hydrophone(id=h["id"], location=GeoPoint(float(h["lat"]), float(h["lon"])), recordings=recordings)
             )
         return DeploymentConfig(hydrophones=tuple(hydrophones))
-    except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError, OverflowError, ValidationError) as exc:
         raise ParseError(f"bad deployment config: missing/invalid field {exc}", path=str(path)) from None
 
 

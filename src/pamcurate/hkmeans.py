@@ -129,13 +129,10 @@ class CentroidSet:
     float64 and quantizes once on construction.
     """
 
-    level: int
     centroids: np.ndarray
     counts: np.ndarray
 
     def __post_init__(self):
-        if self.level < 1:
-            raise ValidationError(f"level must be >= 1, got {self.level}")
         cents = np.ascontiguousarray(np.asarray(self.centroids, dtype=np.float32))
         counts = np.ascontiguousarray(np.asarray(self.counts, dtype=np.uint64))
         if cents.ndim != 2 or cents.shape[0] < 1:
@@ -158,48 +155,34 @@ class CentroidSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CentroidSet):
             return NotImplemented
-        return (
-            self.level == other.level
-            and np.array_equal(self.centroids, other.centroids)
-            and np.array_equal(self.counts, other.counts)
-        )
+        return np.array_equal(self.centroids, other.centroids) and np.array_equal(self.counts, other.counts)
 
 
 @dataclass(frozen=True)
 class ClusterHierarchy:
-    """Centroid sets level 1..L (finest first) plus child-to-parent maps.
+    """Centroid sets level 1..L (finest first) and the child-to-parent maps they imply.
 
     ``parents[i]`` maps each level-(i+1) cluster to its nearest level-(i+2)
-    centroid; construction re-derives and verifies that consistency.
+    centroid, ties to the lowest index; construction computes it.
     """
 
     levels: tuple[CentroidSet, ...]
-    parents: tuple[np.ndarray, ...]
+    parents: tuple[np.ndarray, ...] = field(init=False, compare=False)
     _paths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         levels = tuple(self.levels)
-        parents = tuple(np.ascontiguousarray(np.asarray(p, dtype=np.uint32)) for p in self.parents)
         if not levels:
             raise ValidationError("hierarchy needs at least one level")
-        for i, cs in enumerate(levels):
-            if cs.level != i + 1:
-                raise ValidationError(f"level field {cs.level} at position {i}, expected {i + 1}")
-            if cs.dim != levels[0].dim:
-                raise ValidationError("all levels must share one dim")
+        if any(cs.dim != levels[0].dim for cs in levels):
+            raise ValidationError("all levels must share one dim")
         ks = [cs.k for cs in levels]
         if any(a <= b for a, b in zip(ks, ks[1:])):
             raise ValidationError(f"cluster counts must strictly decrease upward, got {ks}")
-        if len(parents) != len(levels) - 1:
-            raise ValidationError(f"need {len(levels) - 1} parent maps, got {len(parents)}")
-        for i, pmap in enumerate(parents):
-            if pmap.shape != (levels[i].k,):
-                raise ValidationError(f"parent map {i} has shape {pmap.shape}, expected ({levels[i].k},)")
-            expected, _ = nearest_centroids(
-                levels[i].centroids.astype(np.float64), levels[i + 1].centroids.astype(np.float64)
-            )
-            if not np.array_equal(pmap.astype(np.int64), expected):
-                raise ValidationError(f"parent map {i} inconsistent with nearest-centroid assignment")
+        parents = tuple(
+            nearest_centroids(lower.centroids, upper.centroids)[0].astype(np.uint32)
+            for lower, upper in zip(levels, levels[1:])
+        )
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "parents", parents)
         # Root-to-leaf index paths, one row per leaf.
@@ -219,13 +202,6 @@ class ClusterHierarchy:
     def path_of(self, leaf: int) -> tuple[int, ...]:
         """Cluster indices root -> leaf for one finest-level cluster."""
         return tuple(int(c) for c in self._paths[leaf])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ClusterHierarchy):
-            return NotImplemented
-        return self.levels == other.levels and all(
-            np.array_equal(a, b) for a, b in zip(self.parents, other.parents)
-        )
 
 
 @dataclass(frozen=True)
@@ -392,10 +368,10 @@ def minibatch_fit(
             raise DegenerateFitError(f"pass {pass_idx + 1} of {config.passes}: stream yielded no points")
         logger.debug("minibatch_fit pass %d/%d: %d absorptions", pass_idx + 1, config.passes, counts.sum())
 
-    return CentroidSet(level=1, centroids=centroids.astype(np.float32), counts=counts.astype(np.uint64))
+    return CentroidSet(centroids=centroids.astype(np.float32), counts=counts.astype(np.uint64))
 
 
-def resample_fit(source, k: int, config: FitConfig, init: np.ndarray | None = None) -> CentroidSet:
+def resample_fit(source, k: int, config: FitConfig) -> CentroidSet:
     """Mini-batch fit wrapped in cluster-balanced resampling rounds.
 
     After the initial fit, each round assigns the full stream to the current
@@ -406,7 +382,7 @@ def resample_fit(source, k: int, config: FitConfig, init: np.ndarray | None = No
     centroids: on the balanced resample they carry the weight that the raw
     long-tailed stream denies them.
     """
-    cs = minibatch_fit(source, k, config, init=init)
+    cs = minibatch_fit(source, k, config)
     for round_idx in range(1, config.resample_rounds + 1):
         centroids = cs.centroids.astype(np.float64)
         parts = [nearest_centroids(_normalize_rows(chunk), centroids)[0] for chunk in _iter_chunks(source)]
@@ -478,12 +454,8 @@ def build_hierarchy(source, config: FitConfig) -> ClusterHierarchy:
             centroids, counts = _lloyd(points, k, init)
         except (ValidationError, DegenerateFitError) as exc:
             raise type(exc)(f"level {level_idx}: {exc}") from None
-        sets.append(CentroidSet(level=level_idx, centroids=centroids.astype(np.float32), counts=counts.astype(np.uint64)))
-    parents = []
-    for lower, upper in zip(sets, sets[1:]):
-        idx, _ = nearest_centroids(lower.centroids.astype(np.float64), upper.centroids.astype(np.float64))
-        parents.append(idx.astype(np.uint32))
-    return ClusterHierarchy(levels=tuple(sets), parents=tuple(parents))
+        sets.append(CentroidSet(centroids=centroids.astype(np.float32), counts=counts.astype(np.uint64)))
+    return ClusterHierarchy(levels=tuple(sets))
 
 
 # ---------------------------------------------------------------------------
@@ -533,14 +505,15 @@ def load_model(path: str | Path) -> ClusterHierarchy:
         counts = reader.array("<u8", k, f"level {level} count").copy()
         centroids = reader.array("<f4", k * dim, f"level {level} centroid value").reshape(k, dim).copy()
         try:
-            levels.append(CentroidSet(level=level, centroids=centroids, counts=counts))
+            levels.append(CentroidSet(centroids=centroids, counts=counts))
         except ValidationError:
             row = int(np.flatnonzero(~np.isfinite(centroids).all(axis=1))[0])
             raise reader.error(f"level {level} centroid {row} is not finite", reader.start + 4 * dim * row) from None
     at = reader.pos
-    parents = [reader.array("<u4", cs.k, f"parent map {i} entry").copy() for i, cs in enumerate(levels[:-1])]
+    stored = [reader.array("<u4", cs.k, f"parent map {i} entry") for i, cs in enumerate(levels[:-1])]
     reader.end()
-    try:
-        return ClusterHierarchy(levels=tuple(levels), parents=tuple(parents))
-    except ValidationError as exc:
-        raise reader.error(f"invalid model: {exc}", at) from None
+    hierarchy = ClusterHierarchy(levels=tuple(levels))
+    for i, (pmap, expected) in enumerate(zip(stored, hierarchy.parents)):
+        if not np.array_equal(pmap, expected):
+            raise reader.error(f"invalid model: parent map {i} inconsistent with nearest-centroid assignment", at)
+    return hierarchy

@@ -77,22 +77,18 @@ def random_shard(rng: np.random.Generator, n: int, dim: int) -> EmbeddingShard:
 
 
 def make_hierarchy(rng: np.random.Generator, ks=(7, 3, 2), dim=5):
-    """Random (but internally consistent) hierarchy for selection tests."""
-    from pamcurate.hkmeans import CentroidSet, ClusterHierarchy, nearest_centroids
+    """Random hierarchy for selection and model-file tests."""
+    from pamcurate.hkmeans import CentroidSet, ClusterHierarchy
 
-    sets = [
-        CentroidSet(
-            level=level,
-            centroids=rng.standard_normal((k, dim)).astype(np.float32),
-            counts=rng.integers(0, 1000, size=k).astype(np.uint64),
+    return ClusterHierarchy(
+        levels=tuple(
+            CentroidSet(
+                centroids=rng.standard_normal((k, dim)).astype(np.float32),
+                counts=rng.integers(0, 1000, size=k).astype(np.uint64),
+            )
+            for k in ks
         )
-        for level, k in enumerate(ks, start=1)
-    ]
-    parents = []
-    for lower, upper in zip(sets, sets[1:]):
-        idx, _ = nearest_centroids(lower.centroids.astype(np.float64), upper.centroids.astype(np.float64))
-        parents.append(idx.astype(np.uint32))
-    return ClusterHierarchy(levels=tuple(sets), parents=tuple(parents))
+    )
 
 
 def build_pipeline_fixture(root: Path) -> dict:

@@ -212,7 +212,7 @@ def histogram_reference(ships: dict[int, set[int]]) -> OccurrenceHistogram:
     for mmsis in ships.values():
         for mmsi in mmsis:
             counts[mmsi] = counts.get(mmsi, 0) + 1
-    return OccurrenceHistogram(counts=counts, total_ships=len(counts), total_windows=len(ships))
+    return OccurrenceHistogram(counts=counts, total_windows=len(ships))
 
 
 def curate_reference(
@@ -396,6 +396,15 @@ def tail_index_mle(occurrences, occ_min: int) -> float:
 
 def _sq_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+
+
+def parents_reference(levels) -> list[np.ndarray]:
+    """Each cluster's nearest centroid one level up, by exhaustive float64
+    explicit-difference distance; ``argmin`` sends ties to the lowest index."""
+    return [
+        _sq_distances(lower.centroids.astype(np.float64), upper.centroids.astype(np.float64)).argmin(axis=1)
+        for lower, upper in zip(levels, levels[1:])
+    ]
 
 
 def _kmeans_pp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

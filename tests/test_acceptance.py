@@ -186,7 +186,7 @@ def test_c6_knee_detection_sanity():
     alpha = np.log(1000) / np.log(m)
     curve_fn = lambda r: 1e4 * (r + 1.0) ** (-alpha)
     counts = {i + 1: max(1, round(curve_fn(i))) for i in range(m)}
-    hist = OccurrenceHistogram(counts=counts, total_ships=m, total_windows=max(counts.values()))
+    hist = OccurrenceHistogram(counts=counts, total_windows=max(counts.values()))
     start = time.perf_counter()
     threshold = detect_knee(hist)
     detected_rank = [c for _, c in occurrence_curve(hist)].index(threshold.t)

@@ -86,7 +86,7 @@ class TestHistogram:
 class TestDetectKnee:
     def test_geometric_decay_matches_dense_oracle(self):
         counts = {100 + r: 2 ** (49 - r) for r in range(50)}
-        hist = OccurrenceHistogram(counts=counts, total_ships=50, total_windows=50)
+        hist = OccurrenceHistogram(counts=counts, total_windows=50)
         t = detect_knee(hist)
         detected_rank = [c for _, c in occurrence_curve(hist)].index(t.t)
         oracle_rank = kneedle_dense_oracle(lambda r: 2.0 ** (49.0 - r), 50)
@@ -94,12 +94,12 @@ class TestDetectKnee:
         assert t.origin == "detected"
 
     def test_all_equal_counts_rejected(self):
-        hist = OccurrenceHistogram(counts={i: 7 for i in range(1, 10)}, total_ships=9, total_windows=7)
+        hist = OccurrenceHistogram(counts={i: 7 for i in range(1, 10)}, total_windows=7)
         with pytest.raises(ValidationError, match="manual"):
             detect_knee(hist)
 
     def test_two_distinct_values_rejected(self):
-        hist = OccurrenceHistogram(counts={1: 5, 2: 5, 3: 9}, total_ships=3, total_windows=9)
+        hist = OccurrenceHistogram(counts={1: 5, 2: 5, 3: 9}, total_windows=9)
         with pytest.raises(ValidationError):
             detect_knee(hist)
 
@@ -108,7 +108,7 @@ class TestDetectKnee:
         m = 1500
         alpha = np.log(1000) / np.log(m)
         counts = {i + 1: max(1, round(1e4 * (i + 1) ** (-alpha))) for i in range(m)}
-        hist = OccurrenceHistogram(counts=counts, total_ships=m, total_windows=max(counts.values()))
+        hist = OccurrenceHistogram(counts=counts, total_windows=max(counts.values()))
         t = detect_knee(hist)
         assert 100 <= t.t <= 600
 

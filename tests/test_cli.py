@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +145,8 @@ class TestAlign:
             ("duration_s", "ten"),  # ValueError
             ("lat", "north"),  # ValueError
             ("start", float("inf")),  # JSON Infinity: OverflowError
+            ("start", "noon"),  # not a UTC timestamp: ValidationError
+            ("id", "R 1"),  # recording id with a space: ValidationError
             ("hydrophone", "H1"),  # a string, not an object: AttributeError
             ("bytes", b"\xff\xfe{}"),  # not UTF-8: UnicodeDecodeError
         ],
@@ -151,7 +155,7 @@ class TestAlign:
         fixture = build_pipeline_fixture(tmp_path / "fx")
         doc = json.loads(fixture["config"].read_text())
         hydrophone = doc["hydrophones"][0]
-        if field in ("duration_s", "start"):
+        if field in ("duration_s", "start", "id"):
             hydrophone["recordings"][0][field] = value
         elif field == "hydrophone":
             doc["hydrophones"][0] = value
@@ -550,3 +554,22 @@ class TestRunRecord:
         empty = tmp_path / "empty.bin"
         empty.write_bytes(b"")
         assert _sha256(empty) == hashlib.sha256(b"").hexdigest()
+
+
+class TestModuleEntry:
+    def _run_module(self, tmp_path, *argv):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run(
+            [sys.executable, "-m", "pamcurate.cli", *argv], cwd=tmp_path, env=env, capture_output=True, text=True
+        )
+
+    def test_python_m_runs_the_stage(self, tmp_path):
+        done = self._run_module(tmp_path, "align", "--config", "nope", "--ais", "nope", "--out", "x")
+        assert done.returncode == 2
+        assert "error:" in done.stderr
+
+    def test_python_m_help(self, tmp_path):
+        done = self._run_module(tmp_path, "--help")
+        assert done.returncode == 0
+        assert "align" in done.stdout

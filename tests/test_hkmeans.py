@@ -21,8 +21,8 @@ from pamcurate.hkmeans import (
     resample_fit,
     save_model,
 )
-from synth import MixtureSpec, gen_mixture, lloyd_reference
-from conftest import blocked_nearest_centroids
+from synth import MixtureSpec, gen_mixture, lloyd_reference, parents_reference
+from conftest import blocked_nearest_centroids, make_hierarchy
 
 
 def norm_rows(x):
@@ -347,15 +347,42 @@ class TestLloyd:
         assert counts.sum() == len(points)
 
 
+class TestParentMaps:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_parents_equal_exhaustive_argmin(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        ks = sorted(data.draw(st.sets(st.integers(1, 20), min_size=1, max_size=4)), reverse=True)
+        d = data.draw(st.integers(1, 12))
+        cents = [rng.standard_normal((k, d)).astype(np.float32) for k in ks]
+        for lower, upper in zip(cents, cents[1:]):
+            a, b = rng.choice(len(upper), size=2) if len(upper) > 1 else (0, 0)
+            if a != b and data.draw(st.booleans(), label="child on duplicate parents"):
+                upper[b] = upper[a]
+                lower[rng.integers(len(lower))] = upper[a]
+            if a != b and data.draw(st.booleans(), label="child equidistant from mirrored parents"):
+                # Both differences in coordinate j square to the same term.
+                j = rng.integers(d)
+                upper[b] = upper[a]
+                upper[b, j] = -upper[a, j]
+                child = lower[rng.integers(len(lower))]
+                child[:] = upper[a]
+                child[j] = 0.0
+        levels = tuple(CentroidSet(centroids=c, counts=np.zeros(len(c), np.uint64)) for c in cents)
+        parents = ClusterHierarchy(levels=levels).parents
+        expected = parents_reference(levels)
+        assert len(parents) == len(expected) == len(levels) - 1
+        for got, want in zip(parents, expected):
+            assert got.dtype == np.uint32
+            assert np.array_equal(got, want)
+
+
 class TestAssignPath:
     def _unit_hierarchy(self):
         cents = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=np.float32)
-        level1 = CentroidSet(level=1, centroids=cents, counts=np.ones(3, np.uint64))
-        level2 = CentroidSet(
-            level=2, centroids=np.array([[0.9, 0.1, 0.0], [0.0, 0.1, 0.9]], np.float32), counts=np.ones(2, np.uint64)
-        )
-        parents = (np.array([0, 0, 1], np.uint32),)
-        return ClusterHierarchy(levels=(level1, level2), parents=parents)
+        level1 = CentroidSet(centroids=cents, counts=np.ones(3, np.uint64))
+        level2 = CentroidSet(centroids=np.array([[0.9, 0.1, 0.0], [0.0, 0.1, 0.9]], np.float32), counts=np.ones(2, np.uint64))
+        return ClusterHierarchy(levels=(level1, level2))
 
     def _path(self, vector, hierarchy):
         leaf, dist = assign_batch([vector], hierarchy)
@@ -388,25 +415,9 @@ class TestAssignPath:
 
 
 class TestModelIO:
-    def _random_hierarchy(self, rng, ks=(7, 3, 2), dim=5):
-        sets = []
-        for level, k in enumerate(ks, start=1):
-            sets.append(
-                CentroidSet(
-                    level=level,
-                    centroids=rng.standard_normal((k, dim)).astype(np.float32),
-                    counts=rng.integers(0, 1000, size=k).astype(np.uint64),
-                )
-            )
-        parents = []
-        for lower, upper in zip(sets, sets[1:]):
-            idx, _ = nearest_centroids(lower.centroids.astype(np.float64), upper.centroids.astype(np.float64))
-            parents.append(idx.astype(np.uint32))
-        return ClusterHierarchy(levels=tuple(sets), parents=tuple(parents))
-
     def test_round_trip_random(self, tmp_path):
         rng = np.random.default_rng(23)
-        hierarchy = self._random_hierarchy(rng)
+        hierarchy = make_hierarchy(rng)
         path = tmp_path / "model.bin"
         save_model(hierarchy, path)
         assert load_model(path) == hierarchy
@@ -428,7 +439,7 @@ class TestModelIO:
     def test_truncation_detected(self, tmp_path):
         rng = np.random.default_rng(31)
         path = tmp_path / "model.bin"
-        save_model(self._random_hierarchy(rng), path)
+        save_model(make_hierarchy(rng), path)
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(ParseError):
             load_model(path)
@@ -436,18 +447,19 @@ class TestModelIO:
     def test_trailing_bytes_detected(self, tmp_path):
         rng = np.random.default_rng(37)
         path = tmp_path / "model.bin"
-        save_model(self._random_hierarchy(rng), path)
+        save_model(make_hierarchy(rng), path)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(ParseError):
             load_model(path)
 
     def test_tampered_parent_map_rejected(self, tmp_path):
         rng = np.random.default_rng(41)
-        hierarchy = self._random_hierarchy(rng, ks=(4, 2), dim=3)
+        hierarchy = make_hierarchy(rng, ks=(4, 2), dim=3)
         path = tmp_path / "model.bin"
         save_model(hierarchy, path)
         data = bytearray(path.read_bytes())
         data[-4:] = (1 - int(hierarchy.parents[-1][-1])).to_bytes(4, "little")
         path.write_bytes(bytes(data))
-        with pytest.raises(ParseError, match="inconsistent"):
+        with pytest.raises(ParseError, match="inconsistent") as err:
             load_model(path)
+        assert err.value.offset == len(data) - 4 * hierarchy.levels[0].k

@@ -37,8 +37,7 @@ NO_WINDOWS = DeploymentConfig(hydrophones=()).window_index()
 
 def one_leaf_hierarchy():
     return ClusterHierarchy(
-        levels=(CentroidSet(level=1, centroids=np.array([[1.0, 0.0]], np.float32), counts=np.array([1], np.uint64)),),
-        parents=(),
+        levels=(CentroidSet(centroids=np.array([[1.0, 0.0]], np.float32), counts=np.array([1], np.uint64)),)
     )
 
 
@@ -72,10 +71,9 @@ class TestAllocateQuotas:
     def test_waterfill_caps_small_children(self):
         hierarchy = ClusterHierarchy(
             levels=(
-                CentroidSet(level=1, centroids=np.eye(3, 2, dtype=np.float32), counts=np.zeros(3, np.uint64)),
-                CentroidSet(level=2, centroids=np.array([[0.4, 0.3]], np.float32), counts=np.zeros(1, np.uint64)),
-            ),
-            parents=(np.zeros(3, np.uint32),),
+                CentroidSet(centroids=np.eye(3, 2, dtype=np.float32), counts=np.zeros(3, np.uint64)),
+                CentroidSet(centroids=np.array([[0.4, 0.3]], np.float32), counts=np.zeros(1, np.uint64)),
+            )
         )
         tree = allocate_quotas(hierarchy, [8, 1, 1], n_target=9)
         assert list(tree.leaf_quotas) == [7, 1, 1]
@@ -83,10 +81,9 @@ class TestAllocateQuotas:
     def test_remainder_to_lowest_index(self):
         hierarchy = ClusterHierarchy(
             levels=(
-                CentroidSet(level=1, centroids=np.eye(3, 2, dtype=np.float32), counts=np.zeros(3, np.uint64)),
-                CentroidSet(level=2, centroids=np.array([[0.4, 0.3]], np.float32), counts=np.zeros(1, np.uint64)),
-            ),
-            parents=(np.zeros(3, np.uint32),),
+                CentroidSet(centroids=np.eye(3, 2, dtype=np.float32), counts=np.zeros(3, np.uint64)),
+                CentroidSet(centroids=np.array([[0.4, 0.3]], np.float32), counts=np.zeros(1, np.uint64)),
+            )
         )
         tree = allocate_quotas(hierarchy, [5, 5, 5], n_target=7)
         assert list(tree.leaf_quotas) == [3, 2, 2]

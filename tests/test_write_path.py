@@ -393,12 +393,11 @@ def test_package_runs_one_stream_per_stage():
 
 # ---------------------------------------------------------------------------
 # Only what the stages run: every public name in the package is used by
-# another part of it, except the entry point and the library API that README
-# documents for callers outside the pipeline
+# another part of it, except the library API that README documents for
+# callers outside the pipeline
 # ---------------------------------------------------------------------------
 
 LIBRARY_API = {
-    "cli.entry",
     "core_model.write_shard",
     "core_model.save_deployment",
     "core_model.window_id_of",
