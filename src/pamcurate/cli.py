@@ -133,8 +133,6 @@ def _parse_levels(text: str) -> tuple[int, ...]:
 
 
 def cmd_fit(args) -> int:
-    out = _out_dir(args)
-    shard_paths = [Path(p) for p in args.shards]
     config = hkmeans.FitConfig(
         level_ks=_parse_levels(args.levels),
         batch_size=args.batch_size,
@@ -142,6 +140,8 @@ def cmd_fit(args) -> int:
         resample_rounds=args.resample_rounds,
         seed=args.seed,
     )
+    out = _out_dir(args)
+    shard_paths = [Path(p) for p in args.shards]
 
     def source():
         for path in shard_paths:

@@ -45,6 +45,13 @@ def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
     return m / norms[:, None]
 
 
+def _rounding_slack(norms: np.ndarray, d: int) -> np.ndarray:
+    """``8·γ_{d+4}·norms² + tiny`` for ``norms = ‖x‖ + max‖c‖``; see :func:`nearest_centroids`."""
+    finfo = np.finfo(np.float64)
+    mu = (d + 4) * finfo.eps / 2
+    return 8.0 * (mu / (1.0 - mu)) * norms**2 + finfo.tiny
+
+
 def nearest_centroids(points: np.ndarray, centroids: np.ndarray, block_elems: int = 1 << 20):
     """Nearest centroid per point by squared Euclidean distance.
 
@@ -89,12 +96,8 @@ def nearest_centroids(points: np.ndarray, centroids: np.ndarray, block_elems: in
         raise ValidationError(f"dim mismatch: points have {d}, centroids have {centroids.shape[1]}")
     if k == 0:
         raise ValidationError("need at least one centroid")
-    finfo = np.finfo(np.float64)
-    mu = (d + 4) * finfo.eps / 2
-    gamma = mu / (1.0 - mu)
     c2 = np.einsum("ij,ij->i", centroids, centroids)
-    norms = np.sqrt(np.einsum("ij,ij->i", points, points)) + np.sqrt(c2.max())
-    slack = 8.0 * gamma * norms**2 + finfo.tiny
+    slack = _rounding_slack(np.sqrt(np.einsum("ij,ij->i", points, points)) + np.sqrt(c2.max()), d)
     # Scaling by -2 is exact, so the GEMM yields -2·x·c directly.
     scaled = -2.0 * centroids.T
     best_idx = np.empty(n, dtype=np.int64)
@@ -274,19 +277,39 @@ def _batches(chunks: Iterator[np.ndarray], batch_size: int) -> Iterator[np.ndarr
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Distance-squared-weighted seeding over a buffered prefix."""
-    n = len(points)
+    """Exact k-means++ seeding over a buffered prefix.
+
+    Each draw is ``Generator.choice(n, p=d2 / d2.sum())`` inlined, so the
+    centres and the generator state equal that loop's bit for bit.  As in
+    :func:`nearest_centroids`, one mat-vec gives ``G`` for a new centre, and
+    only rows with ``G`` within the rounding slack of their ``d2`` (centres
+    are rows, so ``max‖x‖`` bounds ``‖c‖``) are re-scored exactly.
+    """
+    n, d = points.shape
     if n < k:
         raise DegenerateFitError(f"initialization buffer holds {n} points, need >= {k}")
-    centroids = np.empty((k, points.shape[1]), dtype=np.float64)
-    centroids[0] = points[rng.integers(n)]
-    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
+    x2 = np.einsum("ij,ij->i", points, points)
+    floor = x2 - _rounding_slack(np.sqrt(x2) + np.sqrt(x2.max()), d)
+    centroids = np.empty((k, d), dtype=np.float64)
+    d2 = np.full(n, np.inf)
+    cdf = np.empty(n)
+    pick = rng.integers(n)
+    for j in range(k):
+        c = centroids[j] = points[pick]
+        if j == k - 1:
+            break
+        # Scaling by -2 is exact; rows with G − slack > d2 keep their d2.
+        g = points @ (-2.0 * c)
+        g += floor + x2[pick]
+        rows = np.flatnonzero(~(g > d2))
+        d2[rows] = np.minimum(d2[rows], ((points[rows] - c) ** 2).sum(axis=1))
         total = d2.sum()
         if total <= 0.0:
             raise DegenerateFitError(f"fewer than {k} distinct points in initialization buffer")
-        centroids[j] = points[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
+        np.divide(d2, total, out=cdf)
+        np.cumsum(cdf, out=cdf)
+        cdf /= cdf[-1]  # as choice does: the last entry is near 1, not always 1
+        pick = cdf.searchsorted(rng.random(), side="right")
     return centroids
 
 

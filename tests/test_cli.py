@@ -503,6 +503,23 @@ class TestFit:
         assert run("fit", "--shards", shard, "--levels", "2", "--seed", "0", "--out", tmp_path / "o") == 2
         assert capsys.readouterr().err.startswith("error: dim 2147483648 outside 1..536870909")
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--passes", 0), "passes must be >= 1"),
+            (("--batch-size", 0), "batch_size must be >= 1"),
+            (("--resample-rounds", -1), "resample_rounds must be >= 0"),
+            (("--levels", "8,8"), "level_ks must strictly decrease"),
+            (("--levels", "8,x"), "bad --levels value"),
+        ],
+    )
+    def test_bad_fit_config_rejected_before_any_write(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        argv = ["fit", "--shards", tmp_path / "missing.bin", "--levels", "8,2", "--seed", 0, *flags, "--out", out]
+        assert run(*argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStats:
     def test_occurrence_curve_descending_and_hydrophones(self, tmp_path):

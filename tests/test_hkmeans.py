@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -11,6 +12,7 @@ from pamcurate.hkmeans import (
     CentroidSet,
     ClusterHierarchy,
     FitConfig,
+    _kmeans_pp_init,
     _lloyd,
     _normalize_rows,
     assign_batch,
@@ -21,7 +23,7 @@ from pamcurate.hkmeans import (
     resample_fit,
     save_model,
 )
-from synth import MixtureSpec, gen_mixture, lloyd_reference, parents_reference
+from synth import MixtureSpec, _kmeans_pp, gen_mixture, lloyd_reference, parents_reference
 from conftest import blocked_nearest_centroids, make_hierarchy
 
 
@@ -135,6 +137,78 @@ class TestNearestCentroids:
         ref_idx, ref_d2 = blocked_nearest_centroids(points, centroids)
         assert np.array_equal(idx, ref_idx)
         assert np.array_equal(d2.view(np.int64), ref_d2.view(np.int64))
+
+
+def seed_both(points, k, seed):
+    """Seed with ``_kmeans_pp_init`` and with the ``rng.choice`` reference from
+    one seed; returns each one's centres (``None`` if it raised) and next draw."""
+    runs = []
+    for seeder, error in ((_kmeans_pp_init, DegenerateFitError), (_kmeans_pp, ValidationError)):
+        rng = np.random.default_rng(seed)
+        try:
+            centres = seeder(points, k, rng)
+        except error as exc:
+            assert "fewer than" in str(exc)
+            centres = None
+        runs.append((centres, rng.random()))
+    return runs
+
+
+class TestKmeansPPInit:
+    """``_kmeans_pp_init`` draws what ``rng.choice`` seeding draws, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_choice_reference(self, data):
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        n = data.draw(st.integers(1, 40))
+        # 128 is the block size of numpy's pairwise summation.
+        d = data.draw(st.one_of(st.integers(1, 6), st.integers(120, 136)))
+        rng = np.random.default_rng(seed)
+        # A small integer grid plants exact distance ties and duplicate rows.
+        points = rng.integers(-1, 2, size=(n, d)).astype(np.float64)
+        points[~points.any(axis=1), 0] = 1.0
+        if n > 1 and data.draw(st.booleans(), label="duplicated rows"):
+            points[rng.integers(n, size=n // 2)] = points[rng.integers(n)]
+        points = norm_rows(points)
+        if data.draw(st.booleans(), label="non-unit float32 rows"):
+            points = (points * rng.uniform(0.3, 1.0, size=(n, 1))).astype(np.float32).astype(np.float64)
+        if n > 1 and data.draw(st.booleans(), label="one-ulp neighbours"):
+            points[rng.integers(n, size=n // 2)] = np.nextafter(points[rng.integers(n)], np.inf)
+        k = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)), label="k")
+        (got, got_next), (want, want_next) = seed_both(points, k, seed)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert got_next == want_next
+
+    def test_large_buffer_equals_choice_reference(self):
+        points = norm_rows(np.random.default_rng(43).normal(size=(2000, 24)))
+        (got, got_next), (want, want_next) = seed_both(points, 120, 44)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert got_next == want_next
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_one_ulp_apart_rows_are_distinct_until_both_are_centres(self, seed):
+        # Each row's d2 to the other is about 1e-32, far below the rounding
+        # error of G: the gate must still re-score a row that becomes a centre.
+        a = norm_rows(np.random.default_rng(seed).normal(size=(1, 24)))
+        points = np.repeat(np.vstack([a, np.nextafter(a, np.inf)]), 3, axis=0)
+        for k in (2, 3):
+            (got, got_next), (want, want_next) = seed_both(points, k, seed)
+            assert (got is None) == (want is None) == (k == 3)
+            if want is not None:
+                assert np.array_equal(got, want)
+            assert got_next == want_next
+
+    def test_degenerate_buffer_raises_at_the_reference_step(self):
+        # Three distinct rows: both seeders draw two more centres, then stop.
+        points = np.repeat(norm_rows(np.eye(3)), 5, axis=0)
+        (got, got_next), (want, want_next) = seed_both(points, 4, 7)
+        assert got is None and want is None
+        assert got_next == want_next
+        with pytest.raises(DegenerateFitError, match="fewer than 4 distinct points"):
+            _kmeans_pp_init(points, 4, np.random.default_rng(7))
 
 
 class TestMinibatchFit:
@@ -428,6 +502,25 @@ class TestModelIO:
         path = tmp_path / "model.bin"
         save_model(hierarchy, path)
         assert load_model(path) == hierarchy
+
+    def test_fitted_model_bytes_are_pinned(self, tmp_path):
+        # A change of any seeding draw, assignment or mean changes these bytes.
+        means = np.random.default_rng(5).normal(0.0, 3.0, size=(12, 16))
+        weights = 1.0 / np.arange(1, 13) ** 1.1
+        spec = MixtureSpec(
+            k=12,
+            dim=16,
+            weights=tuple(weights / weights.sum()),
+            means=tuple(map(tuple, means)),
+            stddevs=(1.0,) * 12,
+            n=3000,
+            seed=7,
+        )
+        points, _ = gen_mixture(spec)
+        path = tmp_path / "model.bin"
+        save_model(build_hierarchy(points.astype(np.float32), FitConfig(level_ks=(64, 8))), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "0ea6a0bdb0ffc5691041e093058c238abf9ba3e4b65d3508b03212d5231b348e"
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
