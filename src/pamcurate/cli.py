@@ -93,16 +93,18 @@ def cmd_align(args) -> int:
     return 0
 
 
+def _manual_threshold(args) -> ais_curate.Threshold | None:
+    return None if args.threshold is None else ais_curate.Threshold(t=args.threshold, origin="manual")
+
+
 def cmd_curate_ais(args) -> int:
+    manual = _manual_threshold(args)
     out = _out_dir(args)
     config = load_deployment(args.config)
     index = config.window_index()
     aligned = geo_align.aligned_from_sidecar(geo_align.read_sidecar(args.aligned), index)
     hist = ais_curate.histogram(aligned)
-    if args.threshold is not None:
-        threshold = ais_curate.Threshold(t=args.threshold, origin="manual")
-    else:
-        threshold = ais_curate.detect_knee(hist)
+    threshold = manual if manual is not None else ais_curate.detect_knee(hist)
     manifest = ais_curate.curate(aligned, threshold, args.seed, index)
 
     manifest_path = out / "manifest_ais.txt"
@@ -214,6 +216,8 @@ def cmd_sample(args) -> int:
         {
             "target_n": args.target_n,
             "quota_total": quotas.total,
+            # Leaves water-filling capped at their whole non-empty population.
+            "capped_leaves": int(((quotas.leaf_quotas == populations) & (populations > 0)).sum()),
             "selected": len(manifest),
             "processed_records": state.processed,
             "rejected_shards": state.rejected_shards,
@@ -256,15 +260,15 @@ def cmd_assemble(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    if not args.config:
+        raise ValidationError("stats needs --config, also to resolve the window ids of --aligned")
+    manual = _manual_threshold(args)
     out = _out_dir(args)
     inputs = []
     outputs = []
     payload: dict = {}
-    if args.aligned and not args.config:
-        raise ValidationError("--aligned requires --config to resolve window ids")
-    config = load_deployment(args.config) if args.config else None
+    config = load_deployment(args.config)
     if args.aligned:
-        manual = None if args.threshold is None else ais_curate.Threshold(t=args.threshold, origin="manual")
         aligned = geo_align.aligned_from_sidecar(geo_align.read_sidecar(args.aligned), config.window_index())
         hist = ais_curate.histogram(aligned)
         curve = ais_curate.occurrence_curve(hist)
@@ -281,13 +285,10 @@ def cmd_stats(args) -> int:
                 payload.update({"threshold": knee.t, "threshold_origin": knee.origin})
             except ValidationError as exc:
                 payload.update({"threshold": None, "threshold_error": str(exc)})
-    if config is not None:
-        hydro_path = out / "hydrophones.csv"
-        write_atomic(hydro_path, "".join(f"{h.id},{h.location.lat},{h.location.lon}\n" for h in config.hydrophones))
-        outputs.append(hydro_path)
-        inputs.append(Path(args.config))
-    if not inputs:
-        raise ValidationError("stats needs --aligned and/or --config")
+    hydro_path = out / "hydrophones.csv"
+    write_atomic(hydro_path, "".join(f"{h.id},{h.location.lat},{h.location.lon}\n" for h in config.hydrophones))
+    outputs.append(hydro_path)
+    inputs.append(Path(args.config))
     stats_path = out / "stats.json"
     _write_json(stats_path, payload)
     outputs.append(stats_path)

@@ -9,6 +9,11 @@ the quota is filled with the windows closest to the leaf centroid.
 shard at once, and :func:`merge` folds one state into a copy of the other,
 so the selection depends only on the set of records seen, never on how the
 shards were partitioned or ordered.
+
+A fold sorts only the shard's survivors, the records that beat their full
+leaf's worst held row, and merges them into the already sorted held rows:
+its cost per shard is a sort of the survivors plus a few linear passes
+over the held rows.
 """
 
 from __future__ import annotations
@@ -31,6 +36,12 @@ CHECKPOINT_MAGIC = b"PAMSEL02"
 CHECKPOINT_VERSION = 2
 _ENTRY = np.dtype([("window_id", "<u8"), ("distance", "<f8")])
 _HELD = np.dtype([("leaf", "<i8"), ("window_id", "<u8"), ("distance", "<f8")])
+# The same bytes with the fields in held order: numpy compares structured
+# values field by field in name order, so this view sorts as (leaf, distance, window_id).
+_ORDER = np.dtype({"names": ["leaf", "distance", "window_id"], "formats": ["<i8", "<f8", "<u8"], "offsets": [0, 16, 8]})
+# And as raw bytes: numpy copies structured values field by field, so whole
+# ``held`` arrays move through this view, about ten times faster.
+_RAW = np.dtype((np.void, _HELD.itemsize))
 
 # Sample budget of the full-corpus deployment.
 PRODUCTION_TARGET_N = 323_532
@@ -145,26 +156,51 @@ class SelectionState:
     def fold(self, leaf_idx, window_ids, distances) -> None:
         """Fold records in: each leaf then holds the ``quota`` smallest
         ``(distance, window_id)`` among the per-id minimum distances of every
-        record folded so far, however they were batched or ordered."""
+        record folded so far, however they were batched or ordered.
+
+        Only the records that beat their full leaf's worst entry (the
+        survivors) are sorted; they are merged into ``held``, which is
+        already in order.  The work is a sort of the survivors plus a few
+        linear passes over ``held``.
+        """
         rows = _rows(leaf_idx, window_ids, distances)
-        # 1. Drop records that cannot beat a full leaf's worst entry (step 3 cuts quota-0 leaves).
+        held = self.held
+        # 1. Drop records that cannot beat a full leaf's worst entry (step 5 cuts quota-0 leaves).
         counts = self.counts()
         full = np.flatnonzero((counts >= self.quotas) & (counts > 0))
         worst = np.full(len(self.quotas), np.array((0, 0, np.inf), _HELD))
-        worst[full] = self.held[np.cumsum(counts)[full] - 1]
+        worst[full] = held[np.cumsum(counts)[full] - 1]
         bar = worst[rows["leaf"]]
         d = rows["distance"]
         rows = rows[(d < bar["distance"]) | ((d == bar["distance"]) & (rows["window_id"] < bar["window_id"]))]
-        # 2. Keep each (leaf, window_id) once, at its smallest distance.
-        rows = np.concatenate((self.held, rows))
+        # 2. Keep each (leaf, window_id) of the survivors once, at its smallest distance.
         rows = rows[np.lexsort((rows["distance"], rows["window_id"], rows["leaf"]))]
         first = np.ones(len(rows), dtype=bool)
         first[1:] = (rows["leaf"][1:] != rows["leaf"][:-1]) | (rows["window_id"][1:] != rows["window_id"][:-1])
         rows = rows[first]
-        # 3. Order each leaf best first and cut it at its quota.
+        # 3. Where a survivor and a held row share (leaf, window_id), keep the
+        # smaller distance, the held row on a tie.  Only shared ids do any work.
+        held_ids = np.sort(held["window_id"])
+        lo = np.searchsorted(held_ids, rows["window_id"], "left")
+        hits = np.searchsorted(held_ids, rows["window_id"], "right") - lo
+        if hits.any():
+            # One (survivor, held row) pair per held row with the survivor's id.
+            r = np.repeat(np.arange(len(rows)), hits)
+            in_sorted = np.arange(len(r)) + np.repeat(lo - (np.cumsum(hits) - hits), hits)
+            h = np.argsort(held["window_id"])[in_sorted]
+            same = held["leaf"][h] == rows["leaf"][r]
+            r, h = r[same], h[same]
+            closer = rows["distance"][r] < held["distance"][h]
+            held = np.delete(held.view(_RAW), h[closer]).view(_HELD)
+            rows = np.delete(rows, r[~closer])
+        # 4. Find each survivor's place in the (leaf, distance, window_id) order of held.
         rows = rows[np.lexsort((rows["window_id"], rows["distance"], rows["leaf"]))]
-        rank = np.arange(len(rows)) - np.searchsorted(rows["leaf"], rows["leaf"])
-        self.held = rows[rank < self.quotas[rows["leaf"]]]
+        at = np.searchsorted(held.view(_ORDER), rows.view(_ORDER))
+        # 5. Insert them and cut each leaf at its quota.
+        held = np.insert(held.view(_RAW), at, rows.view(_RAW)).view(_HELD)
+        counts = np.bincount(held["leaf"], minlength=len(self.quotas))
+        rank = np.arange(len(held)) - np.repeat(np.cumsum(counts) - counts, counts)
+        self.held = held.view(_RAW)[rank < np.repeat(self.quotas, counts)].view(_HELD)
 
     def counts(self) -> np.ndarray:
         """Entries held per leaf."""

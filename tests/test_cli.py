@@ -303,24 +303,29 @@ class TestSampleContract:
         return fixture, out
 
     @staticmethod
-    def sample(fixture, out, dest, *extra, shards=None):
+    def sample(fixture, out, dest, *extra, shards=None, target_n=60):
         args = ["sample", "--config", fixture["config"], "--model", out / "model.bin"]
-        args += ["--shards", *(shards or fixture["shards"]), "--target-n", 60, *extra, "--out", dest]
+        args += ["--shards", *(shards or fixture["shards"]), "--target-n", target_n, *extra, "--out", dest]
         assert run(*args) == 0
         return json.loads((dest / "sample_stats.json").read_text())
 
     def test_worker_count_and_checkpoint_do_not_change_outputs(self, setup, tmp_path):
         fixture, out = setup
-        runs = {f"w{w}": ("--workers", w) for w in (1, 2, 3)}
-        runs["ckpt"] = ("--checkpoint", tmp_path / "sel.ckpt")
-        runs["w2ckpt"] = ("--workers", 2, "--checkpoint", tmp_path / "sel2.ckpt")
-        for name, extra in runs.items():
-            stats = self.sample(fixture, out, tmp_path / name, *extra)
-            assert stats["evictions"] == stats["processed_records"] - stats["selected"]
-        for name in runs:
-            assert {f: (tmp_path / name / f).read_bytes() for f in self.OUTPUTS} == {
-                f: (out / f).read_bytes() for f in self.OUTPUTS
-            }, name
+        # The fixture's leaf populations are 55, 55, 61, 7, 11, 34, 85, 92: at
+        # 60 every quota is below its population, and at 150 water-filling
+        # takes the leaves of 7 and 11 whole.
+        for target, reference, capped in ((60, out, 0), (150, tmp_path / "w1-150", 2)):
+            runs = {f"w{w}": ("--workers", w) for w in (1, 2, 3)}
+            runs["ckpt"] = ("--checkpoint", tmp_path / f"sel-{target}.ckpt")
+            runs["w2ckpt"] = ("--workers", 2, "--checkpoint", tmp_path / f"sel2-{target}.ckpt")
+            for name, extra in runs.items():
+                stats = self.sample(fixture, out, tmp_path / f"{name}-{target}", *extra, target_n=target)
+                assert stats["evictions"] == stats["processed_records"] - stats["selected"]
+                assert stats["capped_leaves"] == capped
+            for name in runs:
+                assert {f: (tmp_path / f"{name}-{target}" / f).read_bytes() for f in self.OUTPUTS} == {
+                    f: (reference / f).read_bytes() for f in self.OUTPUTS
+                }, name
 
     @pytest.mark.parametrize("workers, checkpoint", [(0, False), (-3, False), (0, True)])
     def test_workers_below_one_rejected(self, setup, tmp_path, capsys, workers, checkpoint):
@@ -549,18 +554,35 @@ class TestStats:
         assert run("stats", "--config", fixture["config"], "--aligned", out / "aligned.csv", "--out", out) == 0
         assert loads == [str(fixture["config"])]
 
-    def test_stats_requires_some_input(self, tmp_path):
+    def test_stats_requires_some_input(self, tmp_path, capsys):
         assert run("stats", "--out", tmp_path / "o") == 2
+        assert "stats needs --config" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("stage", ["stats", "curate-ais"])
-    def test_threshold_below_one_rejected_before_any_write(self, tmp_path, capsys, stage):
+    def test_aligned_without_config_rejected_before_any_write(self, tmp_path, capsys):
+        aligned = tmp_path / "aligned.csv"
+        aligned.write_text("")
+        assert run("stats", "--aligned", aligned, "--out", tmp_path / "o") == 2
+        assert "stats needs --config" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "stage, aligned",
+        [
+            pytest.param("stats", True, id="stats"),
+            pytest.param("stats", False, id="stats-without-aligned"),
+            pytest.param("curate-ais", True, id="curate-ais"),
+        ],
+    )
+    def test_threshold_below_one_rejected_before_any_write(self, tmp_path, capsys, stage, aligned):
         fixture = build_pipeline_fixture(tmp_path / "fx")
         out = tmp_path / "out"
         run("align", "--config", fixture["config"], "--ais", fixture["ais"], "--out", out)
-        argv = ["--config", fixture["config"], "--aligned", out / "aligned.csv", "--threshold", -4, "--out", out / "t"]
+        argv = ["--config", fixture["config"], *(["--aligned", out / "aligned.csv"] if aligned else [])]
+        argv += ["--threshold", -4, "--out", out / "t"]
         assert run(stage, *argv, *(["--seed", 1] if stage == "curate-ais" else [])) == 2
         assert "threshold must be >= 1, got -4" in capsys.readouterr().err
-        assert list((out / "t").iterdir()) == []
+        assert not (out / "t").exists()
 
 
 class TestRunRecord:

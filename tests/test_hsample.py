@@ -29,7 +29,7 @@ from pamcurate.hsample import (
     save_checkpoint,
     stream_select,
 )
-from synth import by_leaf, exact_topn_per_cluster, topn_per_leaf
+from synth import MixtureSpec, by_leaf, exact_topn_per_cluster, gen_mixture, topn_per_leaf
 from conftest import T0, make_hierarchy, random_shard
 
 NO_WINDOWS = DeploymentConfig(hydrophones=()).window_index()
@@ -350,6 +350,63 @@ class TestSelectionReference:
         assert_round_trip(whole)
 
 
+class TestFoldAtScale:
+    """Thousands of held rows, window ids that recur across shards, and
+    identical vectors whose distances tie at every leaf's quota boundary,
+    against ``synth.topn_per_leaf``."""
+
+    @staticmethod
+    def corpus():
+        rng = np.random.default_rng(44)
+        hierarchy = make_hierarchy(rng, ks=(6, 2), dim=3)
+        prototypes = rng.standard_normal((40, 3)).astype(np.float32)
+        shards = []
+        for _ in range(8):
+            # 1500 of 6000 ids per shard: most ids come back in a later shard, often in another leaf.
+            ids = rng.choice(6000, size=1500, replace=False).astype(np.uint64)
+            vectors = rng.standard_normal((1500, 3)).astype(np.float32)
+            copies = rng.random(1500) < 0.3  # identical vectors give exactly tied distances
+            vectors[copies] = prototypes[rng.integers(0, len(prototypes), int(copies.sum()))]
+            shards.append(EmbeddingShard(dim=3, window_ids=ids, vectors=vectors))
+        records = [(shard, *assign_batch(shard.vectors, hierarchy)) for shard in shards]
+        leaves = np.concatenate([leaf for _, leaf, _ in records])
+        ids = np.concatenate([shard.window_ids for shard, _, _ in records])
+        distances = np.concatenate([dist for _, _, dist in records])
+        # Cut each leaf between two entries of equal distance, about 60% of the way down.
+        ranked = topn_per_leaf(leaves.tolist(), ids.tolist(), distances.tolist(), [len(ids)] * 6)
+        quotas = []
+        for pairs in ranked:
+            ties = [i for i in range(1, len(pairs)) if pairs[i][0] == pairs[i - 1][0]]
+            quotas.append(min(ties, key=lambda i: abs(i - 0.6 * len(pairs))))
+        return hierarchy, shards, (leaves, ids, distances), ranked, np.array(quotas)
+
+    def test_stream_merge_and_resume_match_reference(self, tmp_path):
+        hierarchy, shards, (leaves, ids, distances), ranked, quotas = self.corpus()
+        expected = [pairs[:quota] for pairs, quota in zip(ranked, quotas)]
+        # The corpus holds what the test is about: thousands of held rows, a
+        # tie across every quota boundary, an id held in two leaves, and an id
+        # held at a smaller distance than it first came with.
+        assert sum(map(len, expected)) > 4000
+        assert all(pairs[quota - 1][0] == pairs[quota][0] for pairs, quota in zip(ranked, quotas))
+        held_ids = [{wid for _, wid in pairs} for pairs in expected]
+        assert any(a & b for a, b in itertools.combinations(held_ids, 2))
+        first_seen = {}
+        for leaf, wid, dist in zip(leaves.tolist(), ids.tolist(), distances.tolist()):
+            first_seen.setdefault((leaf, wid), dist)
+        assert any(first_seen[leaf, wid] > dist for leaf, pairs in enumerate(expected) for dist, wid in pairs)
+
+        whole = stream_select(shards, hierarchy, quotas)
+        assert by_leaf(whole) == expected
+        assert stream_select(shards[::-1], hierarchy, quotas) == whole
+        halves = [stream_select(shards[::2], hierarchy, quotas), stream_select(shards[1::2], hierarchy, quotas)]
+        assert merge(*halves) == whole
+        assert merge(*halves[::-1]) == whole
+        path = tmp_path / "sel.ckpt"
+        save_checkpoint(stream_select(shards[:5], hierarchy, quotas), path)
+        assert stream_select(shards[5:], hierarchy, quotas, state=load_checkpoint(path)) == whole
+        assert_round_trip(whole)
+
+
 class TestEmitAndPopulations:
     def _deployment_with_windows(self, count):
         return DeploymentConfig(
@@ -441,6 +498,35 @@ class TestCheckpoint:
         resumed = stream_select([second], hierarchy, quotas, state=load_checkpoint(path))
         whole = stream_select([EmbeddingShard(dim=4, window_ids=ids, vectors=vectors)], hierarchy, quotas)
         assert resumed == whole
+
+    def test_checkpoint_bytes_are_pinned(self, tmp_path):
+        # A change of the selection, of its tie order or of the layout changes these bytes.
+        means = np.random.default_rng(43).normal(0.0, 2.0, size=(10, 8))
+        weights = 1.0 / np.arange(1, 11) ** 1.5
+        spec = MixtureSpec(
+            k=10,
+            dim=8,
+            weights=tuple(weights / weights.sum()),
+            means=tuple(map(tuple, means)),
+            stddevs=(1.0,) * 10,
+            n=3000,
+            seed=9,
+        )
+        points, _ = gen_mixture(spec)
+        hierarchy = make_hierarchy(np.random.default_rng(47), ks=(16, 4), dim=8)
+        ids = np.arange(3000, dtype=np.uint64) * 7 + 3
+        shards = [
+            EmbeddingShard(dim=8, window_ids=ids[part], vectors=points[part])
+            for part in np.array_split(np.arange(3000), 6)
+        ]
+        populations = count_populations(shards, hierarchy)
+        quotas = allocate_quotas(hierarchy, populations, 1200).leaf_quotas
+        capped = (quotas == populations) & (populations > 0)
+        assert capped.any() and (quotas < populations).any()
+        path = tmp_path / "sel.ckpt"
+        save_checkpoint(stream_select(shards, hierarchy, quotas), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "1052bc28f45a77dcf4eac0e61bb5d61492c475b941d2cb01af145973a5e251a0"
 
     @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")])
     def test_invalid_distance_rejected_at_its_entry(self, tmp_path, bad):
