@@ -60,13 +60,14 @@ def _out_dir(args) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _check_workers(args) -> None:
-    if args.workers < 1:
-        raise ValidationError(f"--workers must be at least 1, got {args.workers}")
+def _check_at_least(value: int, least: int, flag: str) -> None:
+    if value < least:
+        raise ValidationError(f"{flag} must be at least {least}, got {value}")
 
 
 def cmd_align(args) -> int:
-    _check_workers(args)
+    _check_at_least(args.workers, 1, "--workers")
+    geo_align.check_side_km(args.side_km)
     out = _out_dir(args)
     config = load_deployment(args.config)
     pulses, rejected_rows = geo_align.read_ais_csv(args.ais)
@@ -99,6 +100,7 @@ def _manual_threshold(args) -> ais_curate.Threshold | None:
 
 def cmd_curate_ais(args) -> int:
     manual = _manual_threshold(args)
+    _check_at_least(args.seed, 0, "--seed")
     out = _out_dir(args)
     config = load_deployment(args.config)
     index = config.window_index()
@@ -192,7 +194,8 @@ def _select_partition(shard_paths, hierarchy, quotas, checkpoint: Path | None = 
 
 
 def cmd_sample(args) -> int:
-    _check_workers(args)
+    _check_at_least(args.workers, 1, "--workers")
+    _check_at_least(args.target_n, 1, "--target-n")
     out = _out_dir(args)
     config = load_deployment(args.config)
     hierarchy = hkmeans.load_model(args.model)

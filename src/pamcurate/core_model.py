@@ -30,6 +30,7 @@ from sys import intern
 import tempfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -227,10 +228,23 @@ def window_id_of(hydrophone_id: str, recording_id: str, offset_s: int) -> int:
 
 
 def _window_id(hydrophone_id: str, recording_id: str, offset_s: int) -> int:
-    """:func:`window_id_of` without its checks, for the windows of a
-    :class:`DeploymentConfig`, whose ids were checked when it was built."""
+    """:func:`window_id_of` without its checks."""
     key = f"{hydrophone_id}/{recording_id}/{offset_s}".encode()
     return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
+
+
+def _recording_window_ids(hydrophone_id: str, recording_id: str, offsets) -> np.ndarray:
+    """The :func:`window_id_of` of each of the int ``offsets`` of one
+    recording, without its checks, as a ``uint64`` array.  The
+    ``"{hydrophone_id}/{recording_id}/"`` prefix is hashed once; each id
+    copies that BLAKE2b state and adds its offset's digits."""
+    prefix = hashlib.blake2b(f"{hydrophone_id}/{recording_id}/".encode(), digest_size=8)
+    digests = []
+    for offset in offsets:
+        state = prefix.copy()
+        state.update(b"%d" % offset)
+        digests.append(state.digest())
+    return np.fromiter(map(int.from_bytes, digests, repeat("big")), np.uint64, count=len(digests))
 
 
 class WindowIndex:
@@ -242,15 +256,13 @@ class WindowIndex:
         self._hydrophone_ids = np.array([hid for hid, _ in recordings], dtype=object)
         self._recording_ids = np.array([rec.id for _, rec in recordings], dtype=object)
         counts = np.array([rec.window_count for _, rec in recordings], dtype=np.int64)
-        ids = np.fromiter(
-            (_window_id(hid, rec.id, off) for hid, rec in recordings for off in rec.window_offsets),
-            dtype=np.uint64,
-            count=int(counts.sum()),
+        ids = np.concatenate(
+            [np.empty(0, np.uint64), *(_recording_window_ids(hid, rec.id, rec.window_offsets) for hid, rec in recordings)]
         )
         recording = np.repeat(np.arange(len(recordings)), counts)
         first = np.repeat(np.cumsum(counts) - counts, counts)  # index of the first window of each id's recording
         offset = (np.arange(len(ids)) - first) * WINDOW_S
-        order = np.argsort(ids, kind="stable")
+        order = np.argsort(ids)  # any order of equal ids is a collision below
         self.ids, self._recording, self._offset = ids[order], recording[order], offset[order]
         collided = np.flatnonzero(self.ids[1:] == self.ids[:-1])
         if len(collided):

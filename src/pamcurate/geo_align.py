@@ -28,7 +28,7 @@ from .core_model import (
     DeploymentConfig,
     GeoPoint,
     WindowIndex,
-    _window_id,
+    _recording_window_ids,
     parse_utc,
     write_atomic,
 )
@@ -54,10 +54,15 @@ class GeoFence:
     lon_span_deg: float
 
 
+def check_side_km(side_km: float) -> None:
+    """Raise :class:`ValidationError` unless ``side_km`` is a positive, finite fence side."""
+    if not 0 < side_km < math.inf:
+        raise ValidationError(f"side_km must be positive and finite, got {side_km}")
+
+
 def fence_of(center: GeoPoint, side_km: float) -> GeoFence:
     """Fence of side ``side_km`` km centred on ``center``."""
-    if side_km <= 0:
-        raise ValidationError(f"side_km must be positive, got {side_km}")
+    check_side_km(side_km)
     if abs(center.lat) >= MAX_FENCE_LAT:
         raise ValidationError(f"latitude {center.lat} unsupported: fence undefined above +/-{MAX_FENCE_LAT} deg")
     half_side_m = side_km * 500.0
@@ -145,15 +150,17 @@ def align(pulses: np.ndarray, config: DeploymentConfig, side_km: float = 4.0) ->
         slot = (time - starts[rec]) // WINDOW_S
         hit = (rec >= 0) & (slot < counts[rec])
         inside, rec, slot = inside[hit], rec[hit], slot[hit]
-        # Hash each window hit once.
+        # Hash each window hit once; sorted keys put each recording's hits together.
         keys, inverse = np.unique(rec * counts.max() + slot, return_inverse=True)
         hit_rec, hit_slot = np.divmod(keys, counts.max())
+        hit_recordings, first = np.unique(hit_rec, return_index=True)
+        offsets, bounds = (hit_slot * WINDOW_S).tolist(), [*first.tolist(), len(keys)]
         hit_ids = [
-            _window_id(hydrophone.id, recordings[r].id, offset)
-            for r, offset in zip(hit_rec.tolist(), (hit_slot * WINDOW_S).tolist())
+            _recording_window_ids(hydrophone.id, recordings[r].id, offsets[start:stop])
+            for r, start, stop in zip(hit_recordings.tolist(), bounds, bounds[1:])
         ]
         rows.append(inside)
-        ids.append(np.array(hit_ids, dtype=np.uint64)[inverse])
+        ids.append(np.concatenate([np.empty(0, np.uint64), *hit_ids])[inverse])
         owners.append(np.full(len(inside), hydrophone.id))
 
     rows, owners = np.concatenate(rows), np.concatenate(owners)

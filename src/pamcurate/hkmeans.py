@@ -225,6 +225,8 @@ class FitConfig:
             raise ValidationError("passes must be >= 1")
         if self.resample_rounds < 0:
             raise ValidationError("resample_rounds must be >= 0")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.level_ks:
             if any(k < 1 for k in self.level_ks):
                 raise ValidationError("all level_ks must be >= 1")

@@ -177,6 +177,15 @@ class TestAlign:
         assert f"--workers must be at least 1, got {workers}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("side_km", ["0", "-2", "nan", "inf"])
+    def test_bad_side_km_rejected_before_any_write(self, tmp_path, capsys, side_km):
+        fixture = build_pipeline_fixture(tmp_path / "fx")
+        out = tmp_path / "out"
+        code = run("align", "--config", fixture["config"], "--ais", fixture["ais"], "--side-km", side_km, "--out", out)
+        assert code == 2
+        assert f"side_km must be positive and finite, got {float(side_km)}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCurateAis:
     def test_detected_threshold_recorded(self, tmp_path):
@@ -231,6 +240,16 @@ class TestCurateAis:
         argv = ["--config", fixture["config"], "--aligned", sidecar, "--seed", 1, "--threshold", 1, "--out", out]
         assert run("curate-ais", *argv) == 2
         assert "bad sidecar line" in capsys.readouterr().err
+
+    def test_negative_seed_rejected_before_any_write(self, tmp_path, capsys):
+        fixture = build_pipeline_fixture(tmp_path / "fx")
+        out = tmp_path / "out"
+        run("align", "--config", fixture["config"], "--ais", fixture["ais"], "--out", out)
+        argv = ["--config", fixture["config"], "--aligned", out / "aligned.csv", "--seed", -1, "--out", out / "c"]
+        assert run("curate-ais", *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seed must be at least 0, got -1") and "Traceback" not in err
+        assert not (out / "c").exists()
 
 
 class TestFullPipeline:
@@ -336,6 +355,16 @@ class TestSampleContract:
         assert run(*args) == 2
         assert f"--workers must be at least 1, got {workers}" in capsys.readouterr().err
         assert not dest.exists() and not ckpt.exists()
+
+    @pytest.mark.parametrize("target_n", [0, -5])
+    def test_target_below_one_rejected_before_any_read_or_write(self, setup, tmp_path, capsys, monkeypatch, target_n):
+        fixture, out = setup
+        monkeypatch.setattr(cli, "read_shard", lambda path: pytest.fail(f"read {path}"))
+        dest = tmp_path / "s"
+        args = ["sample", "--config", fixture["config"], "--model", out / "model.bin", "--shards", *fixture["shards"]]
+        assert run(*args, "--target-n", target_n, "--out", dest) == 2
+        assert f"--target-n must be at least 1, got {target_n}" in capsys.readouterr().err
+        assert not dest.exists()
 
     @pytest.mark.parametrize("mode", ["workers1", "workers2", "checkpoint"])
     def test_rejected_shard_counted_once(self, setup, tmp_path, mode):
@@ -516,13 +545,15 @@ class TestFit:
             (("--resample-rounds", -1), "resample_rounds must be >= 0"),
             (("--levels", "8,8"), "level_ks must strictly decrease"),
             (("--levels", "8,x"), "bad --levels value"),
+            (("--seed", -1), "seed must be >= 0, got -1"),
         ],
     )
     def test_bad_fit_config_rejected_before_any_write(self, tmp_path, capsys, flags, message):
         out = tmp_path / "out"
         argv = ["fit", "--shards", tmp_path / "missing.bin", "--levels", "8,2", "--seed", 0, *flags, "--out", out]
         assert run(*argv) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
         assert not out.exists()
 
 

@@ -3,7 +3,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pamcurate import core_model
@@ -37,6 +37,10 @@ from synth import iter_windows
 
 # Pinned once from the documented id scheme (BLAKE2b-64 of "H1/R1/0").
 GOLDEN_WINDOW_ID = 3636452270766846254
+
+TOKENS = st.text("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-", min_size=1, max_size=12)
+# The last window offset before each digit count grows, and the first after: 90/100, 990/1000, ... 10**12.
+DIGIT_BOUNDARIES = [offset for k in range(2, 13) for offset in (10**k - 10, 10**k)]
 
 
 class TestWindowArithmetic:
@@ -117,6 +121,19 @@ class TestWindowId:
             for o in range(200)
         }
         assert len(ids) == 4 * 25 * 200
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hydrophone=TOKENS,
+        recording=TOKENS,
+        offsets=st.lists(st.sampled_from(DIGIT_BOUNDARIES) | st.integers(0, 10**11).map(lambda k: 10 * k), max_size=20),
+    )
+    @example(hydrophone="H1", recording="R1", offsets=[])
+    @example(hydrophone="H1", recording="R1", offsets=DIGIT_BOUNDARIES)
+    def test_recording_window_ids_equal_window_id_of(self, hydrophone, recording, offsets):
+        ids = core_model._recording_window_ids(hydrophone, recording, offsets)
+        assert ids.dtype == np.uint64
+        assert ids.tolist() == [window_id_of(hydrophone, recording, offset) for offset in offsets]
 
 
 class TestShardIO:
@@ -345,7 +362,13 @@ class TestWindowIndex:
         assert list(zip(ids.tolist(), *index.coordinates(ids, "known"))) == windows
 
     @settings(max_examples=50, deadline=None)
-    @given(durations=st.lists(st.lists(st.integers(0, 95), max_size=4), min_size=1, max_size=3))
+    @given(
+        durations=st.lists(
+            st.lists(st.integers(0, 95) | st.integers(990, 1035), max_size=4),  # offsets of 1-4 digits
+            min_size=1,
+            max_size=3,
+        )
+    )
     def test_ids_equal_iter_windows_on_any_deployment(self, durations):
         config = DeploymentConfig(
             hydrophones=tuple(
@@ -353,7 +376,7 @@ class TestWindowIndex:
                     id=f"H{h}",
                     location=GeoPoint(0.0, 0.0),
                     recordings=tuple(
-                        Recording(id=f"R{r}", start=1000 * r, duration_s=d, native_sample_rate_hz=1)
+                        Recording(id=f"R{r}", start=2000 * r, duration_s=d, native_sample_rate_hz=1)
                         for r, d in enumerate(recs)
                     ),
                 )
@@ -379,7 +402,7 @@ class TestWindowIndex:
             empty.coordinates(np.array([1], dtype=np.uint64), "any")
 
     def test_planted_collision_rejected(self, deployment, monkeypatch):
-        real = core_model._window_id
-        monkeypatch.setattr(core_model, "_window_id", lambda h, r, offset: real(h, r, offset) % 7)
+        real = core_model._recording_window_ids
+        monkeypatch.setattr(core_model, "_recording_window_ids", lambda h, r, offsets: real(h, r, offsets) % 7)
         with pytest.raises(ValidationError, match="window id collision"):
             deployment.window_index()

@@ -54,6 +54,11 @@ class TestFence:
         with pytest.raises(ValidationError):
             fence_of(GeoPoint(0.0, 0.0), side_km=0.0)
 
+    @pytest.mark.parametrize("side_km", [-1.0, float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_or_negative_side_rejected(self, side_km):
+        with pytest.raises(ValidationError, match=f"side_km must be positive and finite, got {side_km}"):
+            fence_of(GeoPoint(0.0, 0.0), side_km=side_km)
+
 
 class TestContains:
     def test_center_inside(self):
@@ -444,7 +449,7 @@ def deployment_and_pulses(draw):
         start, recordings = T0, []
         for j in range(draw(st.integers(0, 3) | st.integers(1, 3))):
             start += draw(st.sampled_from([0, 7, 100]))
-            duration = draw(st.sampled_from([0, 5, 10, 25, 37, 100, 100]))
+            duration = draw(st.sampled_from([0, 5, 10, 25, 37, 100, 100, 1015]))  # 1015: offsets of 4 digits
             if draw(st.integers(0, 3)) == 0:
                 recordings.append(Recording(id=f"Z{j}", start=start, duration_s=0, native_sample_rate_hz=1000))
             recordings.append(Recording(id=f"R{j}", start=start, duration_s=duration, native_sample_rate_hz=1000))
