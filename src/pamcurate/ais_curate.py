@@ -21,22 +21,6 @@ THRESHOLD_ORIGINS = ("detected", "manual")
 
 
 @dataclass(frozen=True)
-class OccurrenceHistogram:
-    """Distinct-window counts per ship over an aligned window set."""
-
-    counts: dict[int, int]
-    total_windows: int
-
-    def __post_init__(self):
-        if any(c < 1 for c in self.counts.values()):
-            raise ValidationError("occurrence counts must be >= 1")
-
-    @property
-    def total_ships(self) -> int:
-        return len(self.counts)
-
-
-@dataclass(frozen=True)
 class Threshold:
     t: int
     origin: str
@@ -48,24 +32,21 @@ class Threshold:
             raise ValidationError(f"origin {self.origin!r} not in {THRESHOLD_ORIGINS}")
 
 
-def histogram(aligned: AlignedWindowSet) -> OccurrenceHistogram:
-    """Count, per ship, the distinct windows it was heard in.
-
-    A window shared by several ships counts once for each of them.
+def histogram(aligned: AlignedWindowSet) -> np.ndarray:
+    """Per ship, in ascending mmsi order, the number of distinct windows it
+    was heard in.  A window shared by several ships counts once for each of them.
     """
-    ships, windows = np.unique(aligned.pairs["mmsi"], return_counts=True)
-    counts = dict(zip(ships.tolist(), windows.tolist()))
-    return OccurrenceHistogram(counts=counts, total_windows=len(aligned))
+    return np.unique(aligned.pairs["mmsi"], return_counts=True)[1]
 
 
-def occurrence_curve(hist: OccurrenceHistogram) -> list[tuple[int, int]]:
-    """``(rank, count)`` pairs, counts descending, rank starting at 0."""
-    ordered = sorted(hist.counts.values(), reverse=True)
-    return list(enumerate(ordered))
+def occurrence_curve(counts: np.ndarray) -> np.ndarray:
+    """The per-ship ``counts`` in descending order; a count's rank is its index."""
+    return np.sort(counts)[::-1]
 
 
-def detect_knee(hist: OccurrenceHistogram) -> Threshold:
-    """Kneedle-style knee of the descending occurrence curve.
+def detect_knee(counts) -> Threshold:
+    """Kneedle-style knee of the descending occurrence curve of the per-ship
+    ``counts``, each at least 1.
 
     Both axes are normalized to [0, 1]; because the curve is decreasing and
     convex, the knee is the rank maximizing ``(1 - y_norm) - x_norm``
@@ -73,8 +54,9 @@ def detect_knee(hist: OccurrenceHistogram) -> Threshold:
     knee rank.  Needs at least 3 distinct count values to be meaningful;
     flatter histograms require a manual threshold.
     """
-    curve = occurrence_curve(hist)
-    values = np.asarray([c for _, c in curve], dtype=np.float64)
+    values = occurrence_curve(np.asarray(counts)).astype(np.float64)
+    if (values < 1).any():
+        raise ValidationError("occurrence counts must be >= 1")
     if len(np.unique(values)) < 3:
         raise ValidationError(
             "occurrence histogram has fewer than 3 distinct values; no knee — pass a manual threshold"
@@ -87,34 +69,24 @@ def detect_knee(hist: OccurrenceHistogram) -> Threshold:
     return Threshold(t=int(values[knee_rank]), origin="detected")
 
 
-def sampling_probability(occurrence: int, t: int) -> float:
-    """Retention probability for one window of a ship seen in ``occurrence`` windows."""
-    if occurrence < 1 or t < 1:
-        raise ValidationError("occurrence and t must be >= 1")
-    if occurrence <= t:
-        return 1.0
-    return t / occurrence
-
-
 def curate(aligned: AlignedWindowSet, threshold: Threshold, seed: int, index: WindowIndex) -> CurationManifest:
     """Thin the aligned windows ship by ship; returns the manifest of the
     retained windows, with their coordinates taken from ``index``.
 
-    Each ship uses its own generator seeded with ``seed XOR mmsi`` and draws
-    over its windows in ascending window_id order, so the output does not
-    depend on the order of the pairs or of the other ships.  A window heard
-    from several ships is kept if at least one of them retains it, and its
-    row records the smallest retaining mmsi.
+    Each ship heard in more than ``t`` windows uses its own generator seeded
+    with ``seed XOR mmsi`` and draws over its windows in ascending window_id
+    order, so the output does not depend on the order of the pairs or of the
+    other ships.  A window heard from several ships is kept if at least one
+    of them retains it, and its row records the smallest retaining mmsi.
     """
-    pairs = aligned.pairs
+    pairs, t = aligned.pairs, threshold.t
     by_ship = np.lexsort((pairs["window_id"], pairs["mmsi"]))
     ships, starts, counts = np.unique(pairs["mmsi"][by_ship], return_index=True, return_counts=True)
     kept = np.ones(len(pairs), dtype=bool)
-    for mmsi, start, count in zip(ships.tolist(), starts.tolist(), counts.tolist()):
-        p = sampling_probability(count, threshold.t)
-        if p < 1.0:
-            draws = np.random.default_rng(np.random.PCG64(seed ^ mmsi)).random(count)
-            kept[by_ship[start : start + count]] = draws < p
+    heavy = counts > t
+    for mmsi, start, count in zip(ships[heavy].tolist(), starts[heavy].tolist(), counts[heavy].tolist()):
+        draws = np.random.default_rng(np.random.PCG64(seed ^ mmsi)).random(count)
+        kept[by_ship[start : start + count]] = draws < t / count
     # ``pairs`` is sorted by (window_id, mmsi): a window's first kept pair has its smallest retaining mmsi.
     retained = pairs[kept]
     window_ids, first = np.unique(retained["window_id"], return_index=True)

@@ -35,16 +35,19 @@ def _write_json(path: Path, payload: dict) -> None:
     write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_run_record(out_dir: Path, stage: str, flags: dict, seed, inputs, outputs) -> Path:
+def _write_run_record(args, inputs, outputs) -> Path:
+    """Write ``<stage>_run.json`` into ``--out``: the stage's flags and
+    seed, and the SHA-256 of each of its input and output files."""
+    stage, flags = args.command.replace("-", "_"), _flags(args)
     record = {
         "stage": stage,
-        "flags": {k: v for k, v in sorted(flags.items())},
-        "seed": seed,
+        "flags": flags,
+        "seed": flags.get("seed"),
         "digest_algorithm": "sha256",
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": {str(p): _sha256(p) for p in outputs},
     }
-    path = out_dir / f"{stage}_run.json"
+    path = Path(args.out) / f"{stage}_run.json"
     _write_json(path, record)
     return path
 
@@ -87,7 +90,7 @@ def cmd_align(args) -> int:
             "side_km": args.side_km,
         },
     )
-    _write_run_record(out, "align", _flags(args), None, [Path(args.config), Path(args.ais)], [sidecar, stats_path])
+    _write_run_record(args, [Path(args.config), Path(args.ais)], [sidecar, stats_path])
     logger.info(
         "align: %d pulses -> %d aligned windows (%d rows rejected)", len(pulses), len(result.windows), rejected_rows
     )
@@ -105,8 +108,8 @@ def cmd_curate_ais(args) -> int:
     config = load_deployment(args.config)
     index = config.window_index()
     aligned = geo_align.aligned_from_sidecar(geo_align.read_sidecar(args.aligned), index)
-    hist = ais_curate.histogram(aligned)
-    threshold = manual if manual is not None else ais_curate.detect_knee(hist)
+    counts = ais_curate.histogram(aligned)
+    threshold = manual if manual is not None else ais_curate.detect_knee(counts)
     manifest = ais_curate.curate(aligned, threshold, args.seed, index)
 
     manifest_path = out / "manifest_ais.txt"
@@ -117,14 +120,12 @@ def cmd_curate_ais(args) -> int:
         {
             "threshold": threshold.t,
             "threshold_origin": threshold.origin,
-            "ships": hist.total_ships,
-            "aligned_windows": hist.total_windows,
+            "ships": len(counts),
+            "aligned_windows": len(aligned),
             "retained_windows": len(manifest),
         },
     )
-    _write_run_record(
-        out, "curate_ais", _flags(args), args.seed, [Path(args.config), Path(args.aligned)], [manifest_path, stats_path]
-    )
+    _write_run_record(args, [Path(args.config), Path(args.aligned)], [manifest_path, stats_path])
     logger.info("curate-ais: t=%d (%s), kept %d of %d windows", threshold.t, threshold.origin, len(manifest), len(aligned))
     return 0
 
@@ -163,7 +164,7 @@ def cmd_fit(args) -> int:
             "absorbed": int(hierarchy.levels[0].counts.sum()),
         },
     )
-    _write_run_record(out, "fit", _flags(args), args.seed, shard_paths, [model_path, stats_path])
+    _write_run_record(args, shard_paths, [model_path, stats_path])
     logger.info("fit: model with levels %s saved", [cs.k for cs in hierarchy.levels])
     return 0
 
@@ -227,14 +228,7 @@ def cmd_sample(args) -> int:
             "evictions": state.processed - len(manifest),
         },
     )
-    _write_run_record(
-        out,
-        "sample",
-        _flags(args),
-        None,
-        [Path(args.config), Path(args.model), *shard_paths],
-        [manifest_path, stats_path],
-    )
+    _write_run_record(args, [Path(args.config), Path(args.model), *shard_paths], [manifest_path, stats_path])
     logger.info("sample: selected %d of target %d", len(manifest), args.target_n)
     return 0
 
@@ -251,12 +245,7 @@ def cmd_assemble(args) -> int:
     summary_txt = out / "summary.txt"
     write_atomic(summary_txt, assemble_ssl.format_summary(summary))
     _write_run_record(
-        out,
-        "assemble",
-        _flags(args),
-        None,
-        [Path(args.ais_manifest), Path(args.hkmeans_manifest)],
-        [manifest_path, summary_json, summary_txt],
+        args, [Path(args.ais_manifest), Path(args.hkmeans_manifest)], [manifest_path, summary_json, summary_txt]
     )
     logger.info("assemble: %d entries, %.2f h", summary["total_entries"], summary["total_hours"])
     return 0
@@ -273,18 +262,18 @@ def cmd_stats(args) -> int:
     config = load_deployment(args.config)
     if args.aligned:
         aligned = geo_align.aligned_from_sidecar(geo_align.read_sidecar(args.aligned), config.window_index())
-        hist = ais_curate.histogram(aligned)
-        curve = ais_curate.occurrence_curve(hist)
+        counts = ais_curate.histogram(aligned)
+        curve = ais_curate.occurrence_curve(counts)
         curve_path = out / "occurrence_curve.csv"
-        write_atomic(curve_path, "".join(f"{rank},{count}\n" for rank, count in curve))
+        write_atomic(curve_path, "".join(f"{rank},{count}\n" for rank, count in enumerate(curve.tolist())))
         outputs.append(curve_path)
         inputs.append(Path(args.aligned))
-        payload.update({"ships": hist.total_ships, "aligned_windows": hist.total_windows})
+        payload.update({"ships": len(counts), "aligned_windows": len(aligned)})
         if manual is not None:
             payload.update({"threshold": manual.t, "threshold_origin": manual.origin})
         else:
             try:
-                knee = ais_curate.detect_knee(hist)
+                knee = ais_curate.detect_knee(counts)
                 payload.update({"threshold": knee.t, "threshold_origin": knee.origin})
             except ValidationError as exc:
                 payload.update({"threshold": None, "threshold_error": str(exc)})
@@ -295,7 +284,7 @@ def cmd_stats(args) -> int:
     stats_path = out / "stats.json"
     _write_json(stats_path, payload)
     outputs.append(stats_path)
-    _write_run_record(out, "stats", _flags(args), None, dict.fromkeys(inputs), outputs)
+    _write_run_record(args, dict.fromkeys(inputs), outputs)
     return 0
 
 

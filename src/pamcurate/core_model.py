@@ -224,19 +224,13 @@ def window_id_of(hydrophone_id: str, recording_id: str, offset_s: int) -> int:
     _require_token(recording_id, "recording id")
     if offset_s < 0 or offset_s % WINDOW_S != 0:
         raise ValidationError(f"window offset {offset_s} must be a non-negative multiple of {WINDOW_S}")
-    return _window_id(hydrophone_id, recording_id, offset_s)
+    return int.from_bytes(_window_digests(hydrophone_id, recording_id, [offset_s])[0], "big")
 
 
-def _window_id(hydrophone_id: str, recording_id: str, offset_s: int) -> int:
-    """:func:`window_id_of` without its checks."""
-    key = f"{hydrophone_id}/{recording_id}/{offset_s}".encode()
-    return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
-
-
-def _recording_window_ids(hydrophone_id: str, recording_id: str, offsets) -> np.ndarray:
-    """The :func:`window_id_of` of each of the int ``offsets`` of one
-    recording, without its checks, as a ``uint64`` array.  The
-    ``"{hydrophone_id}/{recording_id}/"`` prefix is hashed once; each id
+def _window_digests(hydrophone_id: str, recording_id: str, offsets) -> list[bytes]:
+    """The 8-byte window id digest of each of the int ``offsets`` of one
+    recording, without the checks of :func:`window_id_of`.  The
+    ``"{hydrophone_id}/{recording_id}/"`` prefix is hashed once; each digest
     copies that BLAKE2b state and adds its offset's digits."""
     prefix = hashlib.blake2b(f"{hydrophone_id}/{recording_id}/".encode(), digest_size=8)
     digests = []
@@ -244,6 +238,13 @@ def _recording_window_ids(hydrophone_id: str, recording_id: str, offsets) -> np.
         state = prefix.copy()
         state.update(b"%d" % offset)
         digests.append(state.digest())
+    return digests
+
+
+def _recording_window_ids(hydrophone_id: str, recording_id: str, offsets) -> np.ndarray:
+    """The :func:`window_id_of` of each of the int ``offsets`` of one
+    recording, without its checks, as a ``uint64`` array."""
+    digests = _window_digests(hydrophone_id, recording_id, offsets)
     return np.fromiter(map(int.from_bytes, digests, repeat("big")), np.uint64, count=len(digests))
 
 
@@ -499,7 +500,7 @@ def read_manifest(path: str | Path) -> CurationManifest:
     value :class:`CurationManifest` rejects; and a repeated window id, at
     its second line."""
     rows, linenos = [], []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not (line := line.rstrip("\n")):
                 continue

@@ -55,9 +55,12 @@ class GeoFence:
 
 
 def check_side_km(side_km: float) -> None:
-    """Raise :class:`ValidationError` unless ``side_km`` is a positive, finite fence side."""
+    """Raise :class:`ValidationError` unless ``side_km`` is a positive, finite
+    fence side whose longitude span is finite up to :data:`MAX_FENCE_LAT`."""
     if not 0 < side_km < math.inf:
         raise ValidationError(f"side_km must be positive and finite, got {side_km}")
+    if not math.isfinite(side_km * 500.0 / METERS_PER_DEG_LAT / math.cos(math.radians(MAX_FENCE_LAT))):
+        raise ValidationError(f"side_km {side_km} too large: the fence spans overflow at +/-{MAX_FENCE_LAT} deg")
 
 
 def fence_of(center: GeoPoint, side_km: float) -> GeoFence:
@@ -68,8 +71,6 @@ def fence_of(center: GeoPoint, side_km: float) -> GeoFence:
     half_side_m = side_km * 500.0
     lat_span = half_side_m / METERS_PER_DEG_LAT
     lon_span = lat_span / math.cos(math.radians(center.lat))
-    if not (math.isfinite(lat_span) and math.isfinite(lon_span)):
-        raise ValidationError(f"degenerate fence spans at {center}")
     return GeoFence(center=center, half_side_m=half_side_m, lat_span_deg=lat_span, lon_span_deg=lon_span)
 
 
@@ -192,11 +193,12 @@ def read_ais_csv(path: str | Path) -> tuple[np.ndarray, int]:
     :func:`parse_utc`), LAT (-90..90), LON (finite, wrapped) and the
     optional VesselType, a finite number that is checked but not kept.
     Extra columns are ignored; a repeated column name means its last
-    column, and a short row's missing cells are empty.
+    column, and a short row's missing cells are empty.  A byte that is not
+    UTF-8 is a bad character of its cell.
     """
     mmsi, time, lat, lon = [], [], [], []
     rejected = 0
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         missing = [c for c in _REQUIRED_COLUMNS if c not in header]
@@ -257,7 +259,7 @@ def read_sidecar(path: str | Path) -> np.ndarray:
     decimal without leading zeros, with a window id in 0..U64_MAX and an
     mmsi in 1..MAX_MMSI, raises :class:`ParseError` at its line number."""
     window_ids, mmsis = [], []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not (line := line.rstrip("\n")):
                 continue

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from pamcurate.ais_curate import OccurrenceHistogram, Threshold, sampling_probability
+from pamcurate.ais_curate import Threshold
 from pamcurate.core_model import (
     DeploymentConfig,
     GeoPoint,
@@ -107,7 +107,7 @@ def read_ais_csv_reference(path: str | Path) -> tuple[list[AisPulse], int]:
     """Per-row ``csv.DictReader`` reader; a malformed row is counted, not fatal."""
     pulses: list[AisPulse] = []
     rejected = 0
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         missing = [c for c in ("MMSI", "BaseDateTime", "LAT", "LON") if c not in header]
@@ -206,20 +206,21 @@ def _window_at(hydrophone: Hydrophone, time: int) -> AudioWindow | None:
 # ---------------------------------------------------------------------------
 
 
-def histogram_reference(ships: dict[int, set[int]]) -> OccurrenceHistogram:
-    """Per-ship distinct-window counts of a ``window_id -> set of mmsi`` map."""
+def histogram_reference(ships: dict[int, set[int]]) -> dict[int, int]:
+    """Per-ship distinct-window counts of a ``window_id -> set of mmsi`` map, by mmsi."""
     counts: dict[int, int] = {}
     for mmsis in ships.values():
         for mmsi in mmsis:
             counts[mmsi] = counts.get(mmsi, 0) + 1
-    return OccurrenceHistogram(counts=counts, total_windows=len(ships))
+    return counts
 
 
 def curate_reference(
     ships: dict[int, set[int]], windows: dict[int, AudioWindow], threshold: Threshold, seed: int
 ) -> list[tuple]:
-    """``ais_curate.curate`` with dicts: each ship's own ``PCG64(seed ^ mmsi)``
-    draws over its windows in ascending id order, and the smallest retaining
+    """``ais_curate.curate`` with dicts: a ship seen in ``c`` windows keeps
+    each with probability ``min(1, t/c)``, its own ``PCG64(seed ^ mmsi)``
+    drawing over its windows in ascending id order, and the smallest retaining
     mmsi per window; ``windows`` maps every window id to its coordinates.
     Returns the manifest rows as tuples, in window id order."""
     by_ship: dict[int, list[int]] = {}
@@ -230,7 +231,7 @@ def curate_reference(
     retained: dict[int, int] = {}
     for mmsi in sorted(by_ship):
         wids = sorted(by_ship[mmsi])
-        p = sampling_probability(len(wids), threshold.t)
+        p = min(1.0, threshold.t / len(wids))
         if p >= 1.0:
             kept = wids
         else:
@@ -477,6 +478,53 @@ def kmeans_objective(points, centroids) -> float:
     points = np.asarray(points, dtype=np.float64)
     centroids = np.asarray(centroids, dtype=np.float64)
     return float(_sq_distances(points, centroids).min(axis=1).sum())
+
+
+# ---------------------------------------------------------------------------
+# Quota water-filling, one unit at a time
+# ---------------------------------------------------------------------------
+
+
+def _deal(total: int, capacities: list[int]) -> list[int]:
+    """Deal ``total`` units one at a time, in rounds over the children in
+    index order, skipping a child once it holds its capacity."""
+    assert total <= sum(capacities)
+    dealt = [0] * len(capacities)
+    while total:
+        for i, capacity in enumerate(capacities):
+            if total and dealt[i] < capacity:
+                dealt[i] += 1
+                total -= 1
+    return dealt
+
+
+def quotas_reference(level_ks, parents, leaf_populations, n_target: int) -> list[list[int]]:
+    """``hsample.allocate_quotas``'s quotas, leaf level first, for a hierarchy
+    with ``level_ks`` nodes per level and the child-to-parent maps
+    ``parents``: the top level's nodes share ``min(n_target, population)``,
+    and every node deals its quota down to its children, recursively."""
+    # children[level][node]: the level-``level`` nodes under ``node`` of the level above.
+    children = [
+        [[child for child, parent in enumerate(pmap) if parent == node] for node in range(k)]
+        for pmap, k in zip(parents, level_ks[1:])
+    ]
+
+    def population(level: int, node: int) -> int:
+        if level == 0:
+            return int(leaf_populations[node])
+        return sum(population(level - 1, child) for child in children[level - 1][node])
+
+    quotas = [[0] * k for k in level_ks]
+
+    def fill(level: int, nodes: list[int], total: int) -> None:
+        for node, quota in zip(nodes, _deal(total, [population(level, node) for node in nodes])):
+            quotas[level][node] = quota
+            if level:
+                fill(level - 1, children[level - 1][node], quota)
+
+    top = len(level_ks) - 1
+    fill(top, list(range(level_ks[top])), min(n_target, sum(int(p) for p in leaf_populations)))
+    return quotas
 
 
 # ---------------------------------------------------------------------------

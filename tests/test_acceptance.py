@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from pamcurate.ais_curate import OccurrenceHistogram, Threshold, curate, detect_knee, occurrence_curve
+from pamcurate.ais_curate import Threshold, curate, detect_knee, occurrence_curve
 from pamcurate.assemble_ssl import assemble, ema_update, summarize, tau_at
 from pamcurate.core_model import (
     MANIFEST,
@@ -185,11 +185,10 @@ def test_c6_knee_detection_sanity():
     m = 1500
     alpha = np.log(1000) / np.log(m)
     curve_fn = lambda r: 1e4 * (r + 1.0) ** (-alpha)
-    counts = {i + 1: max(1, round(curve_fn(i))) for i in range(m)}
-    hist = OccurrenceHistogram(counts=counts, total_windows=max(counts.values()))
+    counts = np.array([max(1, round(curve_fn(i))) for i in range(m)])
     start = time.perf_counter()
-    threshold = detect_knee(hist)
-    detected_rank = [c for _, c in occurrence_curve(hist)].index(threshold.t)
+    threshold = detect_knee(counts)
+    detected_rank = occurrence_curve(counts).tolist().index(threshold.t)
     oracle_rank = kneedle_dense_oracle(curve_fn, m)
     elapsed = time.perf_counter() - start
     ok = abs(detected_rank - oracle_rank) <= 2 and 100 <= threshold.t <= 600 and elapsed < 1.0

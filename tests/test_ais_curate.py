@@ -3,15 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pamcurate.ais_curate import (
-    OccurrenceHistogram,
-    Threshold,
-    curate,
-    detect_knee,
-    histogram,
-    occurrence_curve,
-    sampling_probability,
-)
+from pamcurate.ais_curate import Threshold, curate, detect_knee, histogram, occurrence_curve
 from pamcurate.core_model import (
     MAX_MMSI,
     CurationManifest,
@@ -70,67 +62,51 @@ def kept_ids(manifest: CurationManifest) -> set[int]:
 
 class TestHistogram:
     def test_empty(self):
-        hist = histogram(AlignedWindowSet())
-        assert hist.counts == {} and hist.total_ships == 0 and hist.total_windows == 0
+        assert histogram(AlignedWindowSet()).tolist() == []
 
     def test_shared_window_counts_for_each_ship(self):
-        hist = histogram(make_aligned({11: [0], 22: [0]})[0])
-        assert hist.counts == {11: 1, 22: 1}
-        assert hist.total_windows == 1
+        assert histogram(make_aligned({22: [0], 11: [0, 1]})[0]).tolist() == [2, 1]  # ships 11, 22
 
     def test_matches_generator_ground_truth(self):
         sample = gen_traffic(TrafficSpec(ships=40, alpha=2.0, occ_min=1, occ_max=60, seed=5))
-        assert histogram(aligned_of(sample.windows)).counts == sample.counts
+        assert histogram(aligned_of(sample.windows)).tolist() == [sample.counts[m] for m in sorted(sample.counts)]
 
 
 class TestDetectKnee:
     def test_geometric_decay_matches_dense_oracle(self):
-        counts = {100 + r: 2 ** (49 - r) for r in range(50)}
-        hist = OccurrenceHistogram(counts=counts, total_windows=50)
-        t = detect_knee(hist)
-        detected_rank = [c for _, c in occurrence_curve(hist)].index(t.t)
+        counts = np.array([2 ** (49 - r) for r in range(50)])
+        t = detect_knee(counts)
+        detected_rank = occurrence_curve(counts).tolist().index(t.t)
         oracle_rank = kneedle_dense_oracle(lambda r: 2.0 ** (49.0 - r), 50)
         assert abs(detected_rank - oracle_rank) <= 2
         assert t.origin == "detected"
 
     def test_all_equal_counts_rejected(self):
-        hist = OccurrenceHistogram(counts={i: 7 for i in range(1, 10)}, total_windows=7)
         with pytest.raises(ValidationError, match="manual"):
-            detect_knee(hist)
+            detect_knee(np.full(9, 7))
 
     def test_two_distinct_values_rejected(self):
-        hist = OccurrenceHistogram(counts={1: 5, 2: 5, 3: 9}, total_windows=9)
         with pytest.raises(ValidationError):
-            detect_knee(hist)
+            detect_knee(np.array([5, 5, 9]))
+
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_count_below_one_rejected(self, bad):
+        with pytest.raises(ValidationError, match="occurrence counts must be >= 1"):
+            detect_knee(np.array([40, 20, 10, 5, bad]))
 
     def test_long_tail_curve_knee_in_low_hundreds(self):
         # Head ~1e4 windows, tail ~10, power-law decay over 1500 ships.
         m = 1500
         alpha = np.log(1000) / np.log(m)
-        counts = {i + 1: max(1, round(1e4 * (i + 1) ** (-alpha))) for i in range(m)}
-        hist = OccurrenceHistogram(counts=counts, total_windows=max(counts.values()))
-        t = detect_knee(hist)
+        counts = np.array([max(1, round(1e4 * (i + 1) ** (-alpha))) for i in range(m)])
+        t = detect_knee(counts)
         assert 100 <= t.t <= 600
-
-
-class TestSamplingProbability:
-    def test_below_threshold_kept_complete(self):
-        assert sampling_probability(100, 250) == 1.0
-
-    def test_above_threshold_inverse(self):
-        assert sampling_probability(500, 250) == 0.5
-
-    def test_boundary_kept_complete(self):
-        assert sampling_probability(250, 250) == 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            sampling_probability(0, 250)
 
 
 class TestCurate:
     def test_identity_regime(self):
-        aligned, index = make_aligned({1: [0, 1, 2], 2: [3, 4], 3: [2, 5]})
+        # Every ship at or below t keeps all its windows; ship 4 has exactly t.
+        aligned, index = make_aligned({1: [0, 1, 2], 2: [3, 4], 3: [2, 5], 4: list(range(6, 16))})
         manifest = curate(aligned, Threshold(t=10, origin="manual"), 0, index)
         assert kept_ids(manifest) == window_ids(aligned)
         assert set(manifest.rows["source"]) == {"ais"}
@@ -207,6 +183,7 @@ def test_histogram_and_curate_match_reference(by_slot, t, seed):
     ships = {windows[slot].window_id: mmsis for slot, mmsis in by_slot.items()}
     aligned = aligned_of(ships)
     threshold = Threshold(t=t, origin="manual")
-    assert histogram(aligned) == histogram_reference(ships)
+    reference = histogram_reference(ships)
+    assert histogram(aligned).tolist() == [reference[m] for m in sorted(reference)]
     expected = curate_reference(ships, {w.window_id: w for w in windows}, threshold, seed)
     assert curate(aligned, threshold, seed, config.window_index()).rows.tolist() == expected

@@ -186,6 +186,14 @@ class TestAlign:
         assert f"side_km must be positive and finite, got {float(side_km)}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_side_km_too_large_for_the_fence_rejected_before_any_write(self, tmp_path, capsys):
+        fixture = build_pipeline_fixture(tmp_path / "fx")
+        out = tmp_path / "out"
+        code = run("align", "--config", fixture["config"], "--ais", fixture["ais"], "--side-km", "1e306", "--out", out)
+        assert code == 2
+        assert "side_km 1e+306 too large" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCurateAis:
     def test_detected_threshold_recorded(self, tmp_path):
@@ -240,6 +248,18 @@ class TestCurateAis:
         argv = ["--config", fixture["config"], "--aligned", sidecar, "--seed", 1, "--threshold", 1, "--out", out]
         assert run("curate-ais", *argv) == 2
         assert "bad sidecar line" in capsys.readouterr().err
+
+    def test_undecodable_sidecar_byte_is_a_located_error(self, tmp_path, capsys):
+        fixture = build_pipeline_fixture(tmp_path / "fx")
+        out = tmp_path / "out"
+        run("align", "--config", fixture["config"], "--ais", fixture["ais"], "--out", out)
+        sidecar = out / "aligned.csv"
+        sidecar.write_bytes(sidecar.read_bytes() + b"1,2\xff\n")
+        lines = len(sidecar.read_bytes().splitlines())
+        argv = ["--config", fixture["config"], "--aligned", sidecar, "--seed", 1, "--out", out / "c"]
+        assert run("curate-ais", *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad sidecar line") and f"offset {lines}" in err and "Traceback" not in err
 
     def test_negative_seed_rejected_before_any_write(self, tmp_path, capsys):
         fixture = build_pipeline_fixture(tmp_path / "fx")
@@ -617,6 +637,33 @@ class TestStats:
 
 
 class TestRunRecord:
+    def test_every_stage_records_its_stage_seed_and_flags(self, tmp_path):
+        fixture = build_pipeline_fixture(tmp_path / "fx")
+        out = tmp_path / "out"
+        run_pipeline(fixture, out, seed=11)
+        config, shards, at = str(fixture["config"]), [str(p) for p in fixture["shards"]], lambda name: str(out / name)
+        expected = {
+            "align": (None, {"config": config, "ais": str(fixture["ais"]), "side_km": 4.0, "workers": 1}),
+            "curate_ais": (11, {"config": config, "aligned": at("aligned.csv"), "seed": 11, "threshold": 4}),
+            "fit": (
+                11,
+                {"shards": shards, "levels": "8,2", "seed": 11, "batch_size": 64, "passes": 2, "resample_rounds": 2},
+            ),
+            "sample": (
+                None,
+                {"config": config, "model": at("model.bin"), "shards": shards, "target_n": 60, "workers": 1,
+                 "checkpoint": None},
+            ),
+            "assemble": (None, {"ais_manifest": at("manifest_ais.txt"), "hkmeans_manifest": at("manifest_hkmeans.txt")}),
+            "stats": (None, {"config": config, "aligned": at("aligned.csv"), "threshold": None}),
+        }
+        for stage, (seed, flags) in expected.items():
+            record = json.loads((out / f"{stage}_run.json").read_text())
+            assert record["stage"] == stage
+            assert record["seed"] == seed, stage
+            assert record["flags"] == {**flags, "out": str(out)}, stage
+            assert record["digest_algorithm"] == "sha256"
+
     def test_hash_streams_large_files(self, tmp_path):
         path = tmp_path / "blob.bin"
         path.write_bytes(np.random.default_rng(5).bytes(3 * (1 << 20) + 7))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from datetime import datetime, timedelta, timezone
 
@@ -131,9 +132,15 @@ class TestWindowId:
     @example(hydrophone="H1", recording="R1", offsets=[])
     @example(hydrophone="H1", recording="R1", offsets=DIGIT_BOUNDARIES)
     def test_recording_window_ids_equal_window_id_of(self, hydrophone, recording, offsets):
+        # Both against the id scheme written out here: BLAKE2b-64 of the whole key, big-endian.
+        expected = [
+            int.from_bytes(hashlib.blake2b(f"{hydrophone}/{recording}/{offset}".encode(), digest_size=8).digest(), "big")
+            for offset in offsets
+        ]
         ids = core_model._recording_window_ids(hydrophone, recording, offsets)
         assert ids.dtype == np.uint64
-        assert ids.tolist() == [window_id_of(hydrophone, recording, offset) for offset in offsets]
+        assert ids.tolist() == expected
+        assert [window_id_of(hydrophone, recording, offset) for offset in offsets] == expected
 
 
 class TestShardIO:
@@ -230,6 +237,17 @@ class TestManifestIO:
     def test_bad_line_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("window_id=1 hydrophone_id=H1 recording_id=R1 offset_s=0 source=ais\nnot a manifest line\n")
+        with pytest.raises(ParseError) as err:
+            read_manifest(path)
+        assert err.value.offset == 2
+
+    @pytest.mark.parametrize("line", [b"window_id=2 hydrophone_id=H\xff1", b"window_id=2\xc3 hydrophone_id=H1"])
+    def test_undecodable_byte_is_a_bad_line(self, tmp_path, line):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(
+            b"window_id=1 hydrophone_id=H1 recording_id=R1 offset_s=0 source=ais\n"
+            + line + b" recording_id=R1 offset_s=0 source=ais\n"
+        )
         with pytest.raises(ParseError) as err:
             read_manifest(path)
         assert err.value.offset == 2

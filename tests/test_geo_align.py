@@ -59,6 +59,14 @@ class TestFence:
         with pytest.raises(ValidationError, match=f"side_km must be positive and finite, got {side_km}"):
             fence_of(GeoPoint(0.0, 0.0), side_km=side_km)
 
+    def test_side_too_large_for_finite_spans_rejected(self):
+        with pytest.raises(ValidationError, match="side_km 1e\\+306 too large"):
+            fence_of(GeoPoint(0.0, 0.0), side_km=1e306)
+        # A side that passes has finite spans at every supported latitude.
+        for lat in (88.999999, -88.999999, 0.0):
+            fence = fence_of(GeoPoint(lat, 0.0), side_km=1e305)
+            assert np.isfinite([fence.lat_span_deg, fence.lon_span_deg]).all()
+
 
 class TestContains:
     def test_center_inside(self):
@@ -235,6 +243,21 @@ class TestAisCsv:
         assert np.array_equal(pulses, ais_columns(reference))
         assert pulses["time"][0] == T0 + 5
 
+    def test_undecodable_byte_rejects_its_row(self, tmp_path):
+        path = tmp_path / "ais.csv"
+        path.write_bytes(
+            b"MMSI,BaseDateTime,LAT,LON\n"
+            b"366000001,2023-06-01T00:00:05,0.001,0.0\n"
+            b"36600\xff0002,2023-06-01T00:00:15,0.0,0.0\n"
+            b"366000003,2023-06-01T00:00:25,0.0\xc3,0.0\n"
+            b"366000004,2023-06-01T00:00:35,0.0,0.0\n"
+        )
+        pulses, rejected = read_ais_csv(path)
+        assert rejected == 2
+        assert pulses["mmsi"].tolist() == [366000001, 366000004]
+        reference, reference_rejected = read_ais_csv_reference(path)
+        assert np.array_equal(pulses, ais_columns(reference)) and reference_rejected == 2
+
     def test_missing_columns_fatal(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("MMSI,LAT,LON\n1,0,0\n")
@@ -289,6 +312,13 @@ class TestSidecar:
         with pytest.raises(ParseError) as err:
             read_sidecar(path)
         assert err.value.offset == 3
+
+    def test_undecodable_byte_is_a_bad_line(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"1,2\n3,4\xff\n")
+        with pytest.raises(ParseError) as err:
+            read_sidecar(path)
+        assert err.value.offset == 2
 
     def test_empty_lines_skipped(self, tmp_path):
         path = tmp_path / "s.csv"

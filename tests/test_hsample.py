@@ -29,7 +29,7 @@ from pamcurate.hsample import (
     save_checkpoint,
     stream_select,
 )
-from synth import MixtureSpec, by_leaf, exact_topn_per_cluster, gen_mixture, topn_per_leaf
+from synth import MixtureSpec, by_leaf, exact_topn_per_cluster, gen_mixture, quotas_reference, topn_per_leaf
 from conftest import T0, make_hierarchy, random_shard
 
 NO_WINDOWS = DeploymentConfig(hydrophones=()).window_index()
@@ -93,6 +93,22 @@ class TestAllocateQuotas:
         hierarchy = make_hierarchy(rng, ks=(3, 2))
         with pytest.raises(ValidationError):
             allocate_quotas(hierarchy, [1, 1, 1], n_target=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ks=st.sets(st.integers(1, 12), min_size=1, max_size=4).map(lambda ks: tuple(sorted(ks, reverse=True))),
+        centroid_seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+        n_target=st.integers(1, 600),
+    )
+    def test_matches_recursive_waterfill(self, ks, centroid_seed, data, n_target):
+        # Random centroids give random parent maps, some parents without children.
+        hierarchy = make_hierarchy(np.random.default_rng(centroid_seed), ks=ks, dim=3)
+        pops = data.draw(st.lists(st.integers(0, 40), min_size=ks[0], max_size=ks[0]))
+        tree = allocate_quotas(hierarchy, pops, n_target)
+        parents = [pmap.tolist() for pmap in hierarchy.parents]
+        assert [q.tolist() for q in tree.level_quotas] == quotas_reference(ks, parents, pops, n_target)
+        assert tree.total == min(n_target, sum(pops))
 
     def test_invariants_randomized(self):
         rng = np.random.default_rng(3)

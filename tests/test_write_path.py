@@ -400,6 +400,7 @@ def test_package_runs_one_stream_per_stage():
 LIBRARY_API = {
     "core_model.write_shard",
     "core_model.save_deployment",
+    "core_model.DeploymentConfig.total_windows",
     "core_model.window_id_of",
     "assemble_ssl.tau_at",
     "assemble_ssl.ema_update",
