@@ -29,6 +29,7 @@ from .core_model import (
     GeoPoint,
     WindowIndex,
     _recording_window_ids,
+    decode_text,
     parse_utc,
     write_atomic,
 )
@@ -109,7 +110,8 @@ class AlignedWindowSet:
         return AlignedWindowSet(pairs[fresh])
 
     def __len__(self) -> int:
-        return len(np.unique(self.pairs["window_id"]))
+        ids = self.pairs["window_id"]  # sorted: count where the id changes
+        return int(np.count_nonzero(ids[1:] != ids[:-1])) + (len(ids) > 0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlignedWindowSet):
@@ -194,40 +196,45 @@ def read_ais_csv(path: str | Path) -> tuple[np.ndarray, int]:
     optional VesselType, a finite number that is checked but not kept.
     Extra columns are ignored; a repeated column name means its last
     column, and a short row's missing cells are empty.  A byte that is not
-    UTF-8 is a bad character of its cell.
+    UTF-8 is a bad character of its cell.  A row the CSV reader cannot
+    split, such as one with a cell longer than ``csv.field_size_limit()``,
+    is a :class:`ParseError` at the line where the reader stopped.
     """
     mmsi, time, lat, lon = [], [], [], []
     rejected = 0
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in _REQUIRED_COLUMNS if c not in header]
-        if missing:
-            raise ParseError(f"AIS CSV missing columns {missing}", path=str(path), offset=1)
-        column = {name: i for i, name in enumerate(header)}
-        at_mmsi, at_time, at_lat, at_lon = (column[c] for c in _REQUIRED_COLUMNS)
-        at_vessel = column.get("VesselType")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < len(header):
-                row += [None] * (len(header) - len(row))
-            try:
-                vessel = (row[at_vessel] or "").strip() if at_vessel is not None else ""
-                if vessel:
-                    int(float(vessel))
-                ship = int(row[at_mmsi])
-                if not 0 < ship <= MAX_MMSI:
-                    raise ValueError(ship)
-                when = parse_utc(row[at_time])
-                row_lat, row_lon = float(row[at_lat]), float(row[at_lon])
-            except (ValueError, TypeError, OverflowError, ValidationError):
-                rejected += 1
-                continue
-            mmsi.append(ship)
-            time.append(when)
-            lat.append(row_lat)
-            lon.append(row_lon)
+        try:
+            header = next(reader, [])
+            missing = [c for c in _REQUIRED_COLUMNS if c not in header]
+            if missing:
+                raise ParseError(f"AIS CSV missing columns {missing}", path=str(path), offset=1)
+            column = {name: i for i, name in enumerate(header)}
+            at_mmsi, at_time, at_lat, at_lon = (column[c] for c in _REQUIRED_COLUMNS)
+            at_vessel = column.get("VesselType")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) < len(header):
+                    row += [None] * (len(header) - len(row))
+                try:
+                    vessel = (row[at_vessel] or "").strip() if at_vessel is not None else ""
+                    if vessel:
+                        int(float(vessel))
+                    ship = int(row[at_mmsi])
+                    if not 0 < ship <= MAX_MMSI:
+                        raise ValueError(ship)
+                    when = parse_utc(row[at_time])
+                    row_lat, row_lon = float(row[at_lat]), float(row[at_lon])
+                except (ValueError, TypeError, OverflowError, ValidationError):
+                    rejected += 1
+                    continue
+                mmsi.append(ship)
+                time.append(when)
+                lat.append(row_lat)
+                lon.append(row_lon)
+        except csv.Error as exc:  # a row the reader cannot split, such as an oversized cell
+            raise ParseError(f"bad AIS CSV: {exc}", path=str(path), offset=reader.line_num) from None
     pulses = np.empty(len(mmsi), dtype=AIS_COLUMNS)
     pulses["mmsi"], pulses["time"], pulses["lat"], pulses["lon"] = mmsi, time, lat, lon
     valid = np.isfinite(pulses["lat"]) & np.isfinite(pulses["lon"]) & (np.abs(pulses["lat"]) <= 90.0)
@@ -245,6 +252,10 @@ def read_ais_csv(path: str | Path) -> tuple[np.ndarray, int]:
 
 
 _SIDECAR_LINE = re.compile(rf"({U64_DIGITS}),({MMSI_DIGITS})")
+# Lines that are blank or a _SIDECAR_LINE; possessive, so a long text leaves
+# no backtracking stack behind, and without capturing groups, which make
+# CPython 3.11's possessive repeat raise SystemError on some texts.
+_SIDECAR_TEXT = re.compile(rf"(?:(?:{U64_DIGITS}),(?:{MMSI_DIGITS})\n|\n)*+(?:(?:{U64_DIGITS}),(?:{MMSI_DIGITS}))?")
 
 
 def write_sidecar(aligned: AlignedWindowSet, path: str | Path) -> None:
@@ -253,11 +264,35 @@ def write_sidecar(aligned: AlignedWindowSet, path: str | Path) -> None:
     write_atomic(path, "".join(line + "\n" for line in lines))
 
 
+def _sidecar_block(text: str) -> np.ndarray | None:
+    """The window id and mmsi of each line of ``text``, whole sidecar lines,
+    interleaved in one ``uint64`` array; None if a line is neither blank nor
+    ``window_id,mmsi``, or an id reads as U64_MAX, which ``np.fromstring``
+    also gives for every id above it."""
+    if not _SIDECAR_TEXT.fullmatch(text):
+        return None
+    values = np.fromstring(text.replace(",", " "), np.uint64, sep=" ", count=2 * text.count(","))
+    return None if (values[0::2] == U64_MAX).any() else values
+
+
 def read_sidecar(path: str | Path) -> np.ndarray:
     """The :data:`PAIRS` row of every line, in file order.  Empty lines are
     skipped, and any other line that is not ``window_id,mmsi`` in plain ASCII
     decimal without leading zeros, with a window id in 0..U64_MAX and an
-    mmsi in 1..MAX_MMSI, raises :class:`ParseError` at its line number."""
+    mmsi in 1..MAX_MMSI, raises :class:`ParseError` at its line number.  The
+    file is decoded a block at a time; only a file that fails is read again
+    line by line, to locate the fault."""
+    values = decode_text(path, _sidecar_block, np.uint64)
+    if values is None:
+        return _read_sidecar_lines(path)
+    pairs = np.empty(len(values) // 2, PAIRS)
+    pairs["window_id"], pairs["mmsi"] = values[0::2], values[1::2]
+    return pairs
+
+
+def _read_sidecar_lines(path: str | Path) -> np.ndarray:
+    """:func:`read_sidecar`, one line at a time: the fault locator, and the
+    decoder of a window id of U64_MAX."""
     window_ids, mmsis = [], []
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -18,16 +19,20 @@ import numpy as np
 
 from pamcurate.ais_curate import Threshold
 from pamcurate.core_model import (
+    MANIFEST,
+    U64_MAX,
+    CurationManifest,
     DeploymentConfig,
     GeoPoint,
     Hydrophone,
     Recording,
     WINDOW_S,
     parse_utc,
+    _manifest_fault,
     window_id_of,
 )
 from pamcurate.errors import ParseError, ValidationError
-from pamcurate.geo_align import AIS_COLUMNS, AlignedWindowSet, GeoFence, fence_of
+from pamcurate.geo_align import AIS_COLUMNS, PAIRS, AlignedWindowSet, GeoFence, fence_of
 
 # ---------------------------------------------------------------------------
 # Gaussian mixtures
@@ -288,6 +293,59 @@ def assemble_reference(ais_rows: Iterable[tuple], hkmeans_rows: Iterable[tuple])
             winner = winner._replace(cluster_path=loser.cluster_path)
         merged[e.window_id] = winner
     return [merged[wid] for wid in sorted(merged)]
+
+
+# ---------------------------------------------------------------------------
+# Text files read line by line
+# ---------------------------------------------------------------------------
+
+_SIDECAR_LINE = re.compile(r"(0|[1-9][0-9]{0,19}),([1-9][0-9]{0,8})")
+_MANIFEST_LINE = re.compile(
+    r"window_id=(0|[1-9][0-9]{0,19}) hydrophone_id=(\S*) recording_id=(\S*) offset_s=(0|[1-9][0-9]{0,17})"
+    r" source=(\S*)(?: mmsi=([1-9][0-9]{0,8}))?(?: cluster_path=(\S+))?"
+)
+
+
+def read_sidecar_reference(path: str | Path) -> np.ndarray:
+    """``geo_align.read_sidecar`` as a per-line regex loop: the ``PAIRS`` row
+    of every line; a bad line other than a blank one is a ParseError at its
+    line number."""
+    window_ids, mmsis = [], []
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not (line := line.rstrip("\n")):
+                continue
+            match = _SIDECAR_LINE.fullmatch(line)
+            if not match or (window_id := int(match[1])) > U64_MAX:
+                raise ParseError(f"bad sidecar line {line!r}", path=str(path), offset=lineno)
+            window_ids.append(window_id)
+            mmsis.append(int(match[2]))
+    pairs = np.empty(len(window_ids), PAIRS)
+    pairs["window_id"], pairs["mmsi"] = window_ids, mmsis
+    return pairs
+
+
+def read_manifest_reference(path: str | Path) -> CurationManifest:
+    """``core_model.read_manifest`` as a per-line regex loop: a bad line, a
+    value ``CurationManifest`` rejects and a repeated window id are each a
+    ParseError at their line number; blank lines are skipped."""
+    rows, linenos = [], []
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not (line := line.rstrip("\n")):
+                continue
+            match = _MANIFEST_LINE.fullmatch(line)
+            if not match or int(match[1]) > U64_MAX:
+                raise ParseError(f"bad manifest line {line!r}", path=str(path), offset=lineno)
+            wid, hid, rid, off, src, mmsi, cpath = match.groups()
+            rows.append((int(wid), hid, rid, int(off), src, int(mmsi or 0), cpath or ""))
+            linenos.append(lineno)
+    rows = np.array(rows, dtype=MANIFEST)
+    try:
+        return CurationManifest(rows)
+    except ValidationError:
+        row, message = _manifest_fault(rows)
+        raise ParseError(message, path=str(path), offset=linenos[row]) from None
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,17 @@ class TestAlign:
         assert code == 2
         assert "nope.csv" in capsys.readouterr().err
 
+    def test_ais_cell_over_the_csv_field_limit_is_a_located_error(self, tmp_path, capsys):
+        fixture = build_pipeline_fixture(tmp_path / "fx")
+        ais = tmp_path / "big.csv"
+        text = Path(fixture["ais"]).read_text()
+        ais.write_text(text + "366000001,2023-06-01T00:00:05,0.0," + "1" * 200_000 + "\n")
+        code = run("align", "--config", fixture["config"], "--ais", ais, "--out", tmp_path / "o")
+        assert code == 2
+        err = capsys.readouterr().err
+        line = len(text.splitlines()) + 1
+        assert err.startswith("error: bad AIS CSV") and f"({ais}, offset {line})" in err and "Traceback" not in err
+
     def test_worker_count_does_not_change_output(self, tmp_path):
         fixture = build_pipeline_fixture(tmp_path / "fx")
         outs = []

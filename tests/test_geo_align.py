@@ -220,6 +220,14 @@ class TestAlign:
         both = np.concatenate([align(ais_columns(pulses[i::2]), config).windows.pairs for i in (0, 1)])
         assert AlignedWindowSet.of(both["window_id"], both["mmsi"]) == whole
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([0, 1, 9, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+                              st.integers(1, 5)), max_size=20))
+    def test_len_is_the_number_of_distinct_windows(self, pairs):
+        window_ids = np.array([wid for wid, _ in pairs], dtype=np.uint64)
+        aligned = AlignedWindowSet.of(window_ids, [mmsi for _, mmsi in pairs])
+        assert len(aligned) == len(np.unique(window_ids))
+
 
 class TestAisCsv:
     CSV = (
@@ -257,6 +265,16 @@ class TestAisCsv:
         assert pulses["mmsi"].tolist() == [366000001, 366000004]
         reference, reference_rejected = read_ais_csv_reference(path)
         assert np.array_equal(pulses, ais_columns(reference)) and reference_rejected == 2
+
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_cell_over_the_csv_field_limit_is_a_located_error(self, tmp_path, line):
+        lines = ["MMSI,BaseDateTime,LAT,LON", "366000001,2023-06-01T00:00:05,0.0,0.0", "366000002,2023-06-01T00:00:15,0.0,0.0"]
+        lines[line - 1] += "," + "x" * (csv.field_size_limit() + 1)
+        path = tmp_path / "ais.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="bad AIS CSV: field larger than field limit") as err:
+            read_ais_csv(path)
+        assert err.value.offset == line and err.value.path == str(path)
 
     def test_missing_columns_fatal(self, tmp_path):
         path = tmp_path / "bad.csv"
