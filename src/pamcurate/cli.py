@@ -53,6 +53,7 @@ def _write_run_record(args, inputs, outputs) -> Path:
 
 
 def _out_dir(args) -> Path:
+    """Make ``--out``; each stage calls this only once its inputs are read."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -71,9 +72,9 @@ def _check_at_least(value: int, least: int, flag: str) -> None:
 def cmd_align(args) -> int:
     _check_at_least(args.workers, 1, "--workers")
     geo_align.check_side_km(args.side_km)
-    out = _out_dir(args)
     config = load_deployment(args.config)
     pulses, rejected_rows = geo_align.read_ais_csv(args.ais)
+    out = _out_dir(args)
     result = geo_align.align(pulses, config, side_km=args.side_km)
 
     sidecar = out / "aligned.csv"
@@ -104,13 +105,13 @@ def _manual_threshold(args) -> ais_curate.Threshold | None:
 def cmd_curate_ais(args) -> int:
     manual = _manual_threshold(args)
     _check_at_least(args.seed, 0, "--seed")
-    out = _out_dir(args)
     config = load_deployment(args.config)
     index = config.window_index()
     aligned = geo_align.aligned_from_sidecar(geo_align.read_sidecar(args.aligned), index)
     counts = ais_curate.histogram(aligned)
     threshold = manual if manual is not None else ais_curate.detect_knee(counts)
     manifest = ais_curate.curate(aligned, threshold, args.seed, index)
+    out = _out_dir(args)
 
     manifest_path = out / "manifest_ais.txt"
     write_manifest(manifest, manifest_path)
@@ -145,7 +146,6 @@ def cmd_fit(args) -> int:
         resample_rounds=args.resample_rounds,
         seed=args.seed,
     )
-    out = _out_dir(args)
     shard_paths = [Path(p) for p in args.shards]
 
     def source():
@@ -153,6 +153,7 @@ def cmd_fit(args) -> int:
             yield read_shard(path).vectors
 
     hierarchy = hkmeans.build_hierarchy(source, config)
+    out = _out_dir(args)
     model_path = out / "model.bin"
     hkmeans.save_model(hierarchy, model_path)
     stats_path = out / "fit_stats.json"
@@ -197,13 +198,13 @@ def _select_partition(shard_paths, hierarchy, quotas, checkpoint: Path | None = 
 def cmd_sample(args) -> int:
     _check_at_least(args.workers, 1, "--workers")
     _check_at_least(args.target_n, 1, "--target-n")
-    out = _out_dir(args)
     config = load_deployment(args.config)
     hierarchy = hkmeans.load_model(args.model)
     shard_paths = [Path(p) for p in args.shards]
     checkpoint = Path(args.checkpoint) if args.checkpoint else None
 
     populations = hsample.count_populations((read_shard(p) for p in shard_paths), hierarchy)
+    out = _out_dir(args)  # before the first checkpoint write, which may be inside it
     quotas = hsample.allocate_quotas(hierarchy, populations, args.target_n)
     # Strided shard partitions, each streamed alone and merged; the result does
     # not depend on their count.  A checkpoint holds one stream's state.
@@ -234,8 +235,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_assemble(args) -> int:
-    out = _out_dir(args)
     manifest = assemble_ssl.assemble(read_manifest(args.ais_manifest), read_manifest(args.hkmeans_manifest))
+    out = _out_dir(args)
     summary = assemble_ssl.summarize(manifest)
 
     manifest_path = out / "manifest.txt"
@@ -255,13 +256,14 @@ def cmd_stats(args) -> int:
     if not args.config:
         raise ValidationError("stats needs --config, also to resolve the window ids of --aligned")
     manual = _manual_threshold(args)
+    config = load_deployment(args.config)
+    if args.aligned:
+        aligned = geo_align.aligned_from_sidecar(geo_align.read_sidecar(args.aligned), config.window_index())
     out = _out_dir(args)
     inputs = []
     outputs = []
     payload: dict = {}
-    config = load_deployment(args.config)
     if args.aligned:
-        aligned = geo_align.aligned_from_sidecar(geo_align.read_sidecar(args.aligned), config.window_index())
         counts = ais_curate.histogram(aligned)
         curve = ais_curate.occurrence_curve(counts)
         curve_path = out / "occurrence_curve.csv"

@@ -30,7 +30,7 @@ from sys import intern
 import tempfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -106,19 +106,33 @@ def write_atomic(path: str | Path, data: bytes | str) -> None:
         os.close(dir_fd)
 
 
-def decode_text(path: str | Path, decode, dtype) -> np.ndarray | None:
+def decode_text(path: str | Path, decode, dtype, what: str) -> np.ndarray:
     """The ``dtype`` arrays that ``decode`` makes of the text file ``path``,
-    concatenated; None as soon as ``decode`` returns None.  ``decode`` gets
-    whole lines, about :data:`TEXT_BLOCK` characters at a time, read as UTF-8
-    with ``surrogateescape`` and universal newlines: a line ends in ``\\n``
-    (``\\r\\n`` and ``\\r`` are translated), apart perhaps from the last."""
+    concatenated.  ``decode`` gets whole lines, about :data:`TEXT_BLOCK`
+    characters at a time, read as UTF-8 with ``surrogateescape`` and
+    universal newlines: a line ends in ``\\n`` (``\\r\\n`` and ``\\r`` are
+    translated), apart perhaps from the last.  It returns None to reject a
+    block, and must reject a block exactly when it rejects one of its lines
+    on its own: the first line it rejects is then a :class:`ParseError`
+    ``bad {what} line`` at its line number."""
     parts = [np.zeros(0, dtype)]
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        while block := fh.read(TEXT_BLOCK):
-            if (part := decode(block + fh.readline())) is None:
-                return None
+        while block := fh.read(TEXT_BLOCK) + fh.readline():
+            if (part := decode(block)) is None:
+                raise _bad_line(fh, len(parts) - 1, block, decode, what)
             parts.append(part)
     return np.concatenate(parts)
+
+
+def _bad_line(fh, before: int, block: str, decode, what: str) -> ParseError:
+    """The error at the first line of ``block`` that ``decode`` rejects,
+    where ``block`` follows ``before`` blocks of the text file ``fh``.  Lines
+    are counted only here, by reading those blocks again with the same cut."""
+    fh.seek(0)
+    lineno = 1 + sum((fh.read(TEXT_BLOCK) + fh.readline()).count("\n") for _ in range(before))
+    for lineno, line in enumerate(block.split("\n"), start=lineno):
+        if decode(line + "\n") is None:
+            return ParseError(f"bad {what} line {line!r}", path=fh.name, offset=lineno)
 
 
 def _require_token(value: str, what: str) -> str:
@@ -541,36 +555,17 @@ def read_manifest(path: str | Path) -> CurationManifest:
     canonical order, with integers in plain ASCII decimal that fit their
     column, an mmsi in 1..MAX_MMSI and a non-empty cluster path; one with a
     value :class:`CurationManifest` rejects; and a repeated window id, at
-    its second line.  The file is decoded a block at a time; only a file
-    that fails is read again line by line, to locate the fault."""
-    rows = decode_text(path, _manifest_block, MANIFEST)
-    if rows is not None:
-        try:
-            return CurationManifest(rows)
-        except ValidationError:
-            pass
-    return _read_manifest_lines(path)
-
-
-def _read_manifest_lines(path: str | Path) -> CurationManifest:
-    """:func:`read_manifest`, one line at a time: the fault locator."""
-    rows, linenos = [], []
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not (line := line.rstrip("\n")):
-                continue
-            match = _MANIFEST_LINE.fullmatch(line)
-            if not match or int(match[1]) > U64_MAX:
-                raise ParseError(f"bad manifest line {line!r}", path=str(path), offset=lineno)
-            wid, hid, rid, off, src, mmsi, cpath = match.groups()
-            rows.append((int(wid), intern(hid), intern(rid), int(off), intern(src), int(mmsi or 0), intern(cpath or "")))
-            linenos.append(lineno)
-    rows = np.array(rows, dtype=MANIFEST)
+    its second line.  The file is decoded by :func:`decode_text`; the line
+    of a row that breaks a :class:`CurationManifest` rule is found by
+    counting the file's non-blank lines, each of which holds one row."""
+    rows = decode_text(path, _manifest_block, MANIFEST, "manifest")
     try:
         return CurationManifest(rows)
     except ValidationError:
         row, message = _manifest_fault(rows)
-        raise ParseError(message, path=str(path), offset=linenos[row]) from None
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        linenos = (lineno for lineno, line in enumerate(fh, start=1) if line != "\n")
+        raise ParseError(message, path=str(path), offset=next(islice(linenos, row, None)))
 
 
 # ---------------------------------------------------------------------------

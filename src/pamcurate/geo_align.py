@@ -251,11 +251,12 @@ def read_ais_csv(path: str | Path) -> tuple[np.ndarray, int]:
 # ---------------------------------------------------------------------------
 
 
-_SIDECAR_LINE = re.compile(rf"({U64_DIGITS}),({MMSI_DIGITS})")
-# Lines that are blank or a _SIDECAR_LINE; possessive, so a long text leaves
-# no backtracking stack behind, and without capturing groups, which make
-# CPython 3.11's possessive repeat raise SystemError on some texts.
+# Lines that are blank or ``window_id,mmsi``; possessive, so a long text
+# leaves no backtracking stack behind, and without capturing groups, which
+# make CPython 3.11's possessive repeat raise SystemError on some texts.
 _SIDECAR_TEXT = re.compile(rf"(?:(?:{U64_DIGITS}),(?:{MMSI_DIGITS})\n|\n)*+(?:(?:{U64_DIGITS}),(?:{MMSI_DIGITS}))?")
+# The 20-digit window ids of a text: those that may exceed U64_MAX.
+_SIDECAR_ID20 = re.compile(r"^[0-9]{20}(?=,)", re.M)
 
 
 def write_sidecar(aligned: AlignedWindowSet, path: str | Path) -> None:
@@ -267,12 +268,15 @@ def write_sidecar(aligned: AlignedWindowSet, path: str | Path) -> None:
 def _sidecar_block(text: str) -> np.ndarray | None:
     """The window id and mmsi of each line of ``text``, whole sidecar lines,
     interleaved in one ``uint64`` array; None if a line is neither blank nor
-    ``window_id,mmsi``, or an id reads as U64_MAX, which ``np.fromstring``
-    also gives for every id above it."""
+    ``window_id,mmsi``, or a window id exceeds U64_MAX.  ``np.fromstring``
+    reads every such id as U64_MAX, so only then are the 20-digit ids
+    compared with it as text."""
     if not _SIDECAR_TEXT.fullmatch(text):
         return None
     values = np.fromstring(text.replace(",", " "), np.uint64, sep=" ", count=2 * text.count(","))
-    return None if (values[0::2] == U64_MAX).any() else values
+    if (values[0::2] == U64_MAX).any() and max(_SIDECAR_ID20.findall(text)) > str(U64_MAX):
+        return None
+    return values
 
 
 def read_sidecar(path: str | Path) -> np.ndarray:
@@ -280,31 +284,10 @@ def read_sidecar(path: str | Path) -> np.ndarray:
     skipped, and any other line that is not ``window_id,mmsi`` in plain ASCII
     decimal without leading zeros, with a window id in 0..U64_MAX and an
     mmsi in 1..MAX_MMSI, raises :class:`ParseError` at its line number.  The
-    file is decoded a block at a time; only a file that fails is read again
-    line by line, to locate the fault."""
-    values = decode_text(path, _sidecar_block, np.uint64)
-    if values is None:
-        return _read_sidecar_lines(path)
+    file is decoded by :func:`~pamcurate.core_model.decode_text`."""
+    values = decode_text(path, _sidecar_block, np.uint64, "sidecar")
     pairs = np.empty(len(values) // 2, PAIRS)
     pairs["window_id"], pairs["mmsi"] = values[0::2], values[1::2]
-    return pairs
-
-
-def _read_sidecar_lines(path: str | Path) -> np.ndarray:
-    """:func:`read_sidecar`, one line at a time: the fault locator, and the
-    decoder of a window id of U64_MAX."""
-    window_ids, mmsis = [], []
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not (line := line.rstrip("\n")):
-                continue
-            match = _SIDECAR_LINE.fullmatch(line)
-            if not match or (window_id := int(match[1])) > U64_MAX:
-                raise ParseError(f"bad sidecar line {line!r}", path=str(path), offset=lineno)
-            window_ids.append(window_id)
-            mmsis.append(int(match[2]))
-    pairs = np.empty(len(window_ids), PAIRS)
-    pairs["window_id"], pairs["mmsi"] = window_ids, mmsis
     return pairs
 
 

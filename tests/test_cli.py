@@ -338,6 +338,52 @@ class TestFullPipeline:
         assert run(*args) == 0
         assert (tmp_path / "ck2" / "manifest_hkmeans.txt").read_bytes() == first
 
+    @pytest.mark.parametrize("stage", ["align", "curate-ais", "fit", "sample", "assemble", "stats"])
+    def test_malformed_input_leaves_no_out_dir(self, tmp_path, capsys, stage):
+        """A stage makes ``--out`` only once it has read its inputs: one that
+        fails on a malformed input leaves none behind, and with the input
+        mended it runs into a new one, a checkpoint inside it included."""
+        fixture = build_pipeline_fixture(tmp_path / "fx")
+        done, out, bad = tmp_path / "done", tmp_path / "out", tmp_path / "bad"
+        run_pipeline(fixture, done)
+        config, (shard, *shards) = fixture["config"], fixture["shards"]
+        fit = ["--levels", "8,2", "--seed", 1, "--batch-size", 64, "--passes", 2, "--resample-rounds", 2]
+        # stage -> (the kind of input it gets bad, the good one, its flags)
+        kind, good, argv = {
+            "align": ("ais", fixture["ais"], ["--config", config, "--ais", bad]),
+            "curate-ais": ("sidecar", done / "aligned.csv", ["--config", config, "--aligned", bad, "--seed", 1]),
+            "fit": ("shard", shard, ["--shards", bad, *shards, *fit]),
+            "sample": (
+                "shard",
+                shard,
+                ["--config", config, "--model", done / "model.bin", "--shards", bad, *shards, "--target-n", 60]
+                + ["--checkpoint", out / "sel.ckpt"],
+            ),
+            "assemble": (
+                "manifest",
+                done / "manifest_hkmeans.txt",
+                ["--ais-manifest", done / "manifest_ais.txt", "--hkmeans-manifest", bad],
+            ),
+            "stats": ("sidecar", done / "aligned.csv", ["--config", config, "--aligned", bad]),
+        }[stage]
+        data = good.read_bytes()
+        lines = data.count(b"\n")
+        # kind -> (the bad input, its error, the error's offset)
+        broken, message, offset = {
+            "ais": (data.replace(b"LAT,", b"LATITUDE,", 1), "AIS CSV missing columns ['LAT']", 1),
+            "shard": (b"PAMEMB00" + data[8:], "bad magic", 0),
+            "sidecar": (data + b"1,0\n", "bad sidecar line '1,0'", lines + 1),
+            "manifest": (data + b"window_id=1\n", "bad manifest line 'window_id=1'", lines + 1),
+        }[kind]
+        bad.write_bytes(broken)
+        assert run(stage, *argv, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and f"({bad}, offset {offset})" in err
+        assert not out.exists()
+        bad.write_bytes(data)
+        assert run(stage, *argv, "--out", out) == 0
+        assert (out / f"{stage.replace('-', '_')}_run.json").exists()
+
 
 class TestSampleContract:
     """``sample`` outputs depend only on the inputs: never on ``--workers``

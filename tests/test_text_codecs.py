@@ -1,18 +1,21 @@
 """The sidecar and manifest readers against their per-line references.
 
-``read_sidecar`` and ``read_manifest`` decode whole blocks of a file and
-read it line by line only to locate a fault.  On every file, valid or
-mutated, each must give what ``synth``'s per-line reader gives: equal
-arrays, or a ParseError of the same type, message and line.
+``read_sidecar`` and ``read_manifest`` decode whole blocks of a file with
+``core_model.decode_text``, which decodes the lines of a rejected block one
+at a time only to locate the fault; ``read_manifest`` counts lines only to
+locate a row that breaks a manifest rule.  On every file, valid or mutated,
+each must give what ``synth``'s per-line reader gives: equal arrays, or a
+ParseError of the same type, message and line.
 """
 
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pamcurate import core_model, geo_align
+from pamcurate import core_model
 from pamcurate.core_model import MAX_MMSI, U64_MAX, CurationManifest, read_manifest
 from pamcurate.errors import ParseError
 from pamcurate.geo_align import read_sidecar
@@ -128,29 +131,56 @@ def test_read_manifest_equals_reference(tmp_path_factory, data, block):
     assert_same(got, outcome(read_manifest_reference, path))
 
 
-def _locator_entered(path):
-    raise AssertionError(f"the fault locator read the valid file {path}")
+def _locator_entered(fh, *args):
+    raise AssertionError(f"the fault locator read the valid file {fh.name}")
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    sidecar=text_files(sidecar_lines(ids=st.integers(0, U64_MAX - 1), mmsis=st.integers(1, MAX_MMSI)), mutate=False),
+    sidecar=text_files(
+        sidecar_lines(ids=st.integers(0, U64_MAX) | st.just(U64_MAX), mmsis=st.integers(1, MAX_MMSI)), mutate=False
+    ),
     manifest=st.lists(manifest_lines(ids=st.integers(0, U64_MAX), valid=True), max_size=10),
     newline=NEWLINES,
     block=BLOCKS,
 )
 def test_valid_files_never_enter_the_locator(tmp_path_factory, sidecar, manifest, newline, block):
-    """A valid file is decoded once; the one exception is a sidecar window id
-    of U64_MAX, which the locator decodes."""
+    """A valid file is decoded once, a window id of U64_MAX included: no line
+    of it is decoded on its own."""
     folder = tmp_path_factory.mktemp("valid")
     (folder / "aligned.csv").write_bytes(sidecar)
     unique = {line.split(" ", 1)[0]: line for line in manifest}  # one line per window id
     (folder / "manifest.txt").write_bytes(b"".join(line.encode() + newline for line in unique.values()))
     with (
         patch.object(core_model, "TEXT_BLOCK", block),
-        patch.object(geo_align, "_read_sidecar_lines", _locator_entered),
-        patch.object(core_model, "_read_manifest_lines", _locator_entered),
+        patch.object(core_model, "_bad_line", _locator_entered),
     ):
         assert_same(read_sidecar(folder / "aligned.csv"), read_sidecar_reference(folder / "aligned.csv"))
         assert_same(read_manifest(folder / "manifest.txt"), read_manifest_reference(folder / "manifest.txt"))
 
+
+
+def _manifest_line(window_id: int) -> str:
+    return f"window_id={window_id} hydrophone_id=H1 recording_id=R1 offset_s=0 source=ais mmsi=366000001"
+
+
+# fault -> (reader, its reference, valid line of id i, the last line)
+FAULTS_AFTER_MANY_BLOCKS = {
+    "sidecar-bad-line": (read_sidecar, read_sidecar_reference, "{},366000001".format, "7,0"),
+    "manifest-bad-line": (read_manifest, read_manifest_reference, _manifest_line, _manifest_line(7) + " x"),
+    "manifest-repeated-id": (read_manifest, read_manifest_reference, _manifest_line, _manifest_line(7)),
+}
+
+
+@pytest.mark.parametrize("fault", list(FAULTS_AFTER_MANY_BLOCKS))
+def test_fault_after_many_default_blocks(tmp_path, fault):
+    """A fault after 50,000 lines, tens of default-size blocks in, is located
+    at its line; a blank line every 1,000 lines keeps rows and lines apart."""
+    read, reference, line, last = FAULTS_AFTER_MANY_BLOCKS[fault]
+    lines = [line(i) if i % 1000 else "" for i in range(1, 50_001)]
+    path = tmp_path / "file.txt"
+    path.write_text("".join(text + "\n" for text in [*lines, last]))
+    assert path.stat().st_size > 20 * core_model.TEXT_BLOCK
+    want = outcome(reference, path)
+    assert isinstance(want, tuple) and want[2] == 50_001
+    assert outcome(read, path) == want

@@ -4,7 +4,8 @@ A failed write, at the fsync or at the rename, must leave the destination
 with its old bytes and no temporary file beside it; a good one fsyncs the
 directory after the rename; and no module may open a file for writing
 anywhere else.  Likewise, no module may decode binary bytes outside
-``core_model.BinaryReader``, none may import ``threading``,
+``core_model.BinaryReader``, none may open a text file for reading outside
+the few readers that own a text format, none may import ``threading``,
 ``multiprocessing`` or ``concurrent``, and every public name must be used
 elsewhere in the package.
 """
@@ -268,6 +269,66 @@ def test_package_decodes_only_through_binary_reader():
         path.name: sites
         for path in sorted(SRC.glob("*.py"))
         if (sites := read_sites(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+# ---------------------------------------------------------------------------
+# One text decoder per format: the sidecar and manifests are read only by
+# ``core_model.decode_text``, so no second per-line reader comes back
+# ---------------------------------------------------------------------------
+
+# decode_text and its fault locator; the line count that locates a manifest
+# row; the AIS CSV reader; and the deployment config, one JSON document.
+TEXT_READERS = {"decode_text", "_bad_line", "read_manifest", "read_ais_csv", "load_deployment"}
+
+
+def text_read_sites(source: str) -> list[int]:
+    """Line numbers of text-mode reads outside the functions of
+    :data:`TEXT_READERS`: ``open`` or ``fdopen`` with no mode or a mode of
+    only ``r`` and ``t``, and ``.read_text(``."""
+    sites = []
+
+    def visit(node, inside_reader):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside_reader = inside_reader or node.name in TEXT_READERS
+        if isinstance(node, ast.Call) and not inside_reader:
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            mode = _mode_of(node)
+            text_mode = mode is None or (isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rt"))
+            if name == "read_text" or (name in ("open", "fdopen") and text_mode):
+                sites.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside_reader)
+
+    visit(ast.parse(source), False)
+    return sites
+
+
+def test_guard_finds_every_kind_of_text_read():
+    source = "\n".join(
+        [
+            "open(p)",
+            "open(p, 'r', encoding='utf-8')",
+            "open(p, mode='rt')",
+            "io.open(p)",
+            "os.fdopen(fd, 'r')",
+            "Path(p).read_text()",
+            "open(p, 'rb')",
+            "open(p, 'w')",
+            "def read_ais_csv(p):\n    open(p)",
+            "def read_manifest(p):\n    def lines():\n        return Path(p).read_text()",
+        ]
+    )
+    assert text_read_sites(source) == [1, 2, 3, 4, 5, 6]
+
+
+def test_package_reads_text_only_through_its_format_readers():
+    found = {
+        path.name: sites
+        for path in sorted(SRC.glob("*.py"))
+        if (sites := text_read_sites(path.read_text(encoding="utf-8")))
     }
     assert found == {}
 
