@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import ais_curate, assemble_ssl, geo_align, hkmeans, hsample
 from .core_model import load_deployment, read_manifest, read_shard, write_atomic, write_manifest
-from .errors import PamCurateError, ValidationError
+from .errors import PamCurateError, ShardDimError, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -149,8 +149,12 @@ def cmd_fit(args) -> int:
     shard_paths = [Path(p) for p in args.shards]
 
     def source():
+        dim = None
         for path in shard_paths:
-            yield read_shard(path).vectors
+            shard = read_shard(path)
+            if shard.dim != (dim := dim or shard.dim):
+                raise ShardDimError(f"shard dim {shard.dim} != {dim} of the first shard", path=str(path), offset=8)
+            yield shard.vectors
 
     hierarchy = hkmeans.build_hierarchy(source, config)
     out = _out_dir(args)

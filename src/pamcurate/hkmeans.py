@@ -239,32 +239,22 @@ class FitConfig:
 # ---------------------------------------------------------------------------
 
 
-def _iter_chunks(source) -> Iterator[np.ndarray]:
-    # A point source is a 2-d array, an iterable of 2-d chunks, or a zero-arg
-    # callable returning such an iterable.  Multi-pass fits re-iterate the
-    # source, so plain generators only support single-pass configs.
-    if callable(source):
-        chunks = source()
-    elif isinstance(source, np.ndarray):
-        chunks = (source,)
-    else:
-        chunks = source
-    for chunk in chunks:
-        arr = np.asarray(chunk)
-        if arr.ndim != 2:
-            raise ValidationError(f"point chunks must be 2-d, got shape {arr.shape}")
-        if len(arr):
-            yield arr
-
-
-def _batches(chunks: Iterator[np.ndarray], batch_size: int) -> Iterator[np.ndarray]:
+def _batches(source, batch_size: int) -> Iterator[np.ndarray]:
+    """One pass over a point source in batches of ``batch_size`` rows (the
+    last may be shorter), wherever its chunks end; every fit pass reads its
+    source here.  A source is a 2-d array, or a zero-arg callable, called
+    once per pass, that returns 2-d chunks of one dim; empty ones are skipped."""
     pending: list[np.ndarray] = []
     count = 0
     dim = None
-    for chunk in chunks:
-        if dim is None:
-            dim = chunk.shape[1]
-        elif chunk.shape[1] != dim:
+    for chunk in source() if callable(source) else (source,):
+        chunk = np.asarray(chunk)
+        if chunk.ndim != 2:
+            raise ValidationError(f"point chunks must be 2-d arrays, got shape {chunk.shape}")
+        if not len(chunk):
+            continue
+        dim = chunk.shape[1] if dim is None else dim
+        if chunk.shape[1] != dim:
             raise ValidationError(f"chunk dim {chunk.shape[1]} != {dim}")
         pending.append(chunk)
         count += len(chunk)
@@ -326,14 +316,16 @@ def minibatch_fit(
     config: FitConfig,
     init: np.ndarray | None = None,
 ) -> CentroidSet:
-    """Streaming k-means: per batch, assign to the nearest centroid, then move
-    each centroid to the running mean of the points it has absorbed.
+    """Streaming k-means over the :func:`_batches` of ``source``: per batch,
+    assign to the nearest centroid, then move each centroid to the running
+    mean of the points it has absorbed.
 
     Per-centroid absorption counts reset at the start of every pass, so a
     pass behaves as one incremental Lloyd step over the stream; with
     ``batch_size`` covering the whole stream each pass IS an exact Lloyd
     iteration.  Unless ``init`` is given, centroids are seeded by k-means++
-    over a buffered prefix of ``max(10k, batch_size)`` points.
+    over the first ``max(10k, batch_size)`` rows of the first pass, whose
+    batches are then fitted like the rest.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
@@ -344,35 +336,20 @@ def minibatch_fit(
         if centroids.ndim != 2 or centroids.shape[0] != k:
             raise ValidationError(f"init must have shape (k={k}, dim), got {centroids.shape}")
 
-    ever_absorbed = np.zeros(k, dtype=bool)
-    bbox_min: np.ndarray | None = None
-    bbox_max: np.ndarray | None = None
-
     for pass_idx in range(config.passes):
-        chunk_iter = _iter_chunks(source)
+        batches = _batches(source, config.batch_size)
         if centroids is None:
-            buffer_target = max(10 * k, config.batch_size)
-            buffered: list[np.ndarray] = []
-            buffered_rows = 0
-            for chunk in chunk_iter:
-                buffered.append(chunk)
-                buffered_rows += len(chunk)
-                if buffered_rows >= buffer_target:
-                    break
-            if buffered_rows < k:
-                raise DegenerateFitError(f"stream yielded {buffered_rows} points, need >= {k}")
-            prefix = buffered[0] if len(buffered) == 1 else np.concatenate(buffered)
-            # Exactly the first buffer_target rows, so the init does not
-            # depend on how the stream happens to be chunked.
-            prefix = _normalize_rows(prefix[:buffer_target])
-            centroids = _kmeans_pp_init(prefix, k, rng)
-            chunk_iter = itertools.chain(iter(buffered), chunk_iter)
+            prefix_rows = max(10 * k, config.batch_size)
+            head = list(itertools.islice(batches, -(-prefix_rows // config.batch_size)))
+            rows = sum(map(len, head))
+            if rows < k:
+                raise DegenerateFitError(f"stream yielded {rows} points, need >= {k}")
+            centroids = _kmeans_pp_init(_normalize_rows(np.concatenate(head)[:prefix_rows]), k, rng)
+            batches = itertools.chain(head, batches)
 
         counts = np.zeros(k, dtype=np.int64)
-        for raw in _batches(chunk_iter, config.batch_size):
+        for raw in batches:
             batch = _normalize_rows(raw)
-            if batch.shape[1] != centroids.shape[1]:
-                raise ValidationError(f"stream dim {batch.shape[1]} != centroid dim {centroids.shape[1]}")
             idx, _ = nearest_centroids(batch, centroids)
             sums = np.zeros_like(centroids)
             np.add.at(sums, idx, batch)
@@ -381,14 +358,6 @@ def minibatch_fit(
             denom = (counts[mask] + absorbed[mask]).astype(np.float64)
             centroids[mask] = (centroids[mask] * counts[mask, None] + sums[mask]) / denom[:, None]
             counts += absorbed
-            ever_absorbed |= mask
-            bmin, bmax = batch.min(axis=0), batch.max(axis=0)
-            bbox_min = bmin if bbox_min is None else np.minimum(bbox_min, bmin)
-            bbox_max = bmax if bbox_max is None else np.maximum(bbox_max, bmax)
-            # Absorbing centroids are convex combinations of seen points.
-            assert np.all(centroids[ever_absorbed] >= bbox_min - 1e-9) and np.all(
-                centroids[ever_absorbed] <= bbox_max + 1e-9
-            ), "centroid escaped the data bounding box"
         if not counts.any():
             raise DegenerateFitError(f"pass {pass_idx + 1} of {config.passes}: stream yielded no points")
         logger.debug("minibatch_fit pass %d/%d: %d absorptions", pass_idx + 1, config.passes, counts.sum())
@@ -410,7 +379,7 @@ def resample_fit(source, k: int, config: FitConfig) -> CentroidSet:
     cs = minibatch_fit(source, k, config)
     for round_idx in range(1, config.resample_rounds + 1):
         centroids = cs.centroids.astype(np.float64)
-        parts = [nearest_centroids(_normalize_rows(chunk), centroids)[0] for chunk in _iter_chunks(source)]
+        parts = [nearest_centroids(_normalize_rows(b), centroids)[0] for b in _batches(source, config.batch_size)]
         if not parts:
             raise DegenerateFitError(f"resample round {round_idx}: stream yielded no points")
         assignment = np.concatenate(parts)
@@ -428,13 +397,9 @@ def resample_fit(source, k: int, config: FitConfig) -> CentroidSet:
             chosen.append(members[starts[c] + picks])
         multiplicity = np.bincount(np.concatenate(chosen), minlength=total)
 
-        def resampled(mult=multiplicity):
-            pos = 0
-            for chunk in _iter_chunks(source):
-                m = mult[pos : pos + len(chunk)]
-                pos += len(chunk)
-                if m.any():
-                    yield np.repeat(np.asarray(chunk), m, axis=0)
+        def resampled(mult=multiplicity, size=config.batch_size):
+            for i, batch in enumerate(_batches(source, size)):
+                yield np.repeat(batch, mult[i * size : i * size + len(batch)], axis=0)
 
         round_seed = int(np.random.SeedSequence((config.seed, round_idx)).generate_state(1)[0])
         cs = minibatch_fit(resampled, k, replace(config, seed=round_seed))

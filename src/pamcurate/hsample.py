@@ -277,9 +277,15 @@ def count_populations(shards: Iterable[EmbeddingShard], hierarchy: ClusterHierar
 
 def emit(state: SelectionState, hierarchy: ClusterHierarchy, window_index: WindowIndex) -> CurationManifest:
     """The manifest of the selected windows: each row's coordinates from
-    ``window_index`` and the cluster path of its leaf."""
+    ``window_index`` and the cluster path of its leaf.  A window id held in
+    two leaves, which two vectors for it in the shards can give, is a
+    ValidationError."""
     paths = np.array(["/".join(map(str, hierarchy.path_of(leaf))) for leaf in range(len(state.quotas))], dtype=object)
-    held = state.held
+    held = state.held[np.argsort(state.held["window_id"], kind="stable")]
+    twice = np.flatnonzero(held["window_id"][1:] == held["window_id"][:-1])
+    if len(twice):
+        (a, wid, _), (b, _, _) = held[twice[0] : twice[0] + 2].tolist()
+        raise ValidationError(f"window id {wid} is selected in leaves {a} and {b}: the shards hold two vectors for it")
     coordinates = window_index.coordinates(held["window_id"], "selected")
     return CurationManifest.of(held["window_id"], *coordinates, "hkmeans", cluster_path=paths[held["leaf"]])
 

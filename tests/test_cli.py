@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 from pamcurate import cli, hsample
 from pamcurate.cli import _sha256, main
 from pamcurate.core_model import EmbeddingShard, read_manifest, read_shard, write_shard
-from conftest import build_pipeline_fixture
+from conftest import build_pipeline_fixture, random_shard
 
 GOLDEN_DIR = Path(__file__).parent / "data"
 
@@ -443,6 +444,21 @@ class TestSampleContract:
         assert f"--target-n must be at least 1, got {target_n}" in capsys.readouterr().err
         assert not dest.exists()
 
+    def test_window_id_selected_in_two_leaves_is_an_error(self, setup, tmp_path, capsys):
+        """A window id with two vectors in the shards can be held in two
+        leaves, one per vector; the manifest cannot hold it twice."""
+        fixture, out = setup
+        shard = read_shard(fixture["shards"][0])
+        twin = tmp_path / "twin.bin"
+        write_shard(EmbeddingShard(dim=shard.dim, window_ids=shard.window_ids, vectors=-shard.vectors), twin)
+        args = ["sample", "--config", fixture["config"], "--model", out / "model.bin"]
+        args += ["--shards", *fixture["shards"], twin, "--target-n", 1000, "--out", tmp_path / "s"]
+        assert run(*args) == 2
+        pattern = r"error: window id (\d+) is selected in leaves (\d+) and (\d+): the shards hold two vectors for it\n"
+        window_id, leaf, other = map(int, re.fullmatch(pattern, capsys.readouterr().err).groups())
+        assert window_id in shard.window_ids.tolist() and leaf != other
+        assert not (tmp_path / "s" / "manifest_hkmeans.txt").exists()
+
     @pytest.mark.parametrize("mode", ["workers1", "workers2", "checkpoint"])
     def test_rejected_shard_counted_once(self, setup, tmp_path, mode):
         fixture, out = setup
@@ -613,6 +629,23 @@ class TestFit:
         shard.write_bytes(b"PAMEMB01" + struct.pack("<IQ", 2**31, 0))
         assert run("fit", "--shards", shard, "--levels", "2", "--seed", "0", "--out", tmp_path / "o") == 2
         assert capsys.readouterr().err.startswith("error: dim 2147483648 outside 1..536870909")
+
+    @pytest.mark.parametrize(
+        "flags, bad_rows",
+        [((), 500), (("--batch-size", 64), 500), ((), 0)],
+        ids=["inside-seeding-prefix", "after-seeding-prefix", "empty"],
+    )
+    def test_shard_of_another_dim_is_a_located_error(self, tmp_path, capsys, flags, bad_rows):
+        """Every shard has the first shard's dim.  At the default batch size
+        seeding reads both shards; at 64 it reads 64 rows of the first."""
+        rng = np.random.default_rng(0)
+        good, bad, out = tmp_path / "good.bin", tmp_path / "bad.bin", tmp_path / "out"
+        write_shard(random_shard(rng, 500, 16), good)
+        write_shard(random_shard(rng, bad_rows, 8), bad)
+        assert run("fit", "--shards", good, bad, "--levels", "4,2", "--seed", 0, *flags, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: shard dim 8 != 16 of the first shard") and f"({bad}, offset 8)" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags, message",

@@ -274,11 +274,36 @@ class TestMinibatchFit:
         assert a == b == c
 
     def test_one_shot_iterator_cannot_feed_a_second_pass(self):
+        """A source is an array or a callable that starts a new pass per
+        call; a generator object could feed one pass only, so it is
+        refused before the first."""
         points, _ = three_blobs(seed=0, n=500)
         config = FitConfig(batch_size=64, passes=2, seed=0)
         assert minibatch_fit(points, 3, config).counts.sum() == 500
-        with pytest.raises(DegenerateFitError, match="pass 2 of 2: stream yielded no points"):
+        with pytest.raises(ValidationError, match=r"point chunks must be 2-d arrays, got shape \(\)"):
             minibatch_fit(iter([points]), 3, config)
+
+    # float32 rounding moves a coordinate of magnitude at most 1 by at most
+    # 2**-25; the bound allows twice that.
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_centroids_stay_inside_the_bounding_box_of_the_stream(self, data):
+        """Every centroid is a running mean of normalized stream rows (or a
+        seed drawn from them), so it lies in their bounding box, whatever
+        the chunking, 1-row chunks included."""
+        n = data.draw(st.integers(1, 60), label="n")
+        dim = data.draw(st.integers(2, 5), label="dim")
+        k = data.draw(st.integers(1, min(n, 4)), label="k")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        points = np.random.default_rng(seed).standard_normal((n, dim))
+        sizes = data.draw(st.lists(st.integers(1, 7), min_size=1, max_size=5), label="chunk sizes")
+        cuts = np.cumsum(list(itertools.islice(itertools.cycle(sizes), n)))
+        source = lambda: np.split(points, cuts[cuts < n])
+        config = FitConfig(batch_size=data.draw(st.integers(1, 20)), passes=data.draw(st.integers(1, 3)), seed=seed)
+        centroids = minibatch_fit(source, k, config).centroids.astype(np.float64)
+        normalized = _normalize_rows(points)
+        assert np.all(centroids >= normalized.min(axis=0) - 2**-24)
+        assert np.all(centroids <= normalized.max(axis=0) + 2**-24)
 
     def test_counts_reflect_last_pass_absorptions(self):
         points, _ = three_blobs(seed=2, n=300)
@@ -392,6 +417,32 @@ class TestBuildHierarchy:
         points, _ = three_blobs(seed=17, n=400)
         config = FitConfig(level_ks=(6, 2), batch_size=64, passes=2, resample_rounds=2, seed=21)
         assert build_hierarchy(points, config) == build_hierarchy(points, config)
+
+    DEFAULTS = (FitConfig().passes, FitConfig().resample_rounds)
+
+    @pytest.mark.parametrize("passes, rounds, calls", [(*DEFAULTS, 11), (1, 0, 1), (3, 1, 7)])
+    def test_a_callable_source_is_called_once_per_pass(self, passes, rounds, calls):
+        """``passes`` for the first fit, then per resample round one
+        assignment pass and ``passes`` over the resampled stream: 11 at the
+        defaults, the per-shard fit reads that ``bench/tests`` expects."""
+        points, _ = three_blobs(seed=19, n=300)
+        made = []
+
+        def source():
+            made.append(None)
+            return iter([points[:100], points[100:]])
+
+        config = FitConfig(level_ks=(4, 2), passes=passes, resample_rounds=rounds, seed=3)
+        build_hierarchy(source, config)
+        assert len(made) == calls == passes + rounds * (1 + passes)
+
+    def test_chunking_does_not_change_the_model(self):
+        points, _ = three_blobs(seed=23, n=400)
+        config = FitConfig(level_ks=(6, 2), batch_size=64, passes=2, resample_rounds=2, seed=5)
+        model = build_hierarchy(points, config)
+        for rows in (1, 37, config.batch_size + 1):
+            chunked = lambda: (points[i : i + rows] for i in range(0, len(points), rows))
+            assert build_hierarchy(chunked, config) == model, rows
 
 
 class TestLloyd:

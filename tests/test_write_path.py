@@ -6,8 +6,8 @@ directory after the rename; and no module may open a file for writing
 anywhere else.  Likewise, no module may decode binary bytes outside
 ``core_model.BinaryReader``, none may open a text file for reading outside
 the few readers that own a text format, none may import ``threading``,
-``multiprocessing`` or ``concurrent``, and every public name must be used
-elsewhere in the package.
+``multiprocessing`` or ``concurrent``, none may hold an ``assert``
+statement, and every public name must be used elsewhere in the package.
 """
 
 import ast
@@ -448,6 +448,44 @@ def test_package_runs_one_stream_per_stage():
         path.name: sites
         for path in sorted(SRC.glob("*.py"))
         if (sites := concurrency_imports(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+# ---------------------------------------------------------------------------
+# No ``assert`` in the package: ``python -O`` strips them, so every check
+# the program relies on raises its own error.
+# ---------------------------------------------------------------------------
+
+
+def assert_sites(source: str) -> list[int]:
+    """Line numbers of every ``assert`` statement, at any depth."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert))
+
+
+def test_guard_finds_every_assert():
+    source = "\n".join(
+        [
+            "assert x",
+            "def f(x):",
+            "    assert x > 0, 'positive'",
+            "class C:",
+            "    def g(self):",
+            "        if self:",
+            "            assert (self, 'a tuple is always true')",
+            "asserted = 1",
+            "self.assertTrue(x)",
+            "raise AssertionError('raised, not asserted')",
+        ]
+    )
+    assert assert_sites(source) == [1, 3, 7]
+
+
+def test_package_has_no_assert():
+    found = {
+        path.name: sites
+        for path in sorted(SRC.glob("*.py"))
+        if (sites := assert_sites(path.read_text(encoding="utf-8")))
     }
     assert found == {}
 
