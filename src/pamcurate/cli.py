@@ -178,23 +178,27 @@ def _select_partition(shard_paths, hierarchy, quotas, checkpoint: Path | None = 
     """Stream the shards into one selection state, one shard at a time.
 
     With a checkpoint, the file holds the state and the SHA-256 of each
-    shard folded into it, and is rewritten after every shard.  A resumed run
-    must have the same quotas and list those shards first, in the same
-    order, and continues with the next one.
+    shard folded into it, taken from the bytes that were folded, and is
+    rewritten after every shard; its directory is made only then.  A
+    resumed run must have the same quotas and list those shards first, in
+    the same order, and continues with the next one.
     """
     state = hsample.SelectionState.empty(quotas.leaf_quotas)
     if checkpoint is not None:
-        digests = [bytes.fromhex(_sha256(p)) for p in shard_paths]
         if checkpoint.exists():
             state = hsample.load_checkpoint(checkpoint)
         done = len(state.shard_digests)
-        if state.shard_digests != digests[:done] or state.quotas.tolist() != quotas.leaf_quotas.tolist():
+        digests = [bytes.fromhex(_sha256(p)) for p in shard_paths[:done]]
+        if state.shard_digests != digests or state.quotas.tolist() != quotas.leaf_quotas.tolist():
             raise ValidationError(f"checkpoint {checkpoint} was written for other shards, --shards order or quotas")
-        logger.info("checkpoint %s: %d of %d shards already done", checkpoint, done, len(digests))
-    for i in range(len(state.shard_digests), len(shard_paths)):
-        state = hsample.stream_select([read_shard(shard_paths[i])], hierarchy, quotas, state=state)
+        logger.info("checkpoint %s: %d of %d shards already done", checkpoint, done, len(shard_paths))
+    for path in shard_paths[len(state.shard_digests) :]:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        state = hsample.stream_select([read_shard(path, data)], hierarchy, quotas, state=state)
         if checkpoint is not None:
-            state.shard_digests.append(digests[i])
+            state.shard_digests.append(hashlib.sha256(data).digest())
+            checkpoint.parent.mkdir(parents=True, exist_ok=True)
             hsample.save_checkpoint(state, checkpoint)
     return state
 
@@ -208,7 +212,6 @@ def cmd_sample(args) -> int:
     checkpoint = Path(args.checkpoint) if args.checkpoint else None
 
     populations = hsample.count_populations((read_shard(p) for p in shard_paths), hierarchy)
-    out = _out_dir(args)  # before the first checkpoint write, which may be inside it
     quotas = hsample.allocate_quotas(hierarchy, populations, args.target_n)
     # Strided shard partitions, each streamed alone and merged; the result does
     # not depend on their count.  A checkpoint holds one stream's state.
@@ -217,6 +220,7 @@ def cmd_sample(args) -> int:
     state = reduce(hsample.merge, states)
 
     manifest = hsample.emit(state, hierarchy, config.window_index())
+    out = _out_dir(args)
     manifest_path = out / "manifest_hkmeans.txt"
     write_manifest(manifest, manifest_path)
     stats_path = out / "sample_stats.json"

@@ -334,8 +334,9 @@ class EmbeddingShard:
     """A batch of (window_id, embedding vector) records.
 
     ``window_ids`` is a ``(n,)`` uint64 array, ``vectors`` a ``(n, dim)``
-    float32 array.  Ids are unique within a shard and vectors finite, and
-    ``dim`` is at most :data:`MAX_SHARD_DIM`, as in a shard file.
+    float32 array.  Ids are unique within a shard and vectors finite and
+    non-zero (the fit normalizes them), and ``dim`` is at most
+    :data:`MAX_SHARD_DIM`, as in a shard file.
     """
 
     dim: int
@@ -353,7 +354,10 @@ class EmbeddingShard:
             raise ValidationError(f"window_ids shape {ids.shape} does not match {vecs.shape[0]} vectors")
         if not np.all(np.isfinite(vecs)):
             raise ValidationError("shard vectors must be finite")
-        if len(np.unique(ids)) != len(ids):
+        if not vecs.any(axis=1).all():
+            raise ValidationError("shard vectors must be non-zero")
+        ordered = np.sort(ids)
+        if (ordered[1:] == ordered[:-1]).any():
             raise ValidationError("window_ids must be unique within a shard")
         object.__setattr__(self, "window_ids", ids)
         object.__setattr__(self, "vectors", vecs)
@@ -386,11 +390,12 @@ class BinaryReader:
     """A little-endian cursor over a whole binary file that starts with
     ``magic``.  A read past the end raises ``truncated`` at the offset where
     the unfinished structure begins: a header at its first byte, an array at
-    its first incomplete item.  Every error names the file."""
+    its first incomplete item.  Every error names the file.  ``data``, if
+    given, is the file's bytes as the caller already read them."""
 
-    def __init__(self, path: str | Path, magic: bytes, truncated=ParseError, bad_magic=ParseError):
+    def __init__(self, path: str | Path, magic: bytes, truncated=ParseError, bad_magic=ParseError, data=None):
         self.path = str(path)
-        self.data = Path(path).read_bytes()
+        self.data = Path(path).read_bytes() if data is None else data
         self.pos = self.start = 0
         self.truncated = truncated
         (head,) = self.unpack(f"{len(magic)}s", "magic")
@@ -424,12 +429,13 @@ class BinaryReader:
             raise self.error(f"{len(self.data) - self.pos} trailing bytes", self.pos)
 
 
-def read_shard(path: str | Path) -> EmbeddingShard:
-    """Read a shard file, raising a distinct error per malformation at the
-    byte where it begins: magic at 0, dim at 8, count at 12, and record ``i``
-    at ``20 + i*(8+4*dim)`` for the first incomplete record, non-finite
-    vector or window id that repeats an earlier record's."""
-    reader = BinaryReader(path, SHARD_MAGIC, ShardTruncatedError, ShardMagicError)
+def read_shard(path: str | Path, data: bytes | None = None) -> EmbeddingShard:
+    """Read a shard file, or its bytes ``data`` already read from ``path``,
+    raising a distinct error per malformation at the byte where it begins:
+    magic at 0, dim at 8, count at 12, and record ``i`` at
+    ``20 + i*(8+4*dim)`` for the first incomplete record, non-finite or
+    zero vector, or window id that repeats an earlier record's."""
+    reader = BinaryReader(path, SHARD_MAGIC, ShardTruncatedError, ShardMagicError, data)
     (dim,) = reader.unpack("I", "dim")
     if not 1 <= dim <= MAX_SHARD_DIM:
         raise reader.error(f"dim {dim} outside 1..{MAX_SHARD_DIM}", kind=ShardDimError)
@@ -443,8 +449,9 @@ def read_shard(path: str | Path) -> EmbeddingShard:
         # Located only on failure, so a good read does no extra work.
         repeats = np.ones(count, dtype=bool)
         repeats[np.unique(ids, return_index=True)[1]] = False
-        i = int(np.flatnonzero(repeats | ~np.isfinite(vectors).all(axis=1))[0])
-        fault = "repeats an earlier window id" if repeats[i] else "has a non-finite vector"
+        finite = np.isfinite(vectors).all(axis=1)
+        i = int(np.flatnonzero(repeats | ~finite | ~vectors.any(axis=1))[0])
+        fault = "repeats an earlier window id" if repeats[i] else f"has a {'zero' if finite[i] else 'non-finite'} vector"
         raise reader.error(f"record {i} {fault}", reader.start + i * records.itemsize) from None
 
 

@@ -76,13 +76,22 @@ def nearest_centroids(points: np.ndarray, centroids: np.ndarray, block_elems: in
        float is added to cover underflow.  The bound assumes finite inputs
        far from overflow; non-finite ``G`` never fails the ``G > threshold``
        test, so such entries are always re-scored.
-    2. Re-score.  The candidates are gathered into one contiguous 2-d
-       array and scored with the explicit-difference sum, which reduces each
-       row in the same order as a full ``(n, k, d)`` evaluation.  All exact
-       ties of the minimum are candidates, and the pick is the
-       lexicographic minimum of ``(distance, index)``, so the lowest index
-       wins them.  Indices and distances therefore equal the exhaustive
-       explicit-difference search, whatever the BLAS or its thread count.
+    2. Pick and re-score.  ``j = argmin(G)`` per row, and ``G[r, j]`` is
+       the row's ``min``: a row holding a NaN has its first NaN at ``j`` and
+       a NaN ``min``, and the only equal values that differ in bits, ``±0``,
+       become the same once the positive slack is added.  So the threshold
+       ``G[r, j] + slack`` is the one ``min`` gives, bit for bit.  Every
+       centroid with ``G`` not above it is a candidate, and ``j`` always is
+       one, since adding the slack never lowers ``G[r, j]``.  One count of
+       the candidates in the block follows: if it equals the number of rows,
+       ``j`` is each row's only candidate and so its pick, and only that
+       centroid is re-scored.  Otherwise all of the block's candidates are
+       re-scored and the pick is the lexicographic minimum of
+       ``(distance, index)``, so the lowest index wins exact ties, which are
+       always candidates.  Either way each row's sum runs in the same
+       order as in a full ``(n, k, d)`` evaluation.  Indices and distances
+       therefore equal the exhaustive explicit-difference search, whatever
+       the BLAS or its thread count.
 
     ``block_elems`` bounds the ``rows × k`` GEMM block and the
     ``rows × d`` re-score of one candidate per row; it changes memory use
@@ -103,19 +112,29 @@ def nearest_centroids(points: np.ndarray, centroids: np.ndarray, block_elems: in
     best_idx = np.empty(n, dtype=np.int64)
     best_d2 = np.empty(n, dtype=np.float64)
     rows = max(1, block_elems // max(k, d))
+    approx_buf = np.empty((min(rows, n), k))
+    beyond_buf = np.empty((min(rows, n), k), dtype=bool)
     for i0 in range(0, n, rows):
         pts = points[i0 : i0 + rows]
-        approx = pts @ scaled
+        m = len(pts)
+        approx = np.matmul(pts, scaled, out=approx_buf[:m])
         approx += c2
-        threshold = approx.min(axis=1) + slack[i0 : i0 + rows]
-        row, col = np.divmod(np.flatnonzero(~(approx > threshold[:, None])), k)
+        j = approx.argmin(axis=1)
+        threshold = approx[np.arange(m), j] + slack[i0 : i0 + m]
+        beyond = np.greater(approx, threshold[:, None], out=beyond_buf[:m])
+        tied = m * k - np.count_nonzero(beyond) > m
+        row, col = np.divmod(np.flatnonzero(~beyond), k) if tied else (slice(None), j)
+        # The gathered operand is C-contiguous, so the difference is too,
+        # whatever the layout of ``points``, and each row sums in the order
+        # of the exhaustive ``(n, k, d)`` search.
         d2 = ((pts[row] - centroids[col]) ** 2).sum(axis=1)
-        # Stable, so equal (row, distance) pairs keep ascending centroid
-        # order and the first entry of each row is its pick.
-        order = np.lexsort((d2, row))
-        pick = order[np.searchsorted(row, np.arange(len(pts)))]
-        best_idx[i0 : i0 + len(pts)] = col[pick]
-        best_d2[i0 : i0 + len(pts)] = d2[pick]
+        if tied:
+            # Stable, so equal (row, distance) pairs keep ascending centroid
+            # order and the first entry of each row is its pick.
+            pick = np.lexsort((d2, row))[np.searchsorted(row, np.arange(m))]
+            col, d2 = col[pick], d2[pick]
+        best_idx[i0 : i0 + m] = col
+        best_d2[i0 : i0 + m] = d2
     return best_idx, best_d2
 
 

@@ -45,9 +45,10 @@ def deployment() -> DeploymentConfig:
 def blocked_nearest_centroids(points, centroids, block_elems: int = 1 << 23):
     """Exhaustive nearest-centroid reference: explicit float64 differences for
     every (point, centroid) pair, blockwise over an ``(rows, k_block, d)``
-    array.  Ties go to the lowest index; the blocking does not change the
-    per-pair arithmetic."""
-    points = np.asarray(points, dtype=np.float64)
+    array.  Ties go to the lowest index; neither the blocking nor the memory
+    layout of ``points`` changes the per-pair arithmetic (a C-contiguous copy
+    makes each pair's sum run along its row)."""
+    points = np.ascontiguousarray(points, dtype=np.float64)
     centroids = np.asarray(centroids, dtype=np.float64)
     n, d = points.shape
     k = len(centroids)

@@ -459,6 +459,27 @@ class TestSampleContract:
         assert window_id in shard.window_ids.tolist() and leaf != other
         assert not (tmp_path / "s" / "manifest_hkmeans.txt").exists()
 
+    @pytest.mark.parametrize("checkpoint", [False, True])
+    def test_failed_selection_leaves_no_out_dir(self, setup, tmp_path, capsys, checkpoint):
+        """``sample`` makes ``--out`` only after ``emit``: a run that fails
+        there leaves nothing behind, or only the checkpoint it wrote, whose
+        directory is made just before the first checkpoint write."""
+        fixture, out = setup
+        shard = read_shard(fixture["shards"][0])
+        twin = tmp_path / "twin.bin"
+        write_shard(EmbeddingShard(dim=shard.dim, window_ids=shard.window_ids, vectors=-shard.vectors), twin)
+        dest = tmp_path / "s"
+        extra = ["--checkpoint", dest / "sel.ckpt"] if checkpoint else []
+        args = ["sample", "--config", fixture["config"], "--model", out / "model.bin"]
+        args += ["--shards", *fixture["shards"], twin, "--target-n", 1000, *extra, "--out", dest]
+        assert run(*args) == 2
+        assert "is selected in leaves" in capsys.readouterr().err
+        if checkpoint:
+            assert [p.name for p in dest.iterdir()] == ["sel.ckpt"]
+            assert len(hsample.load_checkpoint(dest / "sel.ckpt").shard_digests) == 4
+        else:
+            assert not dest.exists()
+
     @pytest.mark.parametrize("mode", ["workers1", "workers2", "checkpoint"])
     def test_rejected_shard_counted_once(self, setup, tmp_path, mode):
         fixture, out = setup
@@ -604,6 +625,41 @@ class TestCheckpointCrashResume:
         assert ckpt.read_bytes() == before
         assert not (tmp_path / "s" / "manifest_hkmeans.txt").exists()
 
+    def test_digests_are_of_the_bytes_folded(self, setup, tmp_path, monkeypatch):
+        """A shard still to fold is hashed from the bytes ``read_shard``
+        parsed, not by reading its file once more; a shard the resumed
+        checkpoint already holds is hashed from its file."""
+        fixture, out, expected = setup
+        shards = [Path(p) for p in fixture["shards"]]
+        ckpt = tmp_path / "sel.ckpt"
+        args = self.sample_args(fixture, out, ckpt, tmp_path / "resumed")
+        with monkeypatch.context() as patch:
+            self.crash_at(patch, ckpt, 1, inside=False)
+            with pytest.raises(Crash):
+                run(*args)
+        hashed, reads = [], []
+        real_sha256, real_read = cli._sha256, cli.read_shard
+        monkeypatch.setattr(cli, "_sha256", lambda path: hashed.append(Path(path)) or real_sha256(path))
+        monkeypatch.setattr(cli, "read_shard", lambda path, *data: reads.append(bool(data)) or real_read(path, *data))
+        assert run(*args) == 0
+        assert {name: (tmp_path / "resumed" / name).read_bytes() for name in self.OUTPUTS} == expected
+        # the done shard for the check and the run record, the others for the record only
+        assert [p for p in hashed if p in shards] == [shards[0], *shards]
+        # the population pass reads every shard, the selection only the two not done
+        assert reads == [False] * len(shards) + [True, True]
+        digests = [hashlib.sha256(p.read_bytes()).digest() for p in shards]
+        assert hsample.load_checkpoint(ckpt).shard_digests == digests
+
+    def test_resume_with_fewer_shards_is_refused(self, setup, tmp_path, capsys):
+        fixture, out, _ = setup
+        ckpt = tmp_path / "sel.ckpt"
+        assert run(*self.sample_args(fixture, out, ckpt, tmp_path / "s")) == 0
+        before = ckpt.read_bytes()
+        assert run(*self.sample_args(fixture, out, ckpt, tmp_path / "s2", shards=fixture["shards"][:2])) == 2
+        assert "was written for other shards, --shards order or quotas" in capsys.readouterr().err
+        assert ckpt.read_bytes() == before
+        assert not (tmp_path / "s2").exists()
+
     def test_resume_with_other_quotas_is_refused(self, setup, tmp_path):
         fixture, out, _ = setup
         ckpt = tmp_path / "sel.ckpt"
@@ -645,6 +701,28 @@ class TestFit:
         assert run("fit", "--shards", good, bad, "--levels", "4,2", "--seed", 0, *flags, "--out", out) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: shard dim 8 != 16 of the first shard") and f"({bad}, offset 8)" in err
+        assert not out.exists()
+
+    def test_zero_vector_is_a_located_error(self, tmp_path, capsys):
+        """A zero vector cannot be normalized; it is a fault of the shard,
+        named with the record's offset, in ``fit`` and in ``sample``."""
+        rng = np.random.default_rng(0)
+        good, bad, out = tmp_path / "good.bin", tmp_path / "bad.bin", tmp_path / "out"
+        write_shard(random_shard(rng, 100, 4), good)
+        write_shard(random_shard(rng, 100, 4), bad)
+        data = bytearray(bad.read_bytes())
+        data[20 + 30 * 24 + 8 : 20 + 31 * 24] = bytes(16)  # the vector of record 30
+        bad.write_bytes(bytes(data))
+        fit = ["fit", "--shards", good, bad, "--levels", "4,2", "--seed", 0, "--batch-size", 64]
+        assert run(*fit, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: record 30 has a zero vector ({bad}, offset 740)\n"
+        assert not out.exists()
+        fixture = build_pipeline_fixture(tmp_path / "fx")
+        assert run(*fit[:2], good, *fit[4:], "--out", tmp_path / "model") == 0
+        sample = ["sample", "--config", fixture["config"], "--model", tmp_path / "model" / "model.bin"]
+        sample += ["--shards", good, bad, "--target-n", 10, "--checkpoint", out / "sel.ckpt", "--out", out]
+        assert run(*sample) == 2
+        assert capsys.readouterr().err == f"error: record 30 has a zero vector ({bad}, offset 740)\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -124,6 +124,65 @@ def test_shard_content_fault_is_located_at_the_first_faulty_record(nan_records, 
     assert (err.value.path, err.value.offset) == (str(path), 20 + record * RECORD)
 
 
+def _shard_bytes(ids, vectors) -> bytes:
+    records = np.empty(len(ids), dtype=[("window_id", "<u8"), ("vector", "<f4", (vectors.shape[1],))])
+    records["window_id"], records["vector"] = ids, vectors
+    return b"PAMEMB01" + struct.pack("<IQ", vectors.shape[1], len(ids)) + records.tobytes()
+
+
+@pytest.mark.parametrize(
+    "at, of, value",
+    [(1, 0, None), (899, 898, None), (3, 1, 2**64 - 1), (899, 0, 2**64 - 1)],
+    ids=["first-pair", "last-pair", "max-id", "max-id-last"],
+)
+def test_repeated_window_id_is_located_at_the_repeat(at, of, value, tmp_path):
+    """The shard checks its ids by sorting them; a repeat anywhere, of any
+    uint64 id, is still refused, and read at the later record's offset."""
+    shard = random_shard(np.random.default_rng(11), 900, SHARD_DIM)
+    ids = shard.window_ids.copy()
+    if value is not None:
+        ids[of] = value
+    ids[at] = ids[of]
+    with pytest.raises(ValidationError, match="unique"):
+        EmbeddingShard(SHARD_DIM, ids, shard.vectors)
+    path = tmp_path / "s.bin"
+    path.write_bytes(_shard_bytes(ids, shard.vectors))
+    with pytest.raises(ParseError, match=f"record {at} repeats an earlier window id") as err:
+        read_shard(path)
+    assert (err.value.path, err.value.offset) == (str(path), 20 + at * RECORD)
+
+
+@pytest.mark.parametrize(
+    "zero, nan, record, fault",
+    [(2, None, 2, "zero"), (0, None, 0, "zero"), (2, 1, 1, "non-finite"), (1, 3, 1, "zero")],
+)
+def test_zero_vector_is_a_located_shard_fault(zero, nan, record, fault, tmp_path):
+    """The fit normalizes every vector, so a zero vector is refused where the
+    shard is read, as a non-finite one is; -0.0 counts as zero."""
+    shard = random_shard(np.random.default_rng(7), SHARD_COUNT, SHARD_DIM)
+    vectors = shard.vectors.copy()
+    vectors[zero] = -0.0 if zero % 2 else 0.0
+    if nan is not None:
+        vectors[nan, 0] = np.nan
+    with pytest.raises(ValidationError):
+        EmbeddingShard(SHARD_DIM, shard.window_ids, vectors)
+    path = tmp_path / "s.bin"
+    path.write_bytes(_shard_bytes(shard.window_ids, vectors))
+    with pytest.raises(ParseError, match=f"record {record} has a {fault} vector") as err:
+        read_shard(path)
+    assert (err.value.path, err.value.offset) == (str(path), 20 + record * RECORD)
+
+
+def test_shard_read_from_given_bytes_equals_read_from_file(tmp_path):
+    path = tmp_path / "s.bin"
+    write_shard(random_shard(np.random.default_rng(3), SHARD_COUNT, SHARD_DIM), path)
+    data = path.read_bytes()
+    assert read_shard(path, data) == read_shard(path)
+    with pytest.raises(ShardTruncatedError) as err:
+        read_shard(path, data[:-1])
+    assert (err.value.path, err.value.offset) == (str(path), 20 + (SHARD_COUNT - 1) * RECORD)
+
+
 @pytest.mark.parametrize("dim", [MAX_SHARD_DIM + 1, 2**31, 2**32 - 1])
 def test_shard_dim_beyond_a_numpy_record_is_a_dim_error(dim, tmp_path):
     path = tmp_path / "huge.bin"

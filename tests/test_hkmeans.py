@@ -138,6 +138,76 @@ class TestNearestCentroids:
         assert np.array_equal(idx, ref_idx)
         assert np.array_equal(d2.view(np.int64), ref_d2.view(np.int64))
 
+    @staticmethod
+    def plant_ties(rng, points, centroids, rows, blocks):
+        """Make centroids ``a`` and ``b`` mirror images, 2e-3 apart in one
+        coordinate, and put one point of each block in ``blocks`` (of ``rows``
+        points each) on their mirror plane: it is 1e-6 from both and far from
+        every other centroid, so its row has two candidates."""
+        k, d = centroids.shape
+        a, b = rng.choice(k, size=2, replace=False)
+        j = rng.integers(d)
+        centroids[a, j] = 1e-3
+        centroids[b] = centroids[a]
+        centroids[b, j] = -1e-3
+        for block in blocks:
+            r = block * rows + rng.integers(min(rows, len(points) - block * rows))
+            points[r] = centroids[a]
+            points[r, j] = 0.0
+
+    @staticmethod
+    def count_sorts(monkeypatch):
+        calls = []
+        real = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(len(keys[0])) or real(keys))
+        return calls
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_tie_free_and_tied_blocks_in_one_call(self, data):
+        """Only the blocks with a planted tie take the sorting route, and
+        both routes equal the exhaustive search, whatever the layout of
+        ``points``."""
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        n = data.draw(st.integers(1, 2000))
+        k = data.draw(st.integers(2, 24))
+        d = data.draw(st.one_of(st.integers(1, 24), st.integers(120, 140)))
+        block_elems = data.draw(st.sampled_from([64, 300, 1000, 4096]))
+        rng = np.random.default_rng(seed)
+        points = norm_rows(rng.normal(size=(n, d)) + 1e-3)
+        # Scaled, so that no two centroids tie by chance, not even at d = 1.
+        centroids = norm_rows(rng.normal(size=(k, d)) + 1e-3) * rng.uniform(0.3, 1.0, size=(k, 1))
+        rows = max(1, block_elems // max(k, d))
+        blocks = -(-n // rows)
+        tied = data.draw(st.sets(st.integers(0, blocks - 1), max_size=min(blocks, 8)), label="tied blocks")
+        self.plant_ties(rng, points, centroids, rows, tied)
+        layout = data.draw(st.sampled_from(["C", "F", "column-strided"]))
+        if layout == "F":
+            points = np.asfortranarray(points)
+        elif layout == "column-strided":
+            wide = np.zeros((n, 2 * d))
+            wide[:, ::2] = points
+            points = wide[:, ::2]
+        with pytest.MonkeyPatch.context() as patch:
+            sorts = self.count_sorts(patch)
+            idx, d2 = nearest_centroids(points, centroids, block_elems=block_elems)
+        assert len(sorts) == len(tied)
+        ref_idx, ref_d2 = blocked_nearest_centroids(points, centroids, block_elems=1 << 18)
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(d2.view(np.int64), ref_d2.view(np.int64))
+
+    def test_tie_free_input_never_sorts(self, monkeypatch):
+        """A block in which every row has one candidate skips the gather and
+        the sort; losing that route would not change a result, only the time."""
+        rng = np.random.default_rng(5)
+        points = norm_rows(rng.normal(size=(3000, 16)))
+        centroids = norm_rows(rng.normal(size=(50, 16)))
+        sorts = self.count_sorts(monkeypatch)
+        idx, d2 = nearest_centroids(points, centroids, block_elems=5000)
+        assert sorts == []
+        ref_idx, ref_d2 = blocked_nearest_centroids(points, centroids)
+        assert np.array_equal(idx, ref_idx) and np.array_equal(d2, ref_d2)
+
 
 def seed_both(points, k, seed):
     """Seed with ``_kmeans_pp_init`` and with the ``rng.choice`` reference from
