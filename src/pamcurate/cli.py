@@ -177,11 +177,12 @@ def cmd_fit(args) -> int:
 def _select_partition(shard_paths, hierarchy, quotas, checkpoint: Path | None = None) -> hsample.SelectionState:
     """Stream the shards into one selection state, one shard at a time.
 
-    With a checkpoint, the file holds the state and the SHA-256 of each
-    shard folded into it, taken from the bytes that were folded, and is
-    rewritten after every shard; its directory is made only then.  A
-    resumed run must have the same quotas and list those shards first, in
-    the same order, and continues with the next one.
+    With a checkpoint, the file is a journal that gets one record appended
+    after every shard: the SHA-256 of the bytes that were folded, and the
+    rows the fold kept.  Its directory is made only before the first
+    append.  A resumed run must have the same quotas and list the shards
+    done first, in the same order, and continues with the next one; a
+    resume refused for that leaves the file as it was.
     """
     state = hsample.SelectionState.empty(quotas.leaf_quotas)
     if checkpoint is not None:
@@ -192,14 +193,18 @@ def _select_partition(shard_paths, hierarchy, quotas, checkpoint: Path | None = 
         if state.shard_digests != digests or state.quotas.tolist() != quotas.leaf_quotas.tolist():
             raise ValidationError(f"checkpoint {checkpoint} was written for other shards, --shards order or quotas")
         logger.info("checkpoint %s: %d of %d shards already done", checkpoint, done, len(shard_paths))
+    end = state.journal_end
     for path in shard_paths[len(state.shard_digests) :]:
         with open(path, "rb") as fh:
             data = fh.read()
-        state = hsample.stream_select([read_shard(path, data)], hierarchy, quotas, state=state)
+        records = []
+        state = hsample.stream_select([read_shard(path, data)], hierarchy, quotas, state=state, records=records)
         if checkpoint is not None:
-            state.shard_digests.append(hashlib.sha256(data).digest())
+            digest = hashlib.sha256(data).digest()
+            state.shard_digests.append(digest)
+            records[0].shard_digests.append(digest)
             checkpoint.parent.mkdir(parents=True, exist_ok=True)
-            hsample.save_checkpoint(state, checkpoint)
+            end = hsample.save_checkpoint(records[0], checkpoint, end)
     return state
 
 

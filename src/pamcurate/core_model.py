@@ -15,8 +15,10 @@ File formats owned by this module:
 * Deployment config (JSON): hydrophones with locations and recordings.
 
 Every file the package writes goes through :func:`write_atomic`, so a
-crashed writer leaves either the old file or the complete new one.  Every
-binary file it reads is decoded by :class:`BinaryReader`.
+crashed writer leaves either the old file or the complete new one, apart
+from the selection checkpoint's journal records, which go through
+:func:`append_durable`.  Every binary file it reads is decoded by
+:class:`BinaryReader`.
 """
 
 from __future__ import annotations
@@ -104,6 +106,37 @@ def write_atomic(path: str | Path, data: bytes | str) -> None:
         os.fsync(dir_fd)
     finally:
         os.close(dir_fd)
+
+
+def append_durable(path: str | Path, data: bytes, end: int) -> int:
+    """Append ``data`` to ``path`` after its first ``end`` bytes, fsync it,
+    and return the new size.  Bytes past ``end`` are the torn tail of an
+    append a crash cut short, and are cut off first; a file shorter than
+    ``end`` is a ValidationError.  A missing file is created, and then its
+    directory is fsynced as :func:`write_atomic` does.  A crash leaves the
+    first ``end`` bytes whole and a torn tail after them."""
+    path = Path(path)
+    created = not path.exists()
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        size = os.fstat(fd).st_size
+        if size < end:
+            raise ValidationError(f"{path} holds {size} bytes, fewer than the {end} already appended")
+        if size > end:
+            os.ftruncate(fd, end)
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view) :]
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+    if created:
+        dir_fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+    return end + len(data)
 
 
 def decode_text(path: str | Path, decode, dtype, what: str) -> np.ndarray:

@@ -13,11 +13,22 @@ shards were partitioned or ordered.
 A fold sorts only the shard's survivors, the records that beat their full
 leaf's worst held row, and merges them into the already sorted held rows:
 its cost per shard is a sort of the survivors plus a few linear passes
-over the held rows.
+over the held rows.  Both the sort and the search for their places use
+the native order of a ``complex128`` key ``leaf + 1j*distance``; only rows
+that tie on both fall back to the window id, the last key of held order.
+
+A checkpointed run keeps its state as a journal (:func:`save_checkpoint`):
+after each shard it appends that shard's record, the rows its fold kept,
+so it writes per shard what survived, not the whole state.  Replaying the
+records in one fold (:func:`load_checkpoint`) gives the state back exactly:
+a row in a leaf's final top-n is in the top-n of every prefix of the stream
+that holds it, since the rows ahead of it in a prefix are ahead of it in
+the whole.  So it was kept when it arrived, and is in the journal.
 """
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import struct
 from dataclasses import dataclass, field
@@ -26,15 +37,17 @@ from typing import Iterable
 
 import numpy as np
 
-from .core_model import BinaryReader, CurationManifest, EmbeddingShard, WindowIndex, write_atomic
+from .core_model import BinaryReader, CurationManifest, EmbeddingShard, WindowIndex, append_durable, write_atomic
 from .errors import ValidationError
 from .hkmeans import ClusterHierarchy, assign_batch
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_MAGIC = b"PAMSEL02"
-CHECKPOINT_VERSION = 2
-_ENTRY = np.dtype([("window_id", "<u8"), ("distance", "<f8")])
+CHECKPOINT_MAGIC = b"PAMSEL03"
+CHECKPOINT_VERSION = 3
+# A journal record starts with its length and its digest, processed,
+# rejected and row counts, and ends with a 32-byte SHA-256.
+_RECORD_HEAD = "QQQQQ"
 _HELD = np.dtype([("leaf", "<i8"), ("window_id", "<u8"), ("distance", "<f8")])
 # The same bytes with the fields in held order: numpy compares structured
 # values field by field in name order, so this view sorts as (leaf, distance, window_id).
@@ -133,11 +146,12 @@ class SelectionState:
     """The closest windows seen so far, at most ``quotas[leaf]`` per leaf.
 
     ``held`` is one structured array of ``(leaf, window_id, distance)`` rows,
-    sorted by ``(leaf, distance, window_id)`` (the ``PAMSEL02`` leaf order),
-    holding each window id at most once per leaf, at its smallest distance.
-    :meth:`fold` alone changes it, by replacing the array, so states may
-    share one.  Equality ignores ``shard_digests``, the SHA-256 of each shard
-    folded in by a checkpointed run, as it depends on arrival order.
+    sorted by ``(leaf, distance, window_id)``, holding each window id at
+    most once per leaf, at its smallest distance.  :meth:`fold` alone
+    changes it, by replacing the array, so states may share one.  Equality
+    ignores ``shard_digests``, the SHA-256 of each shard folded in by a
+    checkpointed run, as it depends on arrival order, and ``journal_end``,
+    the size of the whole records of the checkpoint it was loaded from.
     """
 
     quotas: np.ndarray
@@ -145,6 +159,7 @@ class SelectionState:
     processed: int = 0
     rejected_shards: int = 0
     shard_digests: list[bytes] = field(default_factory=list)
+    journal_end: int = 0
 
     @classmethod
     def empty(cls, quotas) -> "SelectionState":
@@ -153,10 +168,11 @@ class SelectionState:
             raise ValidationError("quotas must be a 1-d array of non-negative counts")
         return cls(quotas=q, held=np.empty(0, _HELD))
 
-    def fold(self, leaf_idx, window_ids, distances) -> None:
+    def fold(self, leaf_idx, window_ids, distances) -> np.ndarray:
         """Fold records in: each leaf then holds the ``quota`` smallest
         ``(distance, window_id)`` among the per-id minimum distances of every
-        record folded so far, however they were batched or ordered.
+        record folded so far, however they were batched or ordered.  Returns
+        the rows this fold inserted that are still held after the cut.
 
         Only the records that beat their full leaf's worst entry (the
         survivors) are sorted; they are merged into ``held``, which is
@@ -173,11 +189,10 @@ class SelectionState:
         bar = worst[rows["leaf"]]
         d = rows["distance"]
         rows = rows[(d < bar["distance"]) | ((d == bar["distance"]) & (rows["window_id"] < bar["window_id"]))]
-        # 2. Keep each (leaf, window_id) of the survivors once, at its smallest distance.
-        rows = rows[np.lexsort((rows["distance"], rows["window_id"], rows["leaf"]))]
-        first = np.ones(len(rows), dtype=bool)
-        first[1:] = (rows["leaf"][1:] != rows["leaf"][:-1]) | (rows["window_id"][1:] != rows["window_id"][:-1])
-        rows = rows[first]
+        # 2. Sort the survivors into held order, and keep each (leaf, window_id)
+        # once: its first row, which has its smallest distance.
+        rows = rows[_order(rows)]
+        rows = rows[~_repeats(rows)]
         # 3. Where a survivor and a held row share (leaf, window_id), keep the
         # smaller distance, the held row on a tie.  Only shared ids do any work.
         held_ids = np.sort(held["window_id"])
@@ -193,14 +208,20 @@ class SelectionState:
             closer = rows["distance"][r] < held["distance"][h]
             held = np.delete(held.view(_RAW), h[closer]).view(_HELD)
             rows = np.delete(rows, r[~closer])
-        # 4. Find each survivor's place in the (leaf, distance, window_id) order of held.
-        rows = rows[np.lexsort((rows["window_id"], rows["distance"], rows["leaf"]))]
-        at = np.searchsorted(held.view(_ORDER), rows.view(_ORDER))
-        # 5. Insert them and cut each leaf at its quota.
+        # 4. Find each survivor's place in the (leaf, distance, window_id) order
+        # of held: by (leaf, distance) alone, and by the window id too only
+        # where a held row has the survivor's (leaf, distance).
+        keys, row_keys = _keys(held), _keys(rows)
+        at = np.searchsorted(keys, row_keys)
+        if len(held) and len(tied := np.flatnonzero(keys[np.minimum(at, len(held) - 1)] == row_keys)):
+            at[tied] = _structured_search(held, rows[tied])
+        # 5. Insert them and cut each leaf at its quota.  Row i lands at at[i] + i.
         held = np.insert(held.view(_RAW), at, rows.view(_RAW)).view(_HELD)
         counts = np.bincount(held["leaf"], minlength=len(self.quotas))
         rank = np.arange(len(held)) - np.repeat(np.cumsum(counts) - counts, counts)
-        self.held = held.view(_RAW)[rank < np.repeat(self.quotas, counts)].view(_HELD)
+        keep = rank < np.repeat(self.quotas, counts)
+        self.held = held.view(_RAW)[keep].view(_HELD)
+        return rows[keep[at + np.arange(len(rows))]]
 
     def counts(self) -> np.ndarray:
         """Entries held per leaf."""
@@ -223,18 +244,64 @@ def _rows(leaf_idx, window_ids, distances) -> np.ndarray:
     return rows
 
 
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """``leaf + 1j*distance``: numpy orders complex numbers by real part,
+    then imaginary part, with native compares, so this sorts as ``(leaf,
+    distance)`` (exact for any leaf below 2**53)."""
+    keys = np.empty(len(rows), np.complex128)
+    keys.real, keys.imag = rows["leaf"], rows["distance"]
+    return keys
+
+
+def _order(rows: np.ndarray) -> np.ndarray:
+    """The permutation that sorts ``rows`` by ``(leaf, distance, window_id)``:
+    a stable sort by :func:`_keys`, then each run of equal keys by window id."""
+    keys = _keys(rows)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    tied = np.flatnonzero(keys[1:] == keys[:-1])
+    if len(tied):
+        at = np.union1d(tied, tied + 1)
+        run = np.cumsum(np.r_[True, (np.diff(at) != 1) | (keys[at[1:]] != keys[at[:-1]])])
+        order[at] = order[at][np.lexsort((rows["window_id"][order[at]], run))]
+    return order
+
+
+def _repeats(rows: np.ndarray, *columns: np.ndarray) -> np.ndarray:
+    """True at each row whose ``(leaf, window_id)``, and value in each of
+    ``columns``, an earlier row has.  Only rows whose window id repeats are
+    sorted by all of them, so a batch of distinct ids costs one id sort."""
+    ids = np.sort(rows["window_id"])
+    repeats = np.zeros(len(rows), dtype=bool)
+    if (twice := ids[1:][ids[1:] == ids[:-1]]).size:
+        keys = [rows["leaf"], rows["window_id"], *columns]
+        sub = np.flatnonzero(np.isin(rows["window_id"], twice))
+        sub = sub[np.lexsort([sub, *(key[sub] for key in reversed(keys))])]
+        repeats[sub[1:][np.logical_and.reduce([key[sub[1:]] == key[sub[:-1]] for key in keys])]] = True
+    return repeats
+
+
+def _structured_search(held: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Where ``rows`` go in the ``(leaf, distance, window_id)`` order of ``held``."""
+    return np.searchsorted(held.view(_ORDER), rows.view(_ORDER))
+
+
 def stream_select(
     shards: Iterable[EmbeddingShard],
     hierarchy: ClusterHierarchy,
     quotas,
     state: SelectionState | None = None,
+    records: list | None = None,
 ) -> SelectionState:
     """Fill leaf quotas with the closest windows across a shard stream.
 
     Shards may arrive in any order and any partitioning: the final state
     depends only on the set of records seen.  A shard whose dim does not
     match the model is rejected and tallied, never fatal.  Passing an
-    existing ``state`` continues a previous (e.g. checkpointed) run.
+    existing ``state`` continues a previous (e.g. checkpointed) run.  Each
+    shard's record is appended to ``records``, if given: a state of that
+    shard's processed and rejected counts and the rows its fold kept, which
+    :func:`save_checkpoint` appends to a journal.
     """
     leaf_quotas = quotas.leaf_quotas if isinstance(quotas, QuotaTree) else np.asarray(quotas, dtype=np.int64)
     if state is None:
@@ -242,13 +309,18 @@ def stream_select(
     elif not np.array_equal(state.quotas, leaf_quotas):
         raise ValidationError("resumed state quotas do not match the requested quotas")
     for shard in shards:
+        record = SelectionState.empty(leaf_quotas)
         if shard.dim != hierarchy.dim:
-            state.rejected_shards += 1
+            record.rejected_shards = 1
             logger.warning("rejecting shard with dim %d (model dim %d)", shard.dim, hierarchy.dim)
-            continue
-        leaf_idx, distances = assign_batch(shard.vectors, hierarchy)
-        state.fold(leaf_idx, shard.window_ids, distances)
-        state.processed += len(shard)
+        else:
+            leaf_idx, distances = assign_batch(shard.vectors, hierarchy)
+            record.held = state.fold(leaf_idx, shard.window_ids, distances)
+            record.processed = len(shard)
+        state.processed += record.processed
+        state.rejected_shards += record.rejected_shards
+        if records is not None:
+            records.append(record)
     return state
 
 
@@ -295,51 +367,86 @@ def emit(state: SelectionState, hierarchy: ClusterHierarchy, window_index: Windo
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(state: SelectionState, path: str | Path) -> None:
-    """Atomically replace ``path`` with ``state`` in the ``PAMSEL02`` layout of
-    README's formats table, each leaf's slice of ``held`` written as it is.
-    Identical states give identical bytes, and a crash leaves the previous
-    file whole, so it alone is the resume state of a checkpointed run."""
-    counts = (CHECKPOINT_VERSION, len(state.quotas), state.processed, state.rejected_shards, 0)
-    parts = [CHECKPOINT_MAGIC, struct.pack("<IQQQQ", *counts)]
-    entries = np.empty(len(state.held), _ENTRY)
-    entries["window_id"], entries["distance"] = state.held["window_id"], state.held["distance"]
-    sizes = state.counts().tolist()
-    for quota, size, leaf in zip(state.quotas.tolist(), sizes, np.split(entries, np.cumsum(sizes[:-1]))):
-        parts += [struct.pack("<QQ", quota, size), leaf.tobytes()]
-    parts += [struct.pack("<Q", len(state.shard_digests)), *state.shard_digests]
-    write_atomic(path, b"".join(parts))
+def save_checkpoint(state: SelectionState, path: str | Path, end: int = 0) -> int:
+    """Append ``state`` as one record to the checkpoint journal ``path``,
+    whose first ``end`` bytes are whole records, and return the journal's
+    new size.  With ``end`` 0 the journal is begun: a header with the
+    state's quotas replaces ``path`` atomically first.  The layout is
+    README's formats table.
+
+    A record holds the state's shard digests, processed and rejected
+    counts and held rows.  A checkpointed run appends one per shard, from
+    :func:`stream_select`'s ``records``: the shard's digest and counts and
+    the rows its fold kept.  Saving a whole state to a new journal writes
+    one record of it, so identical states give identical bytes.  Bytes past
+    ``end``, a record a crash cut short, are cut off before the append.
+    """
+    if not end:
+        header = CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, len(state.quotas))
+        header += state.quotas.astype("<u8").tobytes()
+        write_atomic(path, header)
+        end = len(header)
+    held, digests = state.held, state.shard_digests
+    length = 32 + 32 * len(digests) + _HELD.itemsize * len(held)
+    body = struct.pack("<" + _RECORD_HEAD, length, len(digests), state.processed, state.rejected_shards, len(held))
+    body += b"".join(digests) + held.tobytes()
+    return append_durable(path, body + hashlib.sha256(body).digest(), end)
 
 
 def load_checkpoint(path: str | Path) -> SelectionState:
-    """Read a checkpoint; every fault is a :class:`ParseError` located as README's formats table says."""
+    """Replay a checkpoint journal: every whole record's rows in one fold.
+
+    The replay gives the state the records were cut from, whatever their
+    order and split: each row of that state is in the record of the shard
+    that brought it (see the module docstring), and every journaled row
+    is a record that stream saw.  A last record the file ends inside, or
+    whose checksum fails at the end of the file, is the torn tail of an
+    append: it is dropped, and the state's ``journal_end`` is where it
+    starts, so the next append cuts it off and its shard is folded again.
+    Every other fault is a :class:`ParseError` located as README's formats
+    table says.
+    """
     reader = BinaryReader(path, CHECKPOINT_MAGIC)
-    version, leaf_count, processed, rejected, _reserved = reader.unpack("IQQQQ", "header")
+    version, leaf_count = reader.unpack("IQ", "header")
     if version != CHECKPOINT_VERSION:
         raise reader.error(f"unsupported checkpoint version {version}")
-    # Every leaf takes 16 bytes at least; checked before ``quotas`` is allocated.
-    if leaf_count > (len(reader.data) - reader.pos) // 16:
+    if leaf_count > (len(reader.data) - reader.pos) // 8:
         raise reader.error(f"leaf count {leaf_count} exceeds the file size", 12)
-    quotas = np.zeros(leaf_count, dtype=np.int64)
-    leaves = [np.empty(0, _HELD)]
-    for leaf in range(leaf_count):
-        quota, size = reader.unpack("QQ", f"leaf {leaf} header")
-        if not size <= quota <= np.iinfo(np.int64).max:
-            raise reader.error(f"leaf {leaf} holds {size} entries under quota {quota}, not size <= quota < 2**63")
-        entries = reader.array(_ENTRY, size, f"leaf {leaf} entry")
-        if len(np.unique(entries["window_id"])) != size:
-            raise reader.error(f"leaf {leaf} holds a window id twice")
-        dists = entries["distance"]
-        bad = np.flatnonzero(~np.isfinite(dists) | (dists < 0))
-        if len(bad):
-            at = reader.start + 16 * int(bad[0])
-            raise reader.error(f"leaf {leaf} holds distance {dists[bad[0]]}, not finite and >= 0", at)
-        quotas[leaf] = quota
-        leaves.append(_rows(np.full(size, leaf), entries["window_id"], dists))
-    (n,) = reader.unpack("Q", "shard digest count")
-    digests = reader.array("V32", n, "shard digest").tolist()
-    reader.end()
-    state = SelectionState(quotas, np.empty(0, _HELD), processed, rejected, digests)
-    held = np.concatenate(leaves)
-    state.fold(held["leaf"], held["window_id"], held["distance"])
+    quotas = reader.array("<u8", leaf_count, "leaf quota")
+    big = np.flatnonzero(quotas > np.iinfo(np.int64).max)
+    if len(big):
+        raise reader.error(f"leaf {big[0]} quota {quotas[big[0]]} is 2**63 or more", reader.start + 8 * int(big[0]))
+    state = SelectionState(quotas.astype(np.int64), np.empty(0, _HELD))
+    parts, starts = [np.empty(0, _HELD)], [np.zeros(0, np.int64)]
+    data = reader.data
+    while (start := reader.pos) + 40 <= len(data):
+        length, n, processed, rejected, m = reader.unpack(_RECORD_HEAD, "record head")
+        stop = start + 8 + length
+        if stop + 32 > len(data) or hashlib.sha256(memoryview(data)[start:stop]).digest() != data[stop : stop + 32]:
+            if stop + 32 >= len(data):
+                break  # the torn tail: the file ends inside this record or right after its bad checksum
+            raise reader.error("record checksum mismatch", start)
+        if length != 32 + 32 * n + _HELD.itemsize * m:
+            raise reader.error(f"record length {length} is not that of {n} digests and {m} rows", start)
+        state.shard_digests += reader.array("V32", n, "shard digest").tolist()
+        starts.append(reader.pos + _HELD.itemsize * np.arange(m, dtype=np.int64))
+        parts.append(reader.array(_HELD, m, "entry"))
+        reader.unpack("32x", "record checksum")
+        state.processed += processed
+        state.rejected_shards += rejected
+    state.journal_end = start
+    rows, at = np.concatenate(parts), np.concatenate(starts)
+    leaf, d = rows["leaf"], rows["distance"]
+    record = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
+    faults = (leaf < 0) | (leaf >= leaf_count) | ~np.isfinite(d) | (d < 0) | _repeats(rows, record)
+    if faults.any():
+        i = int(np.argmax(faults))
+        if not 0 <= leaf[i] < leaf_count:
+            fault = f"leaf {int(leaf[i]) % 2**64} outside 0..{leaf_count - 1}"
+        elif np.isfinite(d[i]) and d[i] >= 0:
+            fault = f"window id {rows['window_id'][i]} twice in leaf {leaf[i]}"
+        else:
+            fault = f"distance {d[i]}, not finite and >= 0"
+        raise reader.error(f"record entry holds {fault}", int(at[i]))
+    state.fold(leaf, rows["window_id"], d)
     return state

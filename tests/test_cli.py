@@ -520,7 +520,7 @@ class Crash(BaseException):
 
 class TestCheckpointCrashResume:
     """A checkpointed ``sample`` killed during or right after any checkpoint
-    write resumes to the outputs of an uninterrupted run."""
+    append resumes to the outputs and the journal of an uninterrupted run."""
 
     OUTPUTS = ("manifest_hkmeans.txt", "sample_stats.json")
 
@@ -531,6 +531,15 @@ class TestCheckpointCrashResume:
         run_pipeline(fixture, out)
         expected = {name: (out / name).read_bytes() for name in self.OUTPUTS}
         return fixture, out, expected
+
+    @pytest.fixture
+    def journal(self, setup, tmp_path):
+        """The checkpoint an uninterrupted run leaves."""
+        fixture, out, expected = setup
+        ckpt = tmp_path / "whole.ckpt"
+        assert run(*self.sample_args(fixture, out, ckpt, tmp_path / "whole")) == 0
+        assert {name: (tmp_path / "whole" / name).read_bytes() for name in self.OUTPUTS} == expected
+        return ckpt.read_bytes()
 
     @staticmethod
     def sample_args(fixture, out, ckpt, dest, shards=None):
@@ -545,77 +554,102 @@ class TestCheckpointCrashResume:
         ]
 
     @staticmethod
-    def crash_at(monkeypatch, ckpt, k, inside):
-        """Crash in the k-th checkpoint write (its rename fails) or right after it returns."""
+    def crash_at(monkeypatch, k, inside):
+        """Crash in the k-th checkpoint append, once half its bytes are on
+        disk, or right after the k-th ``save_checkpoint`` returns."""
         writes = 0
         if inside:
-            real_replace = os.replace
+            real_append = hsample.append_durable
 
-            def replace(src, dst):
+            def append(path, data, end):
                 nonlocal writes
-                if Path(dst) == ckpt:
-                    writes += 1
-                    if writes == k:
-                        raise Crash()
-                real_replace(src, dst)
+                writes += 1
+                if writes == k:
+                    real_append(path, data[: len(data) // 2], end)
+                    raise Crash()
+                return real_append(path, data, end)
 
-            monkeypatch.setattr(os, "replace", replace)
+            monkeypatch.setattr(hsample, "append_durable", append)
         else:
             real_save = hsample.save_checkpoint
 
-            def save(state, path):
+            def save(*args):
                 nonlocal writes
-                real_save(state, path)
+                end = real_save(*args)
                 writes += 1
                 if writes == k:
                     raise Crash()
+                return end
 
             monkeypatch.setattr(hsample, "save_checkpoint", save)
 
     @pytest.mark.parametrize("inside", [True, False], ids=["during", "after"])
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_resume_after_crash_equals_uninterrupted_run(self, setup, tmp_path, monkeypatch, k, inside):
+    def test_resume_after_crash_equals_uninterrupted_run(self, setup, journal, tmp_path, monkeypatch, k, inside):
         fixture, out, expected = setup
         ckpt_dir = tmp_path / "ckpt"
         ckpt_dir.mkdir()
         ckpt = ckpt_dir / "sel.ckpt"
         args = self.sample_args(fixture, out, ckpt, tmp_path / "resumed")
         with monkeypatch.context() as patch:
-            self.crash_at(patch, ckpt, k, inside)
+            self.crash_at(patch, k, inside)
             with pytest.raises(Crash):
                 run(*args)
-        # a crash inside write k leaves the checkpoint of write k - 1
-        assert ckpt.exists() == (k > 1 or not inside)
-        assert sorted(p.name for p in ckpt_dir.iterdir()) == (["sel.ckpt"] if ckpt.exists() else [])
+        # a crash inside append k leaves the records of the k - 1 before it and a torn tail
+        assert len(hsample.load_checkpoint(ckpt).shard_digests) == k - inside
+        assert len(ckpt.read_bytes()) < len(journal) or (k, inside) == (3, False)
+        assert sorted(p.name for p in ckpt_dir.iterdir()) == ["sel.ckpt"]
         assert run(*args) == 0
         assert {name: (tmp_path / "resumed" / name).read_bytes() for name in self.OUTPUTS} == expected
         assert sorted(p.name for p in ckpt_dir.iterdir()) == ["sel.ckpt"]
-        assert len(hsample.load_checkpoint(ckpt).shard_digests) == 3
+        assert ckpt.read_bytes() == journal
 
-    def test_nonzero_reserved_slot_still_resumes(self, setup, tmp_path, monkeypatch):
-        """Older builds stored an eviction count in header bytes 36-44."""
+    def test_crash_at_every_byte_of_the_last_append(self, setup, journal, tmp_path):
+        """Cut the journal at every byte of its last record: each resumed run
+        folds the last shard again and leaves the uninterrupted run's bytes."""
         fixture, out, expected = setup
         ckpt = tmp_path / "sel.ckpt"
+        ckpt.write_bytes(journal[:-1])
+        last = hsample.load_checkpoint(ckpt).journal_end
+        assert len(hsample.load_checkpoint(ckpt).shard_digests) == 2 and len(journal) - last > 100
+        for cut in range(last, len(journal)):
+            ckpt.write_bytes(journal[:cut])
+            dest = tmp_path / f"resumed-{cut % 2}"
+            assert run(*self.sample_args(fixture, out, ckpt, dest)) == 0, cut
+            assert {name: (dest / name).read_bytes() for name in self.OUTPUTS} == expected, cut
+            assert ckpt.read_bytes() == journal, cut
+
+    def test_crash_in_the_header_write_leaves_no_checkpoint(self, setup, journal, tmp_path, monkeypatch):
+        fixture, out, expected = setup
+        ckpt_dir = tmp_path / "ckpt"
+        ckpt = ckpt_dir / "sel.ckpt"
         args = self.sample_args(fixture, out, ckpt, tmp_path / "resumed")
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if Path(dst) == ckpt:
+                raise Crash()
+            real_replace(src, dst)
+
         with monkeypatch.context() as patch:
-            self.crash_at(patch, ckpt, 1, inside=False)
+            patch.setattr(os, "replace", replace)
             with pytest.raises(Crash):
                 run(*args)
-        data = bytearray(ckpt.read_bytes())
-        data[36:44] = struct.pack("<Q", 85)
-        ckpt.write_bytes(bytes(data))
+        assert list(ckpt_dir.iterdir()) == []
         assert run(*args) == 0
         assert {name: (tmp_path / "resumed" / name).read_bytes() for name in self.OUTPUTS} == expected
-        assert struct.unpack_from("<Q", ckpt.read_bytes(), 36) == (0,)
+        assert ckpt.read_bytes() == journal
 
     def test_resume_with_other_shards_is_refused(self, setup, tmp_path, monkeypatch):
         fixture, out, _ = setup
         ckpt = tmp_path / "sel.ckpt"
         with monkeypatch.context() as patch:
-            self.crash_at(patch, ckpt, 1, inside=False)
+            self.crash_at(patch, 2, inside=True)
             with pytest.raises(Crash):
                 run(*self.sample_args(fixture, out, ckpt, tmp_path / "s"))
+        # one whole record and a torn one, which a refused resume must not cut
         before = ckpt.read_bytes()
+        assert hsample.load_checkpoint(ckpt).journal_end < len(before)
         reordered = list(reversed(fixture["shards"]))
         assert run(*self.sample_args(fixture, out, ckpt, tmp_path / "s", shards=reordered)) == 2
         # the finished shard, rewritten with other vectors
@@ -634,7 +668,7 @@ class TestCheckpointCrashResume:
         ckpt = tmp_path / "sel.ckpt"
         args = self.sample_args(fixture, out, ckpt, tmp_path / "resumed")
         with monkeypatch.context() as patch:
-            self.crash_at(patch, ckpt, 1, inside=False)
+            self.crash_at(patch, 1, inside=False)
             with pytest.raises(Crash):
                 run(*args)
         hashed, reads = [], []
@@ -665,16 +699,18 @@ class TestCheckpointCrashResume:
         ckpt = tmp_path / "sel.ckpt"
         args = self.sample_args(fixture, out, ckpt, tmp_path / "s")
         assert run(*args) == 0
+        before = ckpt.read_bytes()
         # every shard is done, so nothing but the quota check sees the new target
         args[args.index("--target-n") + 1] = 30
         args[-1] = tmp_path / "s30"
         assert run(*args) == 2
         assert not (tmp_path / "s30" / "manifest_hkmeans.txt").exists()
+        assert ckpt.read_bytes() == before
 
     def test_oversized_leaf_count_is_an_error_not_a_traceback(self, setup, tmp_path, capsys):
         fixture, out, _ = setup
         ckpt = tmp_path / "sel.ckpt"
-        ckpt.write_bytes(hsample.CHECKPOINT_MAGIC + struct.pack("<IQQQQ", hsample.CHECKPOINT_VERSION, 2**62, 0, 0, 0))
+        ckpt.write_bytes(hsample.CHECKPOINT_MAGIC + struct.pack("<IQQ", hsample.CHECKPOINT_VERSION, 2**62, 0))
         assert run(*self.sample_args(fixture, out, ckpt, tmp_path / "s")) == 2
         assert capsys.readouterr().err.startswith("error: leaf count")
 

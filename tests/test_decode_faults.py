@@ -4,8 +4,11 @@ Each format's layout is written out here item by item, independently of the
 decoders.  Every truncation of a valid file must be reported at the first
 byte of the item the cut leaves incomplete, and every planted content fault
 at the first faulty record or centroid row; never as a ValidationError or a
-bare numpy ValueError.  A shard too wide to read back is refused before it
-is written.
+bare numpy ValueError.  A cut inside a checkpoint journal's record is the
+torn tail of an append, which the loader drops: there, and for a cut at
+the record's first byte, the test checks that the journal's whole records
+end at that byte.  A shard too
+wide to read back is refused before it is written.
 """
 
 import struct
@@ -42,10 +45,10 @@ def model_items() -> list[int]:
 
 
 def checkpoint_items() -> list[int]:
-    sizes = [8, 36]
-    for leaf in range(len(LEAF_QUOTAS)):
-        sizes += [16] + [16] * sum(1 for _, at, _ in LEAF_ENTRIES if at == leaf)
-    return sizes + [8] + [32] * len(DIGESTS)
+    # magic, version and leaf count, the quotas, then one record: its length
+    # and counts, digests, (leaf, window id, distance) rows and SHA-256
+    record = 8 + 32 + 32 * len(DIGESTS) + 24 * len(LEAF_ENTRIES) + 32
+    return [8, 12] + [8] * len(LEAF_QUOTAS) + [record]
 
 
 def starts(sizes: list[int]) -> list[int]:
@@ -68,9 +71,17 @@ def _write_checkpoint(path):
     save_checkpoint(state, path)
 
 
+def _load_checkpoint(path):
+    """``load_checkpoint``, with a record that is missing or dropped as a
+    torn tail reported where the journal's whole records end."""
+    state = load_checkpoint(path)
+    if state.shard_digests != DIGESTS or state.journal_end != path.stat().st_size:
+        raise ParseError("record missing or torn", path=str(path), offset=state.journal_end)
+
+
 def expected_offset(fmt: str, cut: int, sizes: list[int]) -> int:
-    if fmt == "checkpoint" and cut >= 44 and (cut - 44) // 16 < len(LEAF_QUOTAS):
-        return 12  # fewer than 16 bytes per leaf after the header: the leaf-count guard
+    if fmt == "checkpoint" and 20 <= cut < 20 + 8 * len(LEAF_QUOTAS):
+        return 12  # fewer than 8 bytes per leaf after the header: the leaf-count guard
     return max(start for start in starts(sizes) if start <= cut)
 
 
@@ -78,7 +89,7 @@ def expected_offset(fmt: str, cut: int, sizes: list[int]) -> int:
 FORMATS = {
     "shard": (_write_shard, read_shard, shard_items(), ShardTruncatedError),
     "model": (_write_model, load_model, model_items(), ParseError),
-    "checkpoint": (_write_checkpoint, load_checkpoint, checkpoint_items(), ParseError),
+    "checkpoint": (_write_checkpoint, _load_checkpoint, checkpoint_items(), ParseError),
 }
 
 

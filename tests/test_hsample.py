@@ -19,6 +19,7 @@ from pamcurate.core_model import (
 )
 from pamcurate.errors import ParseError, ValidationError
 from pamcurate.hkmeans import CentroidSet, ClusterHierarchy, assign_batch
+from pamcurate import hsample
 from pamcurate.hsample import (
     SelectionState,
     allocate_quotas,
@@ -477,6 +478,31 @@ class TestEmitAndPopulations:
         assert PRODUCTION_TARGET_N == 323_532
 
 
+def header_size(leaves: int) -> int:
+    """Bytes of a journal header: magic, version, leaf count and one quota per leaf."""
+    return 8 + 4 + 8 + 8 * leaves
+
+
+def record_bytes(rows, digests=(), processed=0, rejected=0) -> bytes:
+    """One journal record of ``(leaf, window_id, distance)`` rows, written out
+    field by field: length, counts, digests, rows, then the SHA-256."""
+    body = struct.pack("<QQQQ", len(digests), processed, rejected, len(rows)) + b"".join(digests)
+    body += b"".join(struct.pack("<QQd", *row) for row in rows)
+    body = struct.pack("<Q", len(body)) + body
+    return body + hashlib.sha256(body).digest()
+
+
+def journal(quotas, *records: bytes) -> bytes:
+    return b"PAMSEL03" + struct.pack(f"<IQ{len(quotas)}Q", 3, len(quotas), *quotas) + b"".join(records)
+
+
+def three_entry_state():
+    state = SelectionState.empty([2, 0, 3])
+    for wid, leaf, dist in [(5, 0, 0.25), (6, 0, 0.5), (7, 2, 0.125)]:
+        state.fold([leaf], [wid], [dist])
+    return state
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(31)
@@ -490,10 +516,12 @@ class TestCheckpoint:
         )
         state = stream_select([shard], hierarchy, quotas)
         path = tmp_path / "sel.ckpt"
-        save_checkpoint(state, path)
+        assert save_checkpoint(state, path) == len(path.read_bytes())
         loaded = load_checkpoint(path)
         assert loaded == state
-        assert struct.unpack_from("<Q", path.read_bytes(), 36) == (0,)  # reserved slot
+        rows = [(leaf, wid, dist) for leaf, pairs in enumerate(by_leaf(state)) for dist, wid in pairs]
+        assert path.read_bytes() == journal(quotas, record_bytes(rows, processed=n))
+        assert loaded.journal_end == len(path.read_bytes())
         # canonical bytes: saving the loaded state reproduces the file
         save_checkpoint(loaded, tmp_path / "sel2.ckpt")
         assert (tmp_path / "sel2.ckpt").read_bytes() == path.read_bytes()
@@ -515,8 +543,8 @@ class TestCheckpoint:
         whole = stream_select([EmbeddingShard(dim=4, window_ids=ids, vectors=vectors)], hierarchy, quotas)
         assert resumed == whole
 
-    def test_checkpoint_bytes_are_pinned(self, tmp_path):
-        # A change of the selection, of its tie order or of the layout changes these bytes.
+    @staticmethod
+    def pinned_corpus():
         means = np.random.default_rng(43).normal(0.0, 2.0, size=(10, 8))
         weights = 1.0 / np.arange(1, 11) ** 1.5
         spec = MixtureSpec(
@@ -539,26 +567,70 @@ class TestCheckpoint:
         quotas = allocate_quotas(hierarchy, populations, 1200).leaf_quotas
         capped = (quotas == populations) & (populations > 0)
         assert capped.any() and (quotas < populations).any()
+        return hierarchy, shards, quotas
+
+    def test_checkpoint_bytes_are_pinned(self, tmp_path):
+        # A change of the selection, of its tie order or of the layout changes these bytes.
+        hierarchy, shards, quotas = self.pinned_corpus()
         path = tmp_path / "sel.ckpt"
         save_checkpoint(stream_select(shards, hierarchy, quotas), path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "1052bc28f45a77dcf4eac0e61bb5d61492c475b941d2cb01af145973a5e251a0"
+        assert digest == "a92734228ee9f3948335f62c5f5aa8479cfba8198b4720552dc9b22a21ca13c7"
+
+    def test_journal_bytes_are_pinned(self, tmp_path):
+        """A journal of one record per shard, each holding the rows its fold
+        kept, as a checkpointed run writes it; it replays to the state."""
+        hierarchy, shards, quotas = self.pinned_corpus()
+        records = []
+        state = stream_select(shards, hierarchy, quotas, records=records)
+        path, end = tmp_path / "sel.ckpt", 0
+        for i, record in enumerate(records):
+            record.shard_digests = [hashlib.sha256(b"shard %d" % i).digest()]
+            end = save_checkpoint(record, path, end)
+        assert end == len(path.read_bytes())
+        # the journal holds more rows than the state, and fewer than were folded
+        assert len(state.held) < sum(len(r.held) for r in records) < state.processed
+        loaded = load_checkpoint(path)
+        assert loaded == state and len(loaded.shard_digests) == len(shards)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "a1b5b0192e921b8244fbe3e33b12398c2c4251e08acda1ceeaae059a1f99b5ff"
+
+    @settings(max_examples=150, deadline=None)
+    @given(shard_streams(), st.data())
+    def test_journal_of_any_stream_replays_to_its_state(self, drawn, data):
+        """Every prefix of the per-shard journal replays to the state after
+        that many shards, and a record cut at any byte is dropped."""
+        hierarchy, quotas, shards = drawn
+        records = []
+        state = SelectionState.empty(quotas)
+        with tempfile.TemporaryDirectory() as tmp:
+            path, end = Path(tmp) / "sel.ckpt", 0
+            for i, shard in enumerate(shards):
+                stream_select([shard], hierarchy, quotas, state=state, records=records)
+                records[-1].shard_digests = [bytes([i]) * 32]
+                start, end = end or header_size(len(quotas)), save_checkpoint(records[-1], path, end)
+                loaded = load_checkpoint(path)
+                assert loaded == state and by_leaf(loaded) == by_leaf(state)
+                path.write_bytes(path.read_bytes()[: data.draw(st.integers(start, end - 1))])
+                torn = load_checkpoint(path)
+                assert torn.journal_end == start and len(torn.shard_digests) == i
+                assert save_checkpoint(records[-1], path, torn.journal_end) == end
+                assert load_checkpoint(path) == state
 
     @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")])
     def test_invalid_distance_rejected_at_its_entry(self, tmp_path, bad):
-        state = SelectionState.empty([2, 0, 3])
-        for wid, leaf, dist in [(5, 0, 0.25), (6, 0, 0.5), (7, 2, 0.125)]:
-            state.fold([leaf], [wid], [dist])
         path = tmp_path / "c.ckpt"
-        save_checkpoint(state, path)
+        save_checkpoint(three_entry_state(), path)
         data = bytearray(path.read_bytes())
-        # each leaf's worst entry is its last; leaf 0's starts at 44 + 16 + 16, leaf 2's at 124
-        for entry in (76, 124):
-            data[entry + 8 : entry + 16] = struct.pack("<d", bad)
+        # rows start 40 bytes into the record at 44; rows 1 and 2 end each leaf
+        record, rows = header_size(3), header_size(3) + 40
+        for entry in (rows + 24, rows + 48):
+            data[entry + 16 : entry + 24] = struct.pack("<d", bad)
+        data[-32:] = hashlib.sha256(data[record:-32]).digest()
         path.write_bytes(bytes(data))
         with pytest.raises(ParseError) as err:
             load_checkpoint(path)
-        assert err.value.offset == 76
+        assert err.value.offset == rows + 24
 
     def test_entries_in_any_order_load_to_the_same_state(self, tmp_path):
         state = SelectionState.empty([0, 4, 3])
@@ -566,17 +638,19 @@ class TestCheckpoint:
         path = tmp_path / "c.ckpt"
         save_checkpoint(state, path)
         data = path.read_bytes()
-        # leaf 1's four entries start at 44 + 16 + 16, leaf 2's three at 76 + 64 + 16
-        leaf1 = [data[76 + 16 * i : 92 + 16 * i] for i in range(4)]
-        leaf2 = [data[156 + 16 * i : 172 + 16 * i] for i in range(3)]
-        for n, order in enumerate(itertools.permutations(range(4))):
-            shuffled = data[:76] + b"".join(leaf1[i] for i in order) + data[140:156]
-            shuffled += b"".join(leaf2[(i + n) % 3] for i in range(3)) + data[204:]
-            path.write_bytes(shuffled)
-            loaded = load_checkpoint(path)
-            assert loaded == state
-            save_checkpoint(loaded, tmp_path / "again.ckpt")
-            assert (tmp_path / "again.ckpt").read_bytes() == data
+        rows = state.held.tolist()
+        for n, order in enumerate(itertools.permutations(range(7))):
+            if n % 37:
+                continue
+            # all rows in one record, or split over two, in any order
+            shuffled = [rows[i] for i in order]
+            for split in (7, n % 7):
+                parts = [record_bytes(shuffled[:split]), record_bytes(shuffled[split:])]
+                path.write_bytes(journal([0, 4, 3], *parts))
+                loaded = load_checkpoint(path)
+                assert loaded == state
+                save_checkpoint(loaded, tmp_path / "again.ckpt")
+                assert (tmp_path / "again.ckpt").read_bytes() == data
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
@@ -585,42 +659,98 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert err.value.offset == 0
 
-    def test_duplicate_id_in_leaf_rejected(self, tmp_path):
-        # A state never holds an id twice in a leaf, so the bytes are written here.
-        path = tmp_path / "dup.ckpt"
-        header = b"PAMSEL02" + struct.pack("<IQQQQ", 2, 2, 0, 0, 0)
-        leaves = struct.pack("<QQ", 2, 0) + struct.pack("<QQ", 3, 2) + struct.pack("<QdQd", 9, 0.25, 9, 0.5)
-        path.write_bytes(header + leaves + struct.pack("<Q", 0))
-        with pytest.raises(ParseError) as err:
+    def test_unsupported_version(self, tmp_path):
+        path = tmp_path / "v2.ckpt"
+        path.write_bytes(b"PAMSEL03" + struct.pack("<IQQ", 2, 1, 1))
+        with pytest.raises(ParseError, match="unsupported checkpoint version 2") as err:
             load_checkpoint(path)
-        assert err.value.offset == 44 + 16 + 16
+        assert err.value.offset == 8
+
+    def test_duplicate_id_in_leaf_rejected(self, tmp_path):
+        # A record never holds an id twice in a leaf, so the bytes are written here.
+        path = tmp_path / "dup.ckpt"
+        path.write_bytes(journal([2, 3], record_bytes([(1, 9, 0.25), (1, 9, 0.5)])))
+        with pytest.raises(ParseError, match="window id 9 twice in leaf 1") as err:
+            load_checkpoint(path)
+        assert err.value.offset == header_size(2) + 40 + 24
+        # one id in two leaves, or in one leaf of two records, is not a fault
+        path.write_bytes(journal([2, 3], record_bytes([(0, 9, 0.25), (1, 9, 0.5)]), record_bytes([(1, 9, 0.125)])))
+        assert by_leaf(load_checkpoint(path)) == [[(0.25, 9)], [(0.125, 9)]]
+
+    def test_leaf_index_beyond_leaf_count_rejected(self, tmp_path):
+        path = tmp_path / "leaf.ckpt"
+        for leaf in (2, 2**63, 2**64 - 1):
+            path.write_bytes(journal([2, 3], record_bytes([(1, 9, 0.25)]), record_bytes([(0, 4, 0.5), (leaf, 7, 0.5)])))
+            with pytest.raises(ParseError, match=f"leaf {leaf} outside 0..1") as err:
+                load_checkpoint(path)
+            first = header_size(2) + 40 + 24 + 32
+            assert err.value.offset == first + 40 + 24
+
+    def test_record_length_must_match_its_counts(self, tmp_path):
+        path = tmp_path / "len.ckpt"
+        body = struct.pack("<QQQQQ", 32 + 24, 0, 0, 0, 0) + bytes(24)
+        path.write_bytes(journal([1], body + hashlib.sha256(body).digest(), record_bytes([])))
+        with pytest.raises(ParseError, match="record length 56") as err:
+            load_checkpoint(path)
+        assert err.value.offset == header_size(1)
+
+    def test_bad_record_followed_by_more_bytes_is_located(self, tmp_path):
+        """A record whose checksum fails is a fault when bytes follow it,
+        and the torn tail of an append when the file ends right after it.
+        A length that ends it past the end of the file is the torn tail too:
+        the file ends inside the record it declares."""
+        path = tmp_path / "c.ckpt"
+        first, second = record_bytes([(0, 5, 0.25)], processed=3), record_bytes([(1, 6, 0.5)], processed=4)
+        for flip in range(len(first)):
+            bad = bytearray(first)
+            bad[flip] ^= 1
+            path.write_bytes(journal([1, 1], bytes(bad), second))
+            if 8 + struct.unpack_from("<Q", bad)[0] + 32 < len(first) + len(second):
+                with pytest.raises(ParseError, match="record checksum mismatch") as err:
+                    load_checkpoint(path)
+                assert err.value.offset == header_size(2), flip
+            else:
+                assert load_checkpoint(path).journal_end == header_size(2), flip
+            path.write_bytes(journal([1, 1], bytes(bad)))
+            torn = load_checkpoint(path)
+            assert (torn.processed, len(torn.held), torn.journal_end) == (0, 0, header_size(2)), flip
+        path.write_bytes(journal([1, 1], first, second))
+        assert load_checkpoint(path).processed == 7
 
     def test_truncation_detected(self, tmp_path):
+        """A cut inside the last record is the torn tail of its append: the
+        state is that of the records before it, and the next append cuts it."""
         state = SelectionState.empty([2, 1])
         state.fold([0], [5], [0.25])
         path = tmp_path / "c.ckpt"
         save_checkpoint(state, path)
-        path.write_bytes(path.read_bytes()[:-4])
-        with pytest.raises(ParseError):
-            load_checkpoint(path)
+        data = path.read_bytes()
+        path.write_bytes(data[:-4])
+        torn = load_checkpoint(path)
+        assert torn == SelectionState.empty([2, 1]) and torn.journal_end == header_size(2)
+        assert save_checkpoint(state, path, torn.journal_end) == len(data)
+        assert path.read_bytes() == data
 
-    def test_every_truncation_is_a_parse_error(self, tmp_path):
-        state = SelectionState.empty([2, 0, 3])
-        for wid, leaf, dist in [(5, 0, 0.25), (6, 0, 0.5), (7, 2, 0.125)]:
-            state.fold([leaf], [wid], [dist])
+    def test_every_cut_is_a_parse_error_or_a_dropped_record(self, tmp_path):
+        state = three_entry_state()
         state.shard_digests = [bytes(range(32)), bytes(32)]
         path = tmp_path / "c.ckpt"
         save_checkpoint(state, path)
         data = path.read_bytes()
-        for cut in range(len(data)):
+        header = header_size(3)
+        for cut in range(header):
             path.write_bytes(data[:cut])
             with pytest.raises(ParseError):
                 load_checkpoint(path)
-        path.write_bytes(data + b"\x00")
-        with pytest.raises(ParseError):
-            load_checkpoint(path)
+        for cut in [*range(header, len(data)), len(data) + 1]:
+            path.write_bytes((data + b"\x00")[:cut])
+            loaded = load_checkpoint(path)
+            whole = cut == len(data) + 1
+            assert loaded == (state if whole else SelectionState.empty([2, 0, 3])), cut
+            assert loaded.journal_end == (len(data) if whole else header), cut
 
     def test_shard_digest_trailer(self, tmp_path):
+        """A record's digests come right after its 40-byte head, in order."""
         state = SelectionState.empty([1, 2])
         state.fold([1], [9], [0.5])
         digests = [hashlib.sha256(b"shard-a").digest(), hashlib.sha256(b"shard-b").digest()]
@@ -628,32 +758,95 @@ class TestCheckpoint:
         path = tmp_path / "c.ckpt"
         save_checkpoint(state, path)
         data = path.read_bytes()
-        assert data[:8] == b"PAMSEL02"
-        # 44-byte header, then per leaf 16 bytes plus 16 per entry, then the trailer
-        body = 44 + 16 + (16 + 16)
-        assert len(data) == body + 8 + 32 * len(digests)
-        assert int.from_bytes(data[body : body + 8], "little") == 2
-        assert data[body + 8 :] == b"".join(digests)
+        assert data[:8] == b"PAMSEL03"
+        record = header_size(2)
+        assert len(data) == record + 40 + 32 * len(digests) + 24 + 32
+        assert struct.unpack_from("<QQ", data, record) == (32 + 32 * 2 + 24, 2)
+        assert data[record + 40 : record + 40 + 64] == b"".join(digests)
         loaded = load_checkpoint(path)
         assert loaded == state
         assert loaded.shard_digests == digests
 
     def test_leaf_count_beyond_file_size_rejected(self, tmp_path):
         path = tmp_path / "huge.ckpt"
-        path.write_bytes(b"PAMSEL02" + struct.pack("<IQQQQ", 2, 2**62, 0, 0, 0))
+        path.write_bytes(b"PAMSEL03" + struct.pack("<IQ", 3, 2**62))
         with pytest.raises(ParseError) as err:
             load_checkpoint(path)
         assert err.value.offset == 12
-        # two leaves need 32 bytes after the header; 16 are present
-        path.write_bytes(b"PAMSEL02" + struct.pack("<IQQQQ", 2, 2, 0, 0, 0) + bytes(16))
+        # two leaves need 16 bytes of quotas after the header; 8 are present
+        path.write_bytes(b"PAMSEL03" + struct.pack("<IQ", 3, 2) + bytes(8))
         with pytest.raises(ParseError) as err:
             load_checkpoint(path)
         assert err.value.offset == 12
 
     def test_quota_beyond_int64_rejected(self, tmp_path):
         path = tmp_path / "quota.ckpt"
-        header = b"PAMSEL02" + struct.pack("<IQQQQ", 2, 1, 0, 0, 0)
-        path.write_bytes(header + struct.pack("<QQQ", 2**63, 0, 0))
-        with pytest.raises(ParseError) as err:
+        path.write_bytes(journal([1, 2**63]))
+        with pytest.raises(ParseError, match="leaf 1 quota") as err:
             load_checkpoint(path)
-        assert err.value.offset == 44
+        assert err.value.offset == 28
+
+
+class TestFoldTieRoute:
+    """``fold`` places survivors by the ``(leaf, distance)`` key and takes
+    the structured ``(leaf, distance, window_id)`` search only for those
+    whose ``(leaf, distance)`` a held row has too."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        calls = []
+        real = hsample._structured_search
+
+        def search(held, rows):
+            calls.append(rows[["leaf", "window_id", "distance"]].tolist())
+            return real(held, rows)
+
+        monkeypatch.setattr(hsample, "_structured_search", search)
+        return calls
+
+    def test_tie_free_fold_never_takes_the_structured_search(self, spy):
+        rng = np.random.default_rng(5)
+        quotas = [4, 3, 6, 2]
+        records = [(int(rng.integers(0, 4)), wid, float(rng.random())) for wid in range(200)]
+        state = SelectionState.empty(quotas)
+        for chunk in np.array_split(np.arange(200), 9):
+            state.fold(*columns([records[i] for i in chunk]))
+        assert spy == []
+        assert by_leaf(state) == topn_per_leaf(*columns(records), quotas)
+
+    def test_tied_survivors_alone_take_the_structured_search(self, spy):
+        last = 3
+        quotas = [7, 2, 2, 6]
+        d0, d1, d2 = TIE_DISTANCES[1], TIE_DISTANCES[2], TIE_DISTANCES[3]
+        # held: in leaf 0 and the last leaf, ids 10 and 20 at one distance, beside other distances
+        held = [(leaf, wid, d) for leaf in (0, last) for wid, d in ((10, d1), (20, d1), (30, d0), (31, d2))]
+        state = SelectionState.empty(quotas)
+        state.fold(*columns(held))
+        assert spy == [] and len(state.held) == 8
+        # survivors tied on (leaf, distance) land before, between and after the
+        # held ids 10 and 20; the others tie only a distance or only a leaf
+        tied = [(leaf, wid, d1) for leaf in (0, last) for wid in (5, 15, 25)]
+        untied = [(0, 40, d2 + 1e-9), (last, 41, TIE_DISTANCES[0]), (1, 42, d1), (2, 43, d1), (0, 44, TIE_DISTANCES[4])]
+        incoming = [untied[0], *tied[:3], untied[1], untied[2], *tied[3:], untied[3], untied[4]]
+        state.fold(*columns(incoming))
+        assert sorted(map(tuple, spy[0])) == sorted(tied) and len(spy) == 1
+        assert by_leaf(state) == topn_per_leaf(*columns(held + incoming), quotas)
+        ids = {leaf: [wid for _, wid in pairs] for leaf, pairs in enumerate(by_leaf(state))}
+        assert ids[0] == [30, 5, 10, 15, 20, 25, 31] and ids[last] == [41, 30, 5, 10, 15, 20]
+
+    @settings(max_examples=200, deadline=None)
+    @given(record_chunks())
+    def test_structured_search_gets_only_tied_survivors(self, drawn):
+        quotas, records, chunks = drawn
+        state = SelectionState.empty(quotas)
+        for chunk in chunks:
+            before = {(leaf, dist) for leaf, _, dist in state.held.tolist()}
+            calls = []
+            real = hsample._structured_search
+            hsample._structured_search = lambda held, rows: calls.append(rows.tolist()) or real(held, rows)
+            try:
+                state.fold(*columns(chunk))
+            finally:
+                hsample._structured_search = real
+            assert all((leaf, dist) in before for call in calls for leaf, _, dist in call)
+        assert by_leaf(state) == topn_per_leaf(*columns(records), quotas)

@@ -12,10 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from pamcurate import geo_align
+from pamcurate import geo_align, hsample
 from pamcurate.core_model import load_deployment
 from conftest import build_pipeline_fixture
-from test_cli import run_pipeline
+from test_cli import run, run_pipeline
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -65,3 +65,29 @@ def test_call_shapes_the_counters_read_match_the_stats(tmp_path):
     assert len(pairs) == len(sidecar.read_text().splitlines())
     curated = json.loads((out / "curate_stats.json").read_text())
     assert len(geo_align.aligned_from_sidecar(pairs, config.window_index())) == curated["aligned_windows"] < len(pairs)
+
+
+def test_checkpoint_counter_sees_one_append_per_shard(spans, tmp_path, monkeypatch):
+    """The ``hsample.save_checkpoint`` counter reads the checkpoint's size
+    from the call's second positional argument after every call, and the
+    bench counts the calls as checkpoint writes: a checkpointed ``sample``
+    calls it once per shard it folds, with the journal path there."""
+    assert list(inspect.signature(hsample.save_checkpoint).parameters)[:2] == ["state", "path"]
+    (count,) = [count for _, attribute, _, count in spans.TARGETS if attribute == "save_checkpoint"]
+    fixture = build_pipeline_fixture(tmp_path / "fx")
+    out, ckpt = tmp_path / "out", tmp_path / "sel.ckpt"
+    run_pipeline(fixture, out)
+    calls, real = [], hsample.save_checkpoint
+
+    def save(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((args, kwargs, count(args, kwargs, result)))
+        return result
+
+    monkeypatch.setattr(hsample, "save_checkpoint", save)
+    argv = ["sample", "--config", fixture["config"], "--model", out / "model.bin", "--shards", *fixture["shards"]]
+    assert run(*argv, "--target-n", 60, "--checkpoint", ckpt, "--out", tmp_path / "s") == 0
+    assert len(calls) == len(fixture["shards"])
+    assert all(args[1] == ckpt and not kwargs for args, kwargs, _ in calls)
+    sizes = [counted["bytes"] for _, _, counted in calls]
+    assert sizes == sorted(sizes) and sizes[-1] == ckpt.stat().st_size

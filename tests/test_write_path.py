@@ -1,9 +1,10 @@
-"""Every file the package writes goes through ``core_model.write_atomic``.
+"""Every file the package writes goes through ``core_model.write_atomic``,
+or, for the checkpoint journal's records, ``core_model.append_durable``.
 
 A failed write, at the fsync or at the rename, must leave the destination
 with its old bytes and no temporary file beside it; a good one fsyncs the
-directory after the rename; and no module may open a file for writing
-anywhere else.  Likewise, no module may decode binary bytes outside
+directory after the rename; an append cuts a torn tail first; and no
+module may open a file for writing anywhere else.  Likewise, no module may decode binary bytes outside
 ``core_model.BinaryReader``, none may open a text file for reading outside
 the few readers that own a text format, none may import ``threading``,
 ``multiprocessing`` or ``concurrent``, none may hold an ``assert``
@@ -19,9 +20,11 @@ import numpy as np
 import pytest
 
 from pamcurate import cli, geo_align, hkmeans, hsample
+from pamcurate.errors import ValidationError
 from pamcurate.core_model import (
     CurationManifest,
     EmbeddingShard,
+    append_durable,
     save_deployment,
     write_atomic,
     write_manifest,
@@ -146,8 +149,27 @@ def test_directory_fsynced_after_rename(tmp_path, monkeypatch):
 
 def test_written_files_get_the_usual_permissions(tmp_path):
     write_atomic(tmp_path / "atomic", "x")
+    append_durable(tmp_path / "appended", b"x", 0)
     (tmp_path / "plain").write_text("x")
     assert (tmp_path / "atomic").stat().st_mode == (tmp_path / "plain").stat().st_mode
+    assert (tmp_path / "appended").stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+
+def test_append_cuts_the_torn_tail_and_fsyncs_what_it_creates(tmp_path, monkeypatch):
+    synced = []
+    real = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: synced.append(stat.S_ISDIR(os.fstat(fd).st_mode)) or real(fd))
+    path = tmp_path / "j.bin"
+    assert append_durable(path, b"head", 0) == 4
+    assert synced == [False, True]  # the file, then the directory that now holds it
+    assert append_durable(path, b"one", 4) == 7
+    assert synced[2:] == [False]
+    path.write_bytes(b"headonetorn")
+    assert append_durable(path, b"two", 7) == 10
+    assert path.read_bytes() == b"headonetwo"
+    with pytest.raises(ValidationError, match="fewer than the 12 already appended"):
+        append_durable(path, b"three", 12)
+    assert path.read_bytes() == b"headonetwo"
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +184,18 @@ def _mode_of(call: ast.Call):
     return call.args[1] if len(call.args) > 1 else None
 
 
+WRITE_HELPERS = {"write_atomic", "append_durable"}
+
+
 def write_sites(source: str) -> list[int]:
-    """Line numbers of writes outside ``write_atomic``: ``open``/``fdopen``
-    in a write, append or update mode, ``.write_text(`` and ``.write_bytes(``."""
+    """Line numbers of writes outside ``write_atomic`` and ``append_durable``:
+    ``open``/``fdopen`` in a write, append or update mode (``os.open`` with
+    any flags), ``.write_text(`` and ``.write_bytes(``."""
     sites = []
 
     def visit(node, inside_helper):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            inside_helper = inside_helper or node.name == "write_atomic"
+            inside_helper = inside_helper or node.name in WRITE_HELPERS
         if isinstance(node, ast.Call) and not inside_helper:
             func = node.func
             name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
@@ -199,9 +225,12 @@ def test_guard_finds_every_kind_of_write():
             "open(p)",
             "open(p, 'rb')",
             "def write_atomic(p):\n    open(p, 'wb')",
+            "def append_durable(p):\n    os.open(p, os.O_WRONLY | os.O_APPEND)",
+            "def append_journal(p):\n    os.open(p, os.O_WRONLY | os.O_APPEND)",
+            "def write_atomic_copy(p):\n    open(p, 'ab')",
         ]
     )
-    assert write_sites(source) == [1, 2, 3, 4, 5, 6, 7]
+    assert write_sites(source) == [1, 2, 3, 4, 5, 6, 7, 15, 17]
 
 
 def test_package_writes_only_through_write_atomic():
