@@ -16,6 +16,8 @@ import sys
 from functools import reduce
 from pathlib import Path
 
+import numpy as np
+
 from . import ais_curate, assemble_ssl, geo_align, hkmeans, hsample
 from .core_model import load_deployment, read_manifest, read_shard, write_atomic, write_manifest
 from .errors import PamCurateError, ShardDimError, ValidationError
@@ -147,16 +149,7 @@ def cmd_fit(args) -> int:
         seed=args.seed,
     )
     shard_paths = [Path(p) for p in args.shards]
-
-    def source():
-        dim = None
-        for path in shard_paths:
-            shard = read_shard(path)
-            if shard.dim != (dim := dim or shard.dim):
-                raise ShardDimError(f"shard dim {shard.dim} != {dim} of the first shard", path=str(path), offset=8)
-            yield shard.vectors
-
-    hierarchy = hkmeans.build_hierarchy(source, config)
+    hierarchy = hkmeans.build_hierarchy(lambda: (shard.vectors for shard, _ in _shards(shard_paths)), config)
     out = _out_dir(args)
     model_path = out / "model.bin"
     hkmeans.save_model(hierarchy, model_path)
@@ -172,6 +165,20 @@ def cmd_fit(args) -> int:
     _write_run_record(args, shard_paths, [model_path, stats_path])
     logger.info("fit: model with levels %s saved", [cs.k for cs in hierarchy.levels])
     return 0
+
+
+def _shards(paths, dim: int | None = None):
+    """Read each shard file once and yield ``(shard, data)``: the shard and
+    the bytes it was parsed from.  A shard whose dim is not ``dim``, by
+    default the first shard's, is a ShardDimError at its dim field, offset 8."""
+    of = "of the model" if dim else "of the first shard"
+    for path in paths:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        shard = read_shard(path, data)
+        if shard.dim != (dim := dim or shard.dim):
+            raise ShardDimError(f"shard dim {shard.dim} != {dim} {of}", path=str(path), offset=8)
+        yield shard, data
 
 
 def _select_partition(shard_paths, hierarchy, quotas, checkpoint: Path | None = None) -> hsample.SelectionState:
@@ -194,15 +201,11 @@ def _select_partition(shard_paths, hierarchy, quotas, checkpoint: Path | None = 
             raise ValidationError(f"checkpoint {checkpoint} was written for other shards, --shards order or quotas")
         logger.info("checkpoint %s: %d of %d shards already done", checkpoint, done, len(shard_paths))
     end = state.journal_end
-    for path in shard_paths[len(state.shard_digests) :]:
-        with open(path, "rb") as fh:
-            data = fh.read()
+    for shard, data in _shards(shard_paths[len(state.shard_digests) :], hierarchy.dim):
         records = []
-        state = hsample.stream_select([read_shard(path, data)], hierarchy, quotas, state=state, records=records)
+        state = hsample.stream_select([shard], hierarchy, quotas, state=state, records=records)
         if checkpoint is not None:
-            digest = hashlib.sha256(data).digest()
-            state.shard_digests.append(digest)
-            records[0].shard_digests.append(digest)
+            records[0].shard_digests.append(hashlib.sha256(data).digest())
             checkpoint.parent.mkdir(parents=True, exist_ok=True)
             end = hsample.save_checkpoint(records[0], checkpoint, end)
     return state
@@ -216,7 +219,8 @@ def cmd_sample(args) -> int:
     shard_paths = [Path(p) for p in args.shards]
     checkpoint = Path(args.checkpoint) if args.checkpoint else None
 
-    populations = hsample.count_populations((read_shard(p) for p in shard_paths), hierarchy)
+    # Every shard is read and checked here, before quotas, the checkpoint or --out.
+    populations = hsample.count_populations((shard for shard, _ in _shards(shard_paths, hierarchy.dim)), hierarchy)
     quotas = hsample.allocate_quotas(hierarchy, populations, args.target_n)
     # Strided shard partitions, each streamed alone and merged; the result does
     # not depend on their count.  A checkpoint holds one stream's state.
@@ -225,6 +229,15 @@ def cmd_sample(args) -> int:
     state = reduce(hsample.merge, states)
 
     manifest = hsample.emit(state, hierarchy, config.window_index())
+    if len(manifest) < quotas.total:
+        # A leaf's population counts a window id once per record, its selection once.
+        ids = np.concatenate([shard.window_ids for shard, _ in _shards(shard_paths)])
+        ids, copies = np.unique(ids, return_counts=True)
+        repeated = ids[copies > 1].tolist()
+        raise ValidationError(
+            f"selected {len(manifest)} windows, fewer than the quota total {quotas.total}: "
+            f"{len(repeated)} window ids are in more than one shard, the first {repeated[:5]}"
+        )
     out = _out_dir(args)
     manifest_path = out / "manifest_hkmeans.txt"
     write_manifest(manifest, manifest_path)
@@ -238,7 +251,6 @@ def cmd_sample(args) -> int:
             "capped_leaves": int(((quotas.leaf_quotas == populations) & (populations > 0)).sum()),
             "selected": len(manifest),
             "processed_records": state.processed,
-            "rejected_shards": state.rejected_shards,
             "evictions": state.processed - len(manifest),
         },
     )

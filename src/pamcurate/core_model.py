@@ -46,9 +46,6 @@ from .errors import (
 )
 
 WINDOW_S = 10
-# Downstream feature extraction resamples to this rate; recorded here as
-# metadata only, audio DSP happens outside this package.
-TARGET_SAMPLE_RATE_HZ = 16_000
 SHARD_MAGIC = b"PAMEMB01"
 # numpy caps a dtype at 2**31 - 1 bytes; a shard record takes 8 + 4*dim.
 MAX_SHARD_DIM = (2**31 - 1 - 8) // 4

@@ -47,10 +47,9 @@ MAX_FENCE_LAT = 89.0
 
 @dataclass(frozen=True, slots=True)
 class GeoFence:
-    """Square fence around ``center`` with half-side ``half_side_m`` metres."""
+    """Square fence reaching ``lat_span_deg`` and ``lon_span_deg`` to each side of ``center``."""
 
     center: GeoPoint
-    half_side_m: float
     lat_span_deg: float
     lon_span_deg: float
 
@@ -72,7 +71,7 @@ def fence_of(center: GeoPoint, side_km: float) -> GeoFence:
     half_side_m = side_km * 500.0
     lat_span = half_side_m / METERS_PER_DEG_LAT
     lon_span = lat_span / math.cos(math.radians(center.lat))
-    return GeoFence(center=center, half_side_m=half_side_m, lat_span_deg=lat_span, lon_span_deg=lon_span)
+    return GeoFence(center=center, lat_span_deg=lat_span, lon_span_deg=lon_span)
 
 
 def contains(fence: GeoFence, lat, lon):

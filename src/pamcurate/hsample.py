@@ -29,7 +29,6 @@ the whole.  So it was kept when it arrived, and is in the journal.
 from __future__ import annotations
 
 import hashlib
-import logging
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,13 +40,11 @@ from .core_model import BinaryReader, CurationManifest, EmbeddingShard, WindowIn
 from .errors import ValidationError
 from .hkmeans import ClusterHierarchy, assign_batch
 
-logger = logging.getLogger(__name__)
-
-CHECKPOINT_MAGIC = b"PAMSEL03"
-CHECKPOINT_VERSION = 3
-# A journal record starts with its length and its digest, processed,
-# rejected and row counts, and ends with a 32-byte SHA-256.
-_RECORD_HEAD = "QQQQQ"
+CHECKPOINT_MAGIC = b"PAMSEL04"
+CHECKPOINT_VERSION = 4
+# A journal record starts with its length and its digest, processed and
+# row counts, 32 bytes, and ends with a 32-byte SHA-256.
+_RECORD_HEAD = "QQQQ"
 _HELD = np.dtype([("leaf", "<i8"), ("window_id", "<u8"), ("distance", "<f8")])
 # The same bytes with the fields in held order: numpy compares structured
 # values field by field in name order, so this view sorts as (leaf, distance, window_id).
@@ -148,7 +145,8 @@ class SelectionState:
     ``held`` is one structured array of ``(leaf, window_id, distance)`` rows,
     sorted by ``(leaf, distance, window_id)``, holding each window id at
     most once per leaf, at its smallest distance.  :meth:`fold` alone
-    changes it, by replacing the array, so states may share one.  Equality
+    changes it, by replacing the array, so states may share one.
+    ``processed`` counts the records streamed in.  Equality
     ignores ``shard_digests``, the SHA-256 of each shard folded in by a
     checkpointed run, as it depends on arrival order, and ``journal_end``,
     the size of the whole records of the checkpoint it was loaded from.
@@ -157,7 +155,6 @@ class SelectionState:
     quotas: np.ndarray
     held: np.ndarray
     processed: int = 0
-    rejected_shards: int = 0
     shard_digests: list[bytes] = field(default_factory=list)
     journal_end: int = 0
 
@@ -233,7 +230,6 @@ class SelectionState:
         return (
             np.array_equal(self.quotas, other.quotas)
             and self.processed == other.processed
-            and self.rejected_shards == other.rejected_shards
             and np.array_equal(self.held, other.held)
         )
 
@@ -296,11 +292,12 @@ def stream_select(
     """Fill leaf quotas with the closest windows across a shard stream.
 
     Shards may arrive in any order and any partitioning: the final state
-    depends only on the set of records seen.  A shard whose dim does not
-    match the model is rejected and tallied, never fatal.  Passing an
-    existing ``state`` continues a previous (e.g. checkpointed) run.  Each
-    shard's record is appended to ``records``, if given: a state of that
-    shard's processed and rejected counts and the rows its fold kept, which
+    depends only on the set of records seen.  A shard whose dim is not the
+    model's is a ValidationError; ``sample`` refuses one with a located
+    ShardDimError before any shard is folded.  Passing an existing
+    ``state`` continues a previous (e.g. checkpointed) run.  Each shard's
+    record is appended to ``records``, if given: a state of that shard's
+    processed count and the rows its fold kept, which
     :func:`save_checkpoint` appends to a journal.
     """
     leaf_quotas = quotas.leaf_quotas if isinstance(quotas, QuotaTree) else np.asarray(quotas, dtype=np.int64)
@@ -309,16 +306,9 @@ def stream_select(
     elif not np.array_equal(state.quotas, leaf_quotas):
         raise ValidationError("resumed state quotas do not match the requested quotas")
     for shard in shards:
-        record = SelectionState.empty(leaf_quotas)
-        if shard.dim != hierarchy.dim:
-            record.rejected_shards = 1
-            logger.warning("rejecting shard with dim %d (model dim %d)", shard.dim, hierarchy.dim)
-        else:
-            leaf_idx, distances = assign_batch(shard.vectors, hierarchy)
-            record.held = state.fold(leaf_idx, shard.window_ids, distances)
-            record.processed = len(shard)
+        leaf_idx, distances = assign_batch(shard.vectors, hierarchy)
+        record = SelectionState(leaf_quotas, state.fold(leaf_idx, shard.window_ids, distances), len(shard))
         state.processed += record.processed
-        state.rejected_shards += record.rejected_shards
         if records is not None:
             records.append(record)
     return state
@@ -332,18 +322,18 @@ def merge(a: SelectionState, b: SelectionState) -> SelectionState:
     """
     if not np.array_equal(a.quotas, b.quotas):
         raise ValidationError("cannot merge selection states with different quotas")
-    merged = SelectionState(a.quotas, a.held, a.processed + b.processed, a.rejected_shards + b.rejected_shards)
+    merged = SelectionState(a.quotas, a.held, a.processed + b.processed)
     merged.fold(b.held["leaf"], b.held["window_id"], b.held["distance"])
     return merged
 
 
 def count_populations(shards: Iterable[EmbeddingShard], hierarchy: ClusterHierarchy):
-    """One counting pass: per-leaf populations, skipping shards of another dim."""
+    """One counting pass: per-leaf populations.  A shard whose dim is not
+    the model's is a ValidationError."""
     pops = np.zeros(hierarchy.leaf_count, dtype=np.int64)
     for shard in shards:
-        if shard.dim == hierarchy.dim:
-            leaf_idx, _ = assign_batch(shard.vectors, hierarchy)
-            pops += np.bincount(leaf_idx, minlength=hierarchy.leaf_count)
+        leaf_idx, _ = assign_batch(shard.vectors, hierarchy)
+        pops += np.bincount(leaf_idx, minlength=hierarchy.leaf_count)
     return pops
 
 
@@ -374,12 +364,13 @@ def save_checkpoint(state: SelectionState, path: str | Path, end: int = 0) -> in
     state's quotas replaces ``path`` atomically first.  The layout is
     README's formats table.
 
-    A record holds the state's shard digests, processed and rejected
-    counts and held rows.  A checkpointed run appends one per shard, from
-    :func:`stream_select`'s ``records``: the shard's digest and counts and
-    the rows its fold kept.  Saving a whole state to a new journal writes
-    one record of it, so identical states give identical bytes.  Bytes past
-    ``end``, a record a crash cut short, are cut off before the append.
+    A record holds the state's shard digests, processed count and held
+    rows.  A checkpointed run appends one per shard, from
+    :func:`stream_select`'s ``records``: the shard's digest, its record
+    count and the rows its fold kept.  Saving a whole state to a new
+    journal writes one record of it, so identical states give identical
+    bytes.  Bytes past ``end``, a record a crash cut short, are cut off
+    before the append.
     """
     if not end:
         header = CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, len(state.quotas))
@@ -387,8 +378,8 @@ def save_checkpoint(state: SelectionState, path: str | Path, end: int = 0) -> in
         write_atomic(path, header)
         end = len(header)
     held, digests = state.held, state.shard_digests
-    length = 32 + 32 * len(digests) + _HELD.itemsize * len(held)
-    body = struct.pack("<" + _RECORD_HEAD, length, len(digests), state.processed, state.rejected_shards, len(held))
+    length = 24 + 32 * len(digests) + _HELD.itemsize * len(held)
+    body = struct.pack("<" + _RECORD_HEAD, length, len(digests), state.processed, len(held))
     body += b"".join(digests) + held.tobytes()
     return append_durable(path, body + hashlib.sha256(body).digest(), end)
 
@@ -419,21 +410,20 @@ def load_checkpoint(path: str | Path) -> SelectionState:
     state = SelectionState(quotas.astype(np.int64), np.empty(0, _HELD))
     parts, starts = [np.empty(0, _HELD)], [np.zeros(0, np.int64)]
     data = reader.data
-    while (start := reader.pos) + 40 <= len(data):
-        length, n, processed, rejected, m = reader.unpack(_RECORD_HEAD, "record head")
+    while (start := reader.pos) + 32 <= len(data):
+        length, n, processed, m = reader.unpack(_RECORD_HEAD, "record head")
         stop = start + 8 + length
         if stop + 32 > len(data) or hashlib.sha256(memoryview(data)[start:stop]).digest() != data[stop : stop + 32]:
             if stop + 32 >= len(data):
                 break  # the torn tail: the file ends inside this record or right after its bad checksum
             raise reader.error("record checksum mismatch", start)
-        if length != 32 + 32 * n + _HELD.itemsize * m:
+        if length != 24 + 32 * n + _HELD.itemsize * m:
             raise reader.error(f"record length {length} is not that of {n} digests and {m} rows", start)
         state.shard_digests += reader.array("V32", n, "shard digest").tolist()
         starts.append(reader.pos + _HELD.itemsize * np.arange(m, dtype=np.int64))
         parts.append(reader.array(_HELD, m, "entry"))
         reader.unpack("32x", "record checksum")
         state.processed += processed
-        state.rejected_shards += rejected
     state.journal_end = start
     rows, at = np.concatenate(parts), np.concatenate(starts)
     leaf, d = rows["leaf"], rows["distance"]

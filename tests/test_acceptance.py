@@ -268,7 +268,6 @@ def test_c9_format_round_trips(tmp_path):
         for _ in range(int(rng.integers(0, 40))):
             state.fold([int(rng.integers(0, leaves))], [int(rng.integers(0, 2**62))], [float(rng.random())])
         state.processed = int(rng.integers(0, 10**6))
-        state.rejected_shards = int(rng.integers(0, 5))
         path = tmp_path / "sel.ckpt"
         save_checkpoint(state, path)
         loaded = load_checkpoint(path)

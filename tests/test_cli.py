@@ -480,21 +480,53 @@ class TestSampleContract:
         else:
             assert not dest.exists()
 
-    @pytest.mark.parametrize("mode", ["workers1", "workers2", "checkpoint"])
-    def test_rejected_shard_counted_once(self, setup, tmp_path, mode):
+    @pytest.mark.parametrize("mode", ["workers1", "workers2", "checkpoint", "resume"])
+    def test_shard_of_another_dim_is_a_located_error(self, setup, tmp_path, capsys, mode):
+        """An 8-dim shard among the model's 6-dim ones fails the population
+        pass, before quotas, the checkpoint or ``--out``: a resumed journal
+        keeps its bytes, and a new one is never begun."""
         fixture, out = setup
-        bad = tmp_path / "bad.bin"
-        ids = np.array([1, 2], np.uint64)
-        write_shard(EmbeddingShard(dim=3, window_ids=ids, vectors=np.ones((2, 3), np.float32)), bad)
-        extra = {
-            "workers1": ("--workers", 1),
-            "workers2": ("--workers", 2),
-            "checkpoint": ("--checkpoint", tmp_path / "sel.ckpt"),
-        }[mode]
-        stats = self.sample(fixture, out, tmp_path / "s", *extra, shards=[*fixture["shards"], bad])
-        assert stats["rejected_shards"] == 1
-        manifest = "manifest_hkmeans.txt"
-        assert (tmp_path / "s" / manifest).read_bytes() == (out / manifest).read_bytes()
+        bad, ckpt, dest = tmp_path / "bad.bin", tmp_path / "ckpt" / "sel.ckpt", tmp_path / "s"
+        write_shard(random_shard(np.random.default_rng(0), 20, 8), bad)
+        shards = [fixture["shards"][0], bad, *fixture["shards"][1:]]
+        extra = {"workers1": ("--workers", 1), "workers2": ("--workers", 2)}.get(mode, ("--checkpoint", ckpt))
+        if mode == "resume":
+            self.sample(fixture, out, tmp_path / "first", "--checkpoint", ckpt)
+            shards, before = [*fixture["shards"], bad], ckpt.read_bytes()
+        args = ["sample", "--config", fixture["config"], "--model", out / "model.bin"]
+        assert run(*args, "--shards", *shards, "--target-n", 60, *extra, "--out", dest) == 2
+        assert capsys.readouterr().err == f"error: shard dim 8 != 6 of the model ({bad}, offset 8)\n"
+        assert not dest.exists()
+        if mode == "resume":
+            assert ckpt.read_bytes() == before
+        else:
+            assert not ckpt.parent.exists()
+
+    @pytest.mark.parametrize("checkpoint", [False, True])
+    def test_window_ids_repeated_across_shards_are_an_error(self, tmp_path, capsys, checkpoint):
+        """A leaf's population counts a window id once per shard that holds
+        it, and its selection once: a quota that only repeats can fill is
+        refused, never met with a shorter manifest."""
+        fixture = build_pipeline_fixture(tmp_path / "fx")
+        model = tmp_path / "model" / "model.bin"
+        assert run("fit", "--shards", *fixture["shards"], "--levels", "8,2", "--seed", 0, "--out", model.parent) == 0
+        first = read_shard(fixture["shards"][0]).window_ids
+        dest = tmp_path / "s"
+        args = ["sample", "--config", fixture["config"], "--model", model, "--shards", *fixture["shards"]]
+        args += [fixture["shards"][0]]
+
+        def checkpointed(target_n):
+            return ["--checkpoint", tmp_path / f"ckpt{target_n}" / "sel.ckpt"] if checkpoint else []
+
+        assert run(*args, "--target-n", 200, *checkpointed(200), "--out", dest) == 2
+        assert capsys.readouterr().err == (
+            "error: selected 183 windows, fewer than the quota total 200: "
+            f"{len(first)} window ids are in more than one shard, the first {sorted(first.tolist())[:5]}\n"
+        )
+        assert not dest.exists()
+        assert run(*args, "--target-n", 100, *checkpointed(100), "--out", dest) == 0
+        stats = json.loads((dest / "sample_stats.json").read_text())
+        assert stats["selected"] == stats["quota_total"] == 100
 
 
 class TestPartitioned:
@@ -679,8 +711,9 @@ class TestCheckpointCrashResume:
         assert {name: (tmp_path / "resumed" / name).read_bytes() for name in self.OUTPUTS} == expected
         # the done shard for the check and the run record, the others for the record only
         assert [p for p in hashed if p in shards] == [shards[0], *shards]
-        # the population pass reads every shard, the selection only the two not done
-        assert reads == [False] * len(shards) + [True, True]
+        # the population pass reads every shard, the selection only the two
+        # not done, and every read parses the bytes it read once
+        assert reads == [True] * (len(shards) + 2)
         digests = [hashlib.sha256(p.read_bytes()).digest() for p in shards]
         assert hsample.load_checkpoint(ckpt).shard_digests == digests
 
@@ -756,10 +789,11 @@ class TestFit:
         fixture = build_pipeline_fixture(tmp_path / "fx")
         assert run(*fit[:2], good, *fit[4:], "--out", tmp_path / "model") == 0
         sample = ["sample", "--config", fixture["config"], "--model", tmp_path / "model" / "model.bin"]
-        sample += ["--shards", good, bad, "--target-n", 10, "--checkpoint", out / "sel.ckpt", "--out", out]
+        ckpt = tmp_path / "ckpt" / "sel.ckpt"
+        sample += ["--shards", good, bad, "--target-n", 10, "--checkpoint", ckpt, "--out", out]
         assert run(*sample) == 2
         assert capsys.readouterr().err == f"error: record 30 has a zero vector ({bad}, offset 740)\n"
-        assert not out.exists()
+        assert not out.exists() and not ckpt.parent.exists()
 
     @pytest.mark.parametrize(
         "flags, message",

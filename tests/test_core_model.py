@@ -55,11 +55,6 @@ class TestWindowArithmetic:
         # 25,021 + 323,532 windows worth of audio.
         assert window_count(3_485_530) == 348_553
 
-    def test_target_sample_rate_metadata(self):
-        from pamcurate.core_model import TARGET_SAMPLE_RATE_HZ
-
-        assert TARGET_SAMPLE_RATE_HZ == 16_000
-
     def test_negative_duration_rejected(self):
         with pytest.raises(ValidationError):
             window_count(-1)

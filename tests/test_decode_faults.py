@@ -47,7 +47,7 @@ def model_items() -> list[int]:
 def checkpoint_items() -> list[int]:
     # magic, version and leaf count, the quotas, then one record: its length
     # and counts, digests, (leaf, window id, distance) rows and SHA-256
-    record = 8 + 32 + 32 * len(DIGESTS) + 24 * len(LEAF_ENTRIES) + 32
+    record = 8 + 24 + 32 * len(DIGESTS) + 24 * len(LEAF_ENTRIES) + 32
     return [8, 12] + [8] * len(LEAF_QUOTAS) + [record]
 
 

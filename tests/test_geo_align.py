@@ -33,7 +33,6 @@ def inside(fence, point: GeoPoint) -> bool:
 class TestFence:
     def test_equator_spans(self):
         fence = fence_of(GeoPoint(0.0, 0.0), side_km=4.0)
-        assert fence.half_side_m == 2000.0
         assert fence.lat_span_deg == pytest.approx(0.017986, abs=1e-6)
         assert fence.lon_span_deg == pytest.approx(0.017986, abs=1e-6)
 

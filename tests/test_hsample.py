@@ -168,13 +168,14 @@ class TestStreamSelect:
             got = {leaf: {wid for _, wid in by_leaf(whole)[leaf]} for leaf in range(6)}
             assert got == reference
 
-    def test_dim_mismatch_shard_rejected_not_fatal(self):
+    def test_dim_mismatch_shard_is_a_validation_error(self):
         hierarchy = one_leaf_hierarchy()
         good = angle_shard([1], [10.0])
         bad = EmbeddingShard(dim=3, window_ids=np.array([9], np.uint64), vectors=np.ones((1, 3), np.float32))
-        state = stream_select([bad, good], hierarchy, [5])
-        assert state.rejected_shards == 1
-        assert set(state.held["window_id"].tolist()) == {1}
+        with pytest.raises(ValidationError, match="vector dim 3 != model dim 2"):
+            stream_select([good, bad], hierarchy, [5])
+        with pytest.raises(ValidationError, match="vector dim 3 != model dim 2"):
+            count_populations([good, bad], hierarchy)
 
     def test_memory_bound_respected(self):
         rng = np.random.default_rng(11)
@@ -483,17 +484,17 @@ def header_size(leaves: int) -> int:
     return 8 + 4 + 8 + 8 * leaves
 
 
-def record_bytes(rows, digests=(), processed=0, rejected=0) -> bytes:
+def record_bytes(rows, digests=(), processed=0) -> bytes:
     """One journal record of ``(leaf, window_id, distance)`` rows, written out
     field by field: length, counts, digests, rows, then the SHA-256."""
-    body = struct.pack("<QQQQ", len(digests), processed, rejected, len(rows)) + b"".join(digests)
+    body = struct.pack("<QQQ", len(digests), processed, len(rows)) + b"".join(digests)
     body += b"".join(struct.pack("<QQd", *row) for row in rows)
     body = struct.pack("<Q", len(body)) + body
     return body + hashlib.sha256(body).digest()
 
 
 def journal(quotas, *records: bytes) -> bytes:
-    return b"PAMSEL03" + struct.pack(f"<IQ{len(quotas)}Q", 3, len(quotas), *quotas) + b"".join(records)
+    return b"PAMSEL04" + struct.pack(f"<IQ{len(quotas)}Q", 4, len(quotas), *quotas) + b"".join(records)
 
 
 def three_entry_state():
@@ -575,7 +576,7 @@ class TestCheckpoint:
         path = tmp_path / "sel.ckpt"
         save_checkpoint(stream_select(shards, hierarchy, quotas), path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "a92734228ee9f3948335f62c5f5aa8479cfba8198b4720552dc9b22a21ca13c7"
+        assert digest == "329d789bb09c5c358f2d4063959824e3c63fc7896ba64f0d34d93051ae6107d9"
 
     def test_journal_bytes_are_pinned(self, tmp_path):
         """A journal of one record per shard, each holding the rows its fold
@@ -593,7 +594,7 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert loaded == state and len(loaded.shard_digests) == len(shards)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "a1b5b0192e921b8244fbe3e33b12398c2c4251e08acda1ceeaae059a1f99b5ff"
+        assert digest == "7eeb6690bc684268677eb91476d9ab60c45d73b1b5ef308d28aa6066c9501545"
 
     @settings(max_examples=150, deadline=None)
     @given(shard_streams(), st.data())
@@ -622,8 +623,8 @@ class TestCheckpoint:
         path = tmp_path / "c.ckpt"
         save_checkpoint(three_entry_state(), path)
         data = bytearray(path.read_bytes())
-        # rows start 40 bytes into the record at 44; rows 1 and 2 end each leaf
-        record, rows = header_size(3), header_size(3) + 40
+        # rows start 32 bytes into the record at 44; rows 1 and 2 end each leaf
+        record, rows = header_size(3), header_size(3) + 32
         for entry in (rows + 24, rows + 48):
             data[entry + 16 : entry + 24] = struct.pack("<d", bad)
         data[-32:] = hashlib.sha256(data[record:-32]).digest()
@@ -653,16 +654,23 @@ class TestCheckpoint:
                 assert (tmp_path / "again.ckpt").read_bytes() == data
 
     def test_bad_magic(self, tmp_path):
+        """Any other magic is refused at offset 0, a ``PAMSEL03`` journal's
+        too: its records hold a rejected-shard count, and are never read
+        as version 4 ones."""
+        body = struct.pack("<QQQQ", 0, 7, 0, 1) + struct.pack("<QQd", 0, 5, 0.25)
+        body = struct.pack("<Q", len(body)) + body
+        version_3 = b"PAMSEL03" + struct.pack("<IQQ", 3, 1, 1) + body + hashlib.sha256(body).digest()
         path = tmp_path / "bad.ckpt"
-        path.write_bytes(b"BADMAGIC" + b"\x00" * 40)
-        with pytest.raises(ParseError) as err:
-            load_checkpoint(path)
-        assert err.value.offset == 0
+        for data in (b"BADMAGIC" + b"\x00" * 40, version_3):
+            path.write_bytes(data)
+            with pytest.raises(ParseError, match="bad magic") as err:
+                load_checkpoint(path)
+            assert err.value.offset == 0
 
     def test_unsupported_version(self, tmp_path):
-        path = tmp_path / "v2.ckpt"
-        path.write_bytes(b"PAMSEL03" + struct.pack("<IQQ", 2, 1, 1))
-        with pytest.raises(ParseError, match="unsupported checkpoint version 2") as err:
+        path = tmp_path / "v3.ckpt"
+        path.write_bytes(b"PAMSEL04" + struct.pack("<IQQ", 3, 1, 1))
+        with pytest.raises(ParseError, match="unsupported checkpoint version 3") as err:
             load_checkpoint(path)
         assert err.value.offset == 8
 
@@ -672,7 +680,7 @@ class TestCheckpoint:
         path.write_bytes(journal([2, 3], record_bytes([(1, 9, 0.25), (1, 9, 0.5)])))
         with pytest.raises(ParseError, match="window id 9 twice in leaf 1") as err:
             load_checkpoint(path)
-        assert err.value.offset == header_size(2) + 40 + 24
+        assert err.value.offset == header_size(2) + 32 + 24
         # one id in two leaves, or in one leaf of two records, is not a fault
         path.write_bytes(journal([2, 3], record_bytes([(0, 9, 0.25), (1, 9, 0.5)]), record_bytes([(1, 9, 0.125)])))
         assert by_leaf(load_checkpoint(path)) == [[(0.25, 9)], [(0.125, 9)]]
@@ -683,14 +691,14 @@ class TestCheckpoint:
             path.write_bytes(journal([2, 3], record_bytes([(1, 9, 0.25)]), record_bytes([(0, 4, 0.5), (leaf, 7, 0.5)])))
             with pytest.raises(ParseError, match=f"leaf {leaf} outside 0..1") as err:
                 load_checkpoint(path)
-            first = header_size(2) + 40 + 24 + 32
-            assert err.value.offset == first + 40 + 24
+            first = header_size(2) + 32 + 24 + 32
+            assert err.value.offset == first + 32 + 24
 
     def test_record_length_must_match_its_counts(self, tmp_path):
         path = tmp_path / "len.ckpt"
-        body = struct.pack("<QQQQQ", 32 + 24, 0, 0, 0, 0) + bytes(24)
+        body = struct.pack("<QQQQ", 24 + 24, 0, 0, 0) + bytes(24)
         path.write_bytes(journal([1], body + hashlib.sha256(body).digest(), record_bytes([])))
-        with pytest.raises(ParseError, match="record length 56") as err:
+        with pytest.raises(ParseError, match="record length 48") as err:
             load_checkpoint(path)
         assert err.value.offset == header_size(1)
 
@@ -750,7 +758,7 @@ class TestCheckpoint:
             assert loaded.journal_end == (len(data) if whole else header), cut
 
     def test_shard_digest_trailer(self, tmp_path):
-        """A record's digests come right after its 40-byte head, in order."""
+        """A record's digests come right after its 32-byte head, in order."""
         state = SelectionState.empty([1, 2])
         state.fold([1], [9], [0.5])
         digests = [hashlib.sha256(b"shard-a").digest(), hashlib.sha256(b"shard-b").digest()]
@@ -758,23 +766,23 @@ class TestCheckpoint:
         path = tmp_path / "c.ckpt"
         save_checkpoint(state, path)
         data = path.read_bytes()
-        assert data[:8] == b"PAMSEL03"
+        assert data[:8] == b"PAMSEL04"
         record = header_size(2)
-        assert len(data) == record + 40 + 32 * len(digests) + 24 + 32
-        assert struct.unpack_from("<QQ", data, record) == (32 + 32 * 2 + 24, 2)
-        assert data[record + 40 : record + 40 + 64] == b"".join(digests)
+        assert len(data) == record + 32 + 32 * len(digests) + 24 + 32
+        assert struct.unpack_from("<QQ", data, record) == (24 + 32 * 2 + 24, 2)
+        assert data[record + 32 : record + 32 + 64] == b"".join(digests)
         loaded = load_checkpoint(path)
         assert loaded == state
         assert loaded.shard_digests == digests
 
     def test_leaf_count_beyond_file_size_rejected(self, tmp_path):
         path = tmp_path / "huge.ckpt"
-        path.write_bytes(b"PAMSEL03" + struct.pack("<IQ", 3, 2**62))
+        path.write_bytes(b"PAMSEL04" + struct.pack("<IQ", 4, 2**62))
         with pytest.raises(ParseError) as err:
             load_checkpoint(path)
         assert err.value.offset == 12
         # two leaves need 16 bytes of quotas after the header; 8 are present
-        path.write_bytes(b"PAMSEL03" + struct.pack("<IQ", 3, 2) + bytes(8))
+        path.write_bytes(b"PAMSEL04" + struct.pack("<IQ", 4, 2) + bytes(8))
         with pytest.raises(ParseError) as err:
             load_checkpoint(path)
         assert err.value.offset == 12

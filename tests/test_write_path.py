@@ -6,7 +6,8 @@ with its old bytes and no temporary file beside it; a good one fsyncs the
 directory after the rename; an append cuts a torn tail first; and no
 module may open a file for writing anywhere else.  Likewise, no module may decode binary bytes outside
 ``core_model.BinaryReader``, none may open a text file for reading outside
-the few readers that own a text format, none may import ``threading``,
+the few readers that own a text format, none but ``cli._shards`` may read
+an embedding shard, none may import ``threading``,
 ``multiprocessing`` or ``concurrent``, none may hold an ``assert``
 statement, and every public name must be used elsewhere in the package.
 """
@@ -360,6 +361,56 @@ def test_package_reads_text_only_through_its_format_readers():
         if (sites := text_read_sites(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+# ---------------------------------------------------------------------------
+# One shard reader: ``cli._shards`` reads each shard file once, parses it
+# and checks its dim, for ``fit`` and ``sample`` alike
+# ---------------------------------------------------------------------------
+
+
+def shard_read_sites(source: str, module: str) -> list[int]:
+    """Line numbers where ``read_shard`` is called or passed on, except
+    inside ``_shards`` when ``module`` is ``"cli"``."""
+    sites = []
+
+    def visit(node, inside_reader):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside_reader = inside_reader or (module == "cli" and node.name == "_shards")
+        name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+        if name == "read_shard" and isinstance(node.ctx, ast.Load) and not inside_reader:
+            sites.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside_reader)
+
+    visit(ast.parse(source), False)
+    return sites
+
+
+def test_guard_finds_every_shard_read():
+    source = "\n".join(
+        [
+            "read_shard(p)",
+            "core_model.read_shard(p, data)",
+            "shards = map(read_shard, paths)",
+            "def _select_partition(paths):\n    return [read_shard(p) for p in paths]",
+            "def _shards(paths):\n    def one(p):\n        return read_shard(p)",
+            "from .core_model import read_shard",
+            "def read_shard(path):\n    pass",
+        ]
+    )
+    assert shard_read_sites(source, "cli") == [1, 2, 3, 5]
+    assert shard_read_sites(source, "hsample") == [1, 2, 3, 5, 8]
+
+
+def test_package_reads_shards_only_in_cli_shards():
+    found = {
+        path.name: sites
+        for path in sorted(SRC.glob("*.py"))
+        if (sites := shard_read_sites(path.read_text(encoding="utf-8"), path.stem))
+    }
+    assert found == {}
+    assert len(shard_read_sites((SRC / "cli.py").read_text(encoding="utf-8"), "")) == 1
 
 
 # ---------------------------------------------------------------------------
