@@ -98,11 +98,7 @@ def write_atomic(path: str | Path, data: bytes | str) -> None:
         os.unlink(tmp)
         raise
     # The rename is durable only once the directory entry is on disk.
-    dir_fd = os.open(path.parent, os.O_RDONLY)
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
+    _fsync_dir(path.parent)
 
 
 def append_durable(path: str | Path, data: bytes, end: int) -> int:
@@ -128,12 +124,17 @@ def append_durable(path: str | Path, data: bytes, end: int) -> int:
     finally:
         os.close(fd)
     if created:
-        dir_fd = os.open(path.parent, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
+        _fsync_dir(path.parent)
     return end + len(data)
+
+
+def _fsync_dir(directory: Path) -> None:
+    """Fsync ``directory``, so the entries made in it are on disk."""
+    dir_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def decode_text(path: str | Path, decode, dtype, what: str) -> np.ndarray:

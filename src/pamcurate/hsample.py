@@ -12,10 +12,11 @@ shards were partitioned or ordered.
 
 A fold sorts only the shard's survivors, the records that beat their full
 leaf's worst held row, and merges them into the already sorted held rows:
-its cost per shard is a sort of the survivors plus a few linear passes
-over the held rows.  Both the sort and the search for their places use
-the native order of a ``complex128`` key ``leaf + 1j*distance``; only rows
-that tie on both fall back to the window id, the last key of held order.
+its cost per shard is a sort of the survivors, one sort of the held
+``(leaf, window_id)`` pair keys, and linear passes over the held rows.
+Both the sort and the search for their places use the native order of a
+``complex128`` key ``leaf + 1j*distance``; only rows that tie on both fall
+back to the window id, the last key of held order.
 
 A checkpointed run keeps its state as a journal (:func:`save_checkpoint`):
 after each shard it appends that shard's record, the rows its fold kept,
@@ -52,9 +53,6 @@ _ORDER = np.dtype({"names": ["leaf", "distance", "window_id"], "formats": ["<i8"
 # And as raw bytes: numpy copies structured values field by field, so whole
 # ``held`` arrays move through this view, about ten times faster.
 _RAW = np.dtype((np.void, _HELD.itemsize))
-
-# Sample budget of the full-corpus deployment.
-PRODUCTION_TARGET_N = 323_532
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +171,13 @@ class SelectionState:
 
         Only the records that beat their full leaf's worst entry (the
         survivors) are sorted; they are merged into ``held``, which is
-        already in order.  The work is a sort of the survivors plus a few
-        linear passes over ``held``.
+        already in order.  The work is a sort of the survivors, one sort of
+        the held ``(leaf, window_id)`` pair keys, and linear passes over
+        ``held``.
         """
         rows = _rows(leaf_idx, window_ids, distances)
         held = self.held
-        # 1. Drop records that cannot beat a full leaf's worst entry (step 5 cuts quota-0 leaves).
+        # 1. Drop records that cannot beat a full leaf's worst entry (step 4 cuts quota-0 leaves).
         counts = self.counts()
         full = np.flatnonzero((counts >= self.quotas) & (counts > 0))
         worst = np.full(len(self.quotas), np.array((0, 0, np.inf), _HELD))
@@ -186,39 +185,28 @@ class SelectionState:
         bar = worst[rows["leaf"]]
         d = rows["distance"]
         rows = rows[(d < bar["distance"]) | ((d == bar["distance"]) & (rows["window_id"] < bar["window_id"]))]
-        # 2. Sort the survivors into held order, and keep each (leaf, window_id)
-        # once: its first row, which has its smallest distance.
+        # 2. Sort the survivors into held order and insert them: find each
+        # one's place by (leaf, distance) alone, and by the window id too only
+        # where a held row has the survivor's (leaf, distance).  Row i lands at
+        # at[i] + i, after any held row equal to it.
         rows = rows[_order(rows)]
-        rows = rows[~_repeats(rows)]
-        # 3. Where a survivor and a held row share (leaf, window_id), keep the
-        # smaller distance, the held row on a tie.  Only shared ids do any work.
-        held_ids = np.sort(held["window_id"])
-        lo = np.searchsorted(held_ids, rows["window_id"], "left")
-        hits = np.searchsorted(held_ids, rows["window_id"], "right") - lo
-        if hits.any():
-            # One (survivor, held row) pair per held row with the survivor's id.
-            r = np.repeat(np.arange(len(rows)), hits)
-            in_sorted = np.arange(len(r)) + np.repeat(lo - (np.cumsum(hits) - hits), hits)
-            h = np.argsort(held["window_id"])[in_sorted]
-            same = held["leaf"][h] == rows["leaf"][r]
-            r, h = r[same], h[same]
-            closer = rows["distance"][r] < held["distance"][h]
-            held = np.delete(held.view(_RAW), h[closer]).view(_HELD)
-            rows = np.delete(rows, r[~closer])
-        # 4. Find each survivor's place in the (leaf, distance, window_id) order
-        # of held: by (leaf, distance) alone, and by the window id too only
-        # where a held row has the survivor's (leaf, distance).
         keys, row_keys = _keys(held), _keys(rows)
         at = np.searchsorted(keys, row_keys)
         if len(held) and len(tied := np.flatnonzero(keys[np.minimum(at, len(held) - 1)] == row_keys)):
             at[tied] = _structured_search(held, rows[tied])
-        # 5. Insert them and cut each leaf at its quota.  Row i lands at at[i] + i.
         held = np.insert(held.view(_RAW), at, rows.view(_RAW)).view(_HELD)
+        new = np.zeros(len(held), dtype=bool)
+        new[at + np.arange(len(rows))] = True
+        # 3. Keep each (leaf, window_id) once: its first row in held order,
+        # which has its smallest distance, and is the held row on a tie.
+        first = ~_repeats(held)
+        held, new = held.view(_RAW)[first].view(_HELD), new[first]
+        # 4. Cut each leaf at its quota.
         counts = np.bincount(held["leaf"], minlength=len(self.quotas))
         rank = np.arange(len(held)) - np.repeat(np.cumsum(counts) - counts, counts)
         keep = rank < np.repeat(self.quotas, counts)
         self.held = held.view(_RAW)[keep].view(_HELD)
-        return rows[keep[at + np.arange(len(rows))]]
+        return held[keep & new]
 
     def counts(self) -> np.ndarray:
         """Entries held per leaf."""
@@ -265,21 +253,31 @@ def _order(rows: np.ndarray) -> np.ndarray:
 
 def _repeats(rows: np.ndarray, *columns: np.ndarray) -> np.ndarray:
     """True at each row whose ``(leaf, window_id)``, and value in each of
-    ``columns``, an earlier row has.  Only rows whose window id repeats are
-    sorted by all of them, so a batch of distinct ids costs one id sort."""
-    ids = np.sort(rows["window_id"])
+    ``columns``, an earlier row has.  Rows are probed by one 64-bit key per
+    ``(leaf, window_id)`` pair, ``window_id ^ leaf * 0x9E3779B97F4A7C15`` in
+    wrapping ``uint64``, and only rows whose key repeats are sorted by all
+    of them: distinct pairs cost one key sort, and two pairs that share a
+    key cost time, never a wrong answer."""
+    probe = rows["window_id"] ^ rows["leaf"].astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    ranked = np.sort(probe)
     repeats = np.zeros(len(rows), dtype=bool)
-    if (twice := ids[1:][ids[1:] == ids[:-1]]).size:
+    if (twice := ranked[1:][ranked[1:] == ranked[:-1]]).size:
+        # A table of the repeated keys' low 16 bits picks candidate rows, so np.isin,
+        # which sorts all its input when the repeated keys are many, sees only those.
+        table = np.zeros(1 << 16, dtype=bool)
+        table[twice & 0xFFFF] = True
+        sub = np.flatnonzero(table[probe & 0xFFFF])
+        sub = sub[np.isin(probe[sub], twice)]
         keys = [rows["leaf"], rows["window_id"], *columns]
-        sub = np.flatnonzero(np.isin(rows["window_id"], twice))
         sub = sub[np.lexsort([sub, *(key[sub] for key in reversed(keys))])]
         repeats[sub[1:][np.logical_and.reduce([key[sub[1:]] == key[sub[:-1]] for key in keys])]] = True
     return repeats
 
 
 def _structured_search(held: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Where ``rows`` go in the ``(leaf, distance, window_id)`` order of ``held``."""
-    return np.searchsorted(held.view(_ORDER), rows.view(_ORDER))
+    """Where ``rows`` go in the ``(leaf, distance, window_id)`` order of
+    ``held``: after any held row equal to them."""
+    return np.searchsorted(held.view(_ORDER), rows.view(_ORDER), "right")
 
 
 def stream_select(

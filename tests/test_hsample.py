@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import struct
 import tempfile
+from collections import Counter
 from functools import reduce
 from pathlib import Path
 
@@ -273,6 +274,19 @@ class TestMerge:
         assert by_leaf(state)[0] == [(0.05, 3), (0.1, 1)]
         assert len(state.held) == 2
 
+    def test_pairs_that_share_a_probe_key_are_told_apart(self):
+        # (leaf 1, id b) has the probe key window_id ^ leaf * 0x9E3779B97F4A7C15 of (leaf 0, id a)
+        a = 5
+        b = a ^ 0x9E3779B97F4A7C15
+        state = SelectionState.empty([3, 3])
+        assert len(state.fold([0, 1], [a, b], [0.5, 0.5])) == 2
+        assert by_leaf(state) == [[(0.5, a)], [(0.5, b)]]
+        # true repeats of both pairs, one closer and one farther, beside a new pair
+        returned = state.fold([1, 0, 0], [b, a, b], [0.25, 0.75, 0.1])
+        assert by_leaf(state) == [[(0.1, b), (0.5, a)], [(0.25, b)]]
+        assert returned.tolist() == [(0, b, 0.1), (1, b, 0.25)]
+        assert_round_trip(state)
+
 
 # Few distinct ids, distances and points, so repeated ids and exact ties are common.
 TIE_DISTANCES = (0.0, 0.125, 0.5, 0.5000000000000001, 2.0)
@@ -335,6 +349,23 @@ class TestSelectionReference:
         expected = topn_per_leaf(*columns(records), quotas)
         assert by_leaf(state) == expected
         assert state.counts().tolist() == [len(leaf) for leaf in expected]
+
+    @settings(max_examples=300, deadline=None)
+    @given(record_chunks(), st.data())
+    def test_fold_returns_exactly_the_rows_it_adds(self, drawn, data):
+        quotas, _, chunks = drawn
+        state = SelectionState.empty(quotas)
+        records = []
+        for chunk in chunks:
+            before = state.held.tolist()
+            # whole duplicate rows of the chunk, and rows equal to a held row
+            if chunk or before:
+                copies = data.draw(st.lists(st.sampled_from(chunk + before), max_size=6))
+                chunk = data.draw(st.permutations(chunk + copies))
+            records += chunk
+            returned = state.fold(*columns(chunk))
+            assert Counter(returned.tolist()) == Counter(state.held.tolist()) - Counter(before)
+        assert by_leaf(state) == topn_per_leaf(*columns(records), quotas)
 
     @settings(max_examples=200, deadline=None)
     @given(record_chunks(), st.data())
@@ -472,11 +503,6 @@ class TestEmitAndPopulations:
         state = stream_select([angle_shard([777], [5.0])], hierarchy, [1])
         with pytest.raises(ValidationError):
             emit(state, hierarchy, NO_WINDOWS)
-
-    def test_production_target_constant(self):
-        from pamcurate.hsample import PRODUCTION_TARGET_N
-
-        assert PRODUCTION_TARGET_N == 323_532
 
 
 def header_size(leaves: int) -> int:

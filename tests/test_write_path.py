@@ -185,11 +185,12 @@ def _mode_of(call: ast.Call):
     return call.args[1] if len(call.args) > 1 else None
 
 
-WRITE_HELPERS = {"write_atomic", "append_durable"}
+WRITE_HELPERS = {"write_atomic", "append_durable", "_fsync_dir"}
 
 
 def write_sites(source: str) -> list[int]:
-    """Line numbers of writes outside ``write_atomic`` and ``append_durable``:
+    """Line numbers of writes outside ``write_atomic``, ``append_durable``
+    and the directory fsync they share:
     ``open``/``fdopen`` in a write, append or update mode (``os.open`` with
     any flags), ``.write_text(`` and ``.write_bytes(``."""
     sites = []
@@ -587,28 +588,34 @@ LIBRARY_API = {
 
 
 def unused_public_names(sources: dict[str, str]) -> list[str]:
-    """``module.name`` of every public module-level function or class, and
+    """``module.name`` of every public module-level function or class, of
+    every module-level constant, private ones included but not dunders, and
     ``module.Class.method`` of every public method, whose name no
-    ``ast.Name`` or ``ast.Attribute`` in any of ``sources`` (module name ->
-    source) refers to."""
+    ``ast.Name`` or ``ast.Attribute`` that is not an assignment target in any
+    of ``sources`` (module name -> source) refers to."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     used = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
                 used.add(node.attr)
     defined = []
     for module, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 defined.append((f"{module}.{node.name}", node.name))
             if isinstance(node, ast.ClassDef):
                 for method in node.body:
-                    if isinstance(method, ast.FunctionDef):
+                    if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
                         defined.append((f"{module}.{node.name}.{method.name}", method.name))
-    return sorted(qualified for qualified, name in defined if not name.startswith("_") and name not in used)
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for name in (n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)):
+                    if not name.startswith("__"):
+                        defined.append((f"{module}.{name}", name))
+    return sorted(qualified for qualified, name in defined if name not in used)
 
 
 def test_guard_finds_every_unused_public_name():
@@ -627,11 +634,25 @@ def test_guard_finds_every_unused_public_name():
                 "class Lonely: pass",
                 "def outer():",
                 "    def inner(): pass",
+                "LIMIT = 3",
+                "SPARE = 4",
+                "_SCALE: float = 2.0",
+                "_SPARE_SCALE = 5.0",
+                "__all__ = ['used']",
             ]
         ),
-        "b": "from a import unused, Lonely\nused()\nx: Shape = s.area() + s.width\n",
+        "b": "from a import unused, Lonely\nused()\nx: Shape = s.area() + s.width * a.LIMIT * _SCALE\nSPARE = 1\n",
     }
-    assert unused_public_names(sources) == ["a.Lonely", "a.Shape.spare", "a.outer", "a.unused"]
+    assert unused_public_names(sources) == [
+        "a.Lonely",
+        "a.SPARE",
+        "a.Shape.spare",
+        "a._SPARE_SCALE",
+        "a.outer",
+        "a.unused",
+        "b.SPARE",
+        "b.x",
+    ]
 
 
 def test_package_defines_only_what_it_uses():
