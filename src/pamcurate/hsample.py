@@ -199,8 +199,8 @@ class SelectionState:
         new[at + np.arange(len(rows))] = True
         # 3. Keep each (leaf, window_id) once: its first row in held order,
         # which has its smallest distance, and is the held row on a tie.
-        first = ~_repeats(held)
-        held, new = held.view(_RAW)[first].view(_HELD), new[first]
+        if (dup := _repeats(held)).any():
+            held, new = held.view(_RAW)[~dup].view(_HELD), new[~dup]
         # 4. Cut each leaf at its quota.
         counts = np.bincount(held["leaf"], minlength=len(self.quotas))
         rank = np.arange(len(held)) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -262,12 +262,7 @@ def _repeats(rows: np.ndarray, *columns: np.ndarray) -> np.ndarray:
     ranked = np.sort(probe)
     repeats = np.zeros(len(rows), dtype=bool)
     if (twice := ranked[1:][ranked[1:] == ranked[:-1]]).size:
-        # A table of the repeated keys' low 16 bits picks candidate rows, so np.isin,
-        # which sorts all its input when the repeated keys are many, sees only those.
-        table = np.zeros(1 << 16, dtype=bool)
-        table[twice & 0xFFFF] = True
-        sub = np.flatnonzero(table[probe & 0xFFFF])
-        sub = sub[np.isin(probe[sub], twice)]
+        sub = np.flatnonzero(np.isin(probe, twice))
         keys = [rows["leaf"], rows["window_id"], *columns]
         sub = sub[np.lexsort([sub, *(key[sub] for key in reversed(keys))])]
         repeats[sub[1:][np.logical_and.reduce([key[sub[1:]] == key[sub[:-1]] for key in keys])]] = True

@@ -185,14 +185,22 @@ def _mode_of(call: ast.Call):
     return call.args[1] if len(call.args) > 1 else None
 
 
-WRITE_HELPERS = {"write_atomic", "append_durable", "_fsync_dir"}
+WRITE_HELPERS = {"write_atomic", "append_durable"}
+
+
+def _read_only(mode) -> bool:
+    """A mode that cannot write: ``r``, ``b`` and ``t`` letters, or
+    ``os.O_RDONLY`` alone."""
+    if isinstance(mode, ast.Constant):
+        return set(str(mode.value)) <= set("rbt")
+    return isinstance(mode, ast.Attribute) and mode.attr == "O_RDONLY"
 
 
 def write_sites(source: str) -> list[int]:
-    """Line numbers of writes outside ``write_atomic``, ``append_durable``
-    and the directory fsync they share:
+    """Line numbers of writes outside ``write_atomic`` and ``append_durable``:
     ``open``/``fdopen`` in a write, append or update mode (``os.open`` with
-    any flags), ``.write_text(`` and ``.write_bytes(``."""
+    any flags but ``os.O_RDONLY`` alone), ``.write_text(`` and
+    ``.write_bytes(``."""
     sites = []
 
     def visit(node, inside_helper):
@@ -205,7 +213,7 @@ def write_sites(source: str) -> list[int]:
                 sites.append(node.lineno)
             elif name in ("open", "fdopen"):
                 mode = _mode_of(node)
-                if mode is not None and not (isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt")):
+                if mode is not None and not _read_only(mode):
                     sites.append(node.lineno)
         for child in ast.iter_child_nodes(node):
             visit(child, inside_helper)
@@ -230,9 +238,12 @@ def test_guard_finds_every_kind_of_write():
             "def append_durable(p):\n    os.open(p, os.O_WRONLY | os.O_APPEND)",
             "def append_journal(p):\n    os.open(p, os.O_WRONLY | os.O_APPEND)",
             "def write_atomic_copy(p):\n    open(p, 'ab')",
+            "os.open(p, os.O_RDONLY)",
+            "os.open(p, os.O_RDONLY | os.O_CREAT)",
+            "def _fsync_dir(p):\n    os.open(p, os.O_WRONLY)",
         ]
     )
-    assert write_sites(source) == [1, 2, 3, 4, 5, 6, 7, 15, 17]
+    assert write_sites(source) == [1, 2, 3, 4, 5, 6, 7, 15, 17, 19, 21]
 
 
 def test_package_writes_only_through_write_atomic():
