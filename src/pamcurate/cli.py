@@ -88,7 +88,7 @@ def cmd_align(args) -> int:
             "pulses_read": len(pulses),
             "rejected_rows": rejected_rows,
             "aligned_pulses": len(result.pulses),
-            "unaligned_pulses": result.rejects.get("unaligned", 0),
+            "unaligned_pulses": result.unaligned,
             "aligned_windows": len(result.windows),
             "side_km": args.side_km,
         },

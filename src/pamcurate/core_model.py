@@ -631,6 +631,13 @@ class DeploymentConfig:
         return sum(rec.window_count for h in self.hydrophones for rec in h.recordings)
 
 
+def _json_field(record: dict, key: str, types: tuple[type, ...]):
+    """``record[key]`` if its exact type is one of ``types``: a JSON ``true`` is a bool, not an int."""
+    if type(value := record[key]) not in types:
+        raise ValueError(f"{key} must be a JSON {'number' if float in types else 'integer'}, got {json.dumps(value)}")
+    return value
+
+
 def load_deployment(path: str | Path) -> DeploymentConfig:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -642,15 +649,14 @@ def load_deployment(path: str | Path) -> DeploymentConfig:
             recordings = tuple(
                 Recording(
                     id=r["id"],
-                    start=parse_utc(r["start"]) if isinstance(r["start"], str) else int(r["start"]),
-                    duration_s=int(r["duration_s"]),
-                    native_sample_rate_hz=int(r["native_sample_rate_hz"]),
+                    start=parse_utc(r["start"]) if isinstance(r["start"], str) else _json_field(r, "start", (int,)),
+                    duration_s=_json_field(r, "duration_s", (int,)),
+                    native_sample_rate_hz=_json_field(r, "native_sample_rate_hz", (int,)),
                 )
                 for r in h.get("recordings", [])
             )
-            hydrophones.append(
-                Hydrophone(id=h["id"], location=GeoPoint(float(h["lat"]), float(h["lon"])), recordings=recordings)
-            )
+            lat, lon = (float(_json_field(h, key, (int, float))) for key in ("lat", "lon"))
+            hydrophones.append(Hydrophone(id=h["id"], location=GeoPoint(lat, lon), recordings=recordings))
         return DeploymentConfig(hydrophones=tuple(hydrophones))
     except (KeyError, TypeError, AttributeError, ValueError, OverflowError, ValidationError) as exc:
         raise ParseError(f"bad deployment config: missing/invalid field {exc}", path=str(path)) from None

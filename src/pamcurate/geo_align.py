@@ -120,12 +120,13 @@ class AlignedWindowSet:
 
 @dataclass
 class AlignmentResult:
-    """``pulses`` holds one row per aligned (pulse, hydrophone) pair, sorted
-    by ``(mmsi, time, window_id, hydrophone_id)``."""
+    """``pulses`` holds the input row of each aligned (pulse, hydrophone)
+    pair, hydrophone by hydrophone in config order; ``unaligned`` counts the
+    input pulses that align to no hydrophone."""
 
     pulses: np.ndarray
     windows: AlignedWindowSet
-    rejects: dict[str, int]
+    unaligned: int
 
 
 def align(pulses: np.ndarray, config: DeploymentConfig, side_km: float = 4.0) -> AlignmentResult:
@@ -133,12 +134,13 @@ def align(pulses: np.ndarray, config: DeploymentConfig, side_km: float = 4.0) ->
     windows inside hydrophone fences.
 
     A pulse landing inside the fences of several hydrophones aligns to each
-    of them independently.  The result is a pure set-level function of the
-    pulse collection: input order does not matter.
+    of them independently.  The windows and both counts are set-level
+    functions of the pulse collection: input order does not matter.  Only
+    ``pulses``, which lists input rows, follows the input order.
     """
     fences = [fence_of(h.location, side_km) for h in config.hydrophones]
-    # Per hydrophone: the aligned pulse rows, their window ids and the hydrophone id.
-    rows, ids, owners = [np.empty(0, np.int64)], [np.empty(0, np.uint64)], [np.empty(0, str)]
+    # Per hydrophone: the aligned pulse rows and their window ids.
+    rows, ids = [np.empty(0, np.int64)], [np.empty(0, np.uint64)]
     for hydrophone, fence in zip(config.hydrophones, fences):
         recordings = sorted((r for r in hydrophone.recordings if r.window_count), key=attrgetter("start"))
         inside = np.flatnonzero(contains(fence, pulses["lat"], pulses["lon"]))
@@ -163,18 +165,10 @@ def align(pulses: np.ndarray, config: DeploymentConfig, side_km: float = 4.0) ->
         ]
         rows.append(inside)
         ids.append(np.concatenate([np.empty(0, np.uint64), *hit_ids])[inverse])
-        owners.append(np.full(len(inside), hydrophone.id))
 
-    rows, owners = np.concatenate(rows), np.concatenate(owners)
-    fields = [("mmsi", "<i8"), ("time", "<i8"), ("window_id", "<u8"), ("hydrophone_id", owners.dtype)]
-    out = np.empty(len(rows), dtype=fields)
-    out["mmsi"], out["time"], out["window_id"], out["hydrophone_id"] = (
-        pulses["mmsi"][rows], pulses["time"][rows], np.concatenate(ids), owners
-    )
-    out = out[np.lexsort((out["hydrophone_id"], out["window_id"], out["time"], out["mmsi"]))]
-    unaligned = len(pulses) - len(np.unique(rows))
-    windows = AlignedWindowSet.of(out["window_id"], out["mmsi"])
-    return AlignmentResult(pulses=out, windows=windows, rejects={"unaligned": unaligned} if unaligned else {})
+    rows = np.concatenate(rows)
+    windows = AlignedWindowSet.of(np.concatenate(ids), pulses["mmsi"][rows])
+    return AlignmentResult(pulses=rows, windows=windows, unaligned=len(pulses) - len(np.unique(rows)))
 
 
 # ---------------------------------------------------------------------------

@@ -356,27 +356,19 @@ def minibatch_fit(
             raise ValidationError(f"init must have shape (k={k}, dim), got {centroids.shape}")
 
     for pass_idx in range(config.passes):
-        batches = _batches(source, config.batch_size)
+        batches = map(_normalize_rows, _batches(source, config.batch_size))
         if centroids is None:
             prefix_rows = max(10 * k, config.batch_size)
             head = list(itertools.islice(batches, -(-prefix_rows // config.batch_size)))
             rows = sum(map(len, head))
             if rows < k:
                 raise DegenerateFitError(f"stream yielded {rows} points, need >= {k}")
-            centroids = _kmeans_pp_init(_normalize_rows(np.concatenate(head)[:prefix_rows]), k, rng)
+            centroids = _kmeans_pp_init(np.concatenate(head)[:prefix_rows], k, rng)
             batches = itertools.chain(head, batches)
 
         counts = np.zeros(k, dtype=np.int64)
-        for raw in batches:
-            batch = _normalize_rows(raw)
-            idx, _ = nearest_centroids(batch, centroids)
-            sums = np.zeros_like(centroids)
-            np.add.at(sums, idx, batch)
-            absorbed = np.bincount(idx, minlength=k)
-            mask = absorbed > 0
-            denom = (counts[mask] + absorbed[mask]).astype(np.float64)
-            centroids[mask] = (centroids[mask] * counts[mask, None] + sums[mask]) / denom[:, None]
-            counts += absorbed
+        for batch in batches:
+            _absorb(centroids, counts, batch, nearest_centroids(batch, centroids)[0])
         if not counts.any():
             raise DegenerateFitError(f"pass {pass_idx + 1} of {config.passes}: stream yielded no points")
         logger.debug("minibatch_fit pass %d/%d: %d absorptions", pass_idx + 1, config.passes, counts.sum())
@@ -426,44 +418,51 @@ def resample_fit(source, k: int, config: FitConfig) -> CentroidSet:
     return cs
 
 
+def _absorb(centroids: np.ndarray, counts: np.ndarray, points: np.ndarray, idx: np.ndarray) -> None:
+    """Move each centroid in place to the mean of its ``counts`` earlier points
+    and its rows of ``points`` (``idx`` names each row's centroid), then add those
+    rows to ``counts``; an empty cluster stays put.  ``add.at`` sums from ``+0.0``
+    in point order, so with zero counts a mean is ``sum(axis=0) / count`` bit for bit."""
+    sums = np.zeros_like(centroids)
+    np.add.at(sums, idx, points)
+    absorbed = np.bincount(idx, minlength=len(centroids))
+    mask = absorbed > 0
+    denom = (counts[mask] + absorbed[mask]).astype(np.float64)
+    centroids[mask] = (centroids[mask] * counts[mask, None] + sums[mask]) / denom[:, None]
+    counts += absorbed
+
+
 def _lloyd(points: np.ndarray, k: int, init: np.ndarray, max_iter: int = 200):
-    """Batch k-means to an assignment fixpoint; used for the small upper levels."""
+    """Batch k-means to an assignment fixpoint, whose last update recomputes the same means; for the upper levels."""
     points = np.asarray(points, dtype=np.float64)
     centroids = np.array(init, dtype=np.float64)
     assign = None
     for _ in range(max_iter):
         idx, _ = nearest_centroids(points, centroids)
+        counts = np.zeros(k, dtype=np.int64)
+        _absorb(centroids, counts, points, idx)
         if assign is not None and np.array_equal(idx, assign):
             break
         assign = idx
-        # ``add.at`` adds each cluster's points in point order, so a mean is its
-        # members' ``sum(axis=0) / count`` bit for bit; an empty cluster stays put.
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, idx, points)
-        counts = np.bincount(idx, minlength=k)
-        kept = counts > 0
-        centroids[kept] = sums[kept] / counts[kept, None]
     return centroids, counts
 
 
 def build_hierarchy(source, config: FitConfig) -> ClusterHierarchy:
     """Fit all levels: streaming resample fit at the bottom, batch k-means above."""
-    ks = config.level_ks
-    if not ks:
+    if not config.level_ks:
         raise ValidationError("config.level_ks must name at least one level")
-    try:
-        sets = [resample_fit(source, ks[0], config)]
-    except (ValidationError, DegenerateFitError) as exc:
-        raise type(exc)(f"level 1: {exc}") from None
-    for level_idx, k in enumerate(ks[1:], start=2):
-        points = sets[-1].centroids.astype(np.float64)
-        rng = np.random.default_rng((config.seed, 77, level_idx))
+    sets: list[CentroidSet] = []
+    for level, k in enumerate(config.level_ks, start=1):
         try:
-            init = _kmeans_pp_init(points, k, rng)
+            if not sets:
+                sets.append(resample_fit(source, k, config))
+                continue
+            points = sets[-1].centroids.astype(np.float64)
+            init = _kmeans_pp_init(points, k, np.random.default_rng((config.seed, 77, level)))
             centroids, counts = _lloyd(points, k, init)
+            sets.append(CentroidSet(centroids=centroids.astype(np.float32), counts=counts.astype(np.uint64)))
         except (ValidationError, DegenerateFitError) as exc:
-            raise type(exc)(f"level {level_idx}: {exc}") from None
-        sets.append(CentroidSet(centroids=centroids.astype(np.float32), counts=counts.astype(np.uint64)))
+            raise type(exc)(f"level {level}: {exc}") from None
     return ClusterHierarchy(levels=tuple(sets))
 
 

@@ -154,10 +154,17 @@ class TestAlign:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("duration_s", "ten"),  # ValueError
-            ("lat", "north"),  # ValueError
-            ("start", float("inf")),  # JSON Infinity: OverflowError
+            ("duration_s", "ten"),  # a string, not an integer
+            ("lat", "north"),  # a string, not a number
+            ("start", float("inf")),  # JSON Infinity, not an integer
             ("start", "noon"),  # not a UTC timestamp: ValidationError
+            ("start", True),  # a bool, not an integer
+            ("duration_s", True),
+            ("duration_s", 2000.9),  # a float, not an integer
+            ("duration_s", "2000"),
+            ("native_sample_rate_hz", 1.5),
+            ("lat", "10.0"),
+            ("lat", True),
             ("id", "R 1"),  # recording id with a space: ValidationError
             ("hydrophone", "H1"),  # a string, not an object: AttributeError
             ("bytes", b"\xff\xfe{}"),  # not UTF-8: UnicodeDecodeError
@@ -167,7 +174,7 @@ class TestAlign:
         fixture = build_pipeline_fixture(tmp_path / "fx")
         doc = json.loads(fixture["config"].read_text())
         hydrophone = doc["hydrophones"][0]
-        if field in ("duration_s", "start", "id"):
+        if field in ("duration_s", "start", "id", "native_sample_rate_hz"):
             hydrophone["recordings"][0][field] = value
         elif field == "hydrophone":
             doc["hydrophones"][0] = value

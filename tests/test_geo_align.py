@@ -100,20 +100,24 @@ def _config(hydrophones):
     return DeploymentConfig(hydrophones=tuple(hydrophones))
 
 
+def aligned_mmsi_time(columns, result) -> list[tuple[int, int]]:
+    """The sorted ``(mmsi, time)`` of each aligned (pulse, hydrophone) pair."""
+    aligned = columns[result.pulses]
+    return sorted(zip(aligned["mmsi"].tolist(), aligned["time"].tolist()))
+
+
 class TestAlign:
     def test_pulse_outside_every_fence(self):
         config = one_hydrophone_config()
         result = align(ais_columns([AisPulse(mmsi=1, time=T0 + 5, position=GeoPoint(1.0, 1.0))]), config)
         assert len(result.pulses) == 0 and len(result.windows) == 0
-        assert result.rejects == {"unaligned": 1}
+        assert result.unaligned == 1
 
     def test_window_offset_floor(self):
         config = one_hydrophone_config()
         result = align(ais_columns([AisPulse(mmsi=5, time=T0 + 25, position=GeoPoint(0.0, 0.0))]), config)
-        assert len(result.pulses) == 1
-        wid = int(result.pulses["window_id"][0])
-        assert wid == window_id_of("H1", "R1", 20)
-        assert result.windows.pairs.tolist() == [(wid, 5)]
+        assert result.pulses.tolist() == [0]
+        assert result.windows.pairs.tolist() == [(window_id_of("H1", "R1", 20), 5)]
 
     def test_two_ships_one_window(self):
         config = one_hydrophone_config()
@@ -150,12 +154,13 @@ class TestAlign:
             )
             for _ in range(200)
         ]
-        forward = align(ais_columns(pulses), config)
         shuffled = list(pulses)
         rng.shuffle(shuffled)
-        backward = align(ais_columns(shuffled), config)
-        assert forward.windows == backward.windows
-        assert sorted(forward.pulses.tolist()) == sorted(backward.pulses.tolist())
+        forward, backward = ais_columns(pulses), ais_columns(shuffled)
+        forward_result, backward_result = align(forward, config), align(backward, config)
+        assert forward_result.windows == backward_result.windows
+        assert aligned_mmsi_time(forward, forward_result) == aligned_mmsi_time(backward, backward_result)
+        assert forward_result.unaligned == backward_result.unaligned
 
     def test_shrinking_fence_never_adds_windows(self):
         rng = np.random.default_rng(1)
@@ -183,9 +188,10 @@ class TestAlign:
             )
             for _ in range(100)
         ]
-        result = align(ais_columns(pulses), config)
+        columns = ais_columns(pulses)
+        result = align(columns, config)
         window_ids = set(result.windows.pairs["window_id"].tolist())
-        assert set(result.pulses["window_id"].tolist()) == window_ids
+        assert set(columns["mmsi"][result.pulses].tolist()) == set(result.windows.pairs["mmsi"].tolist())
         assert len(result.windows) == len(window_ids)
 
     def test_overlapping_fences_align_to_both(self):
@@ -201,7 +207,9 @@ class TestAlign:
             ]
         )
         result = align(ais_columns([AisPulse(mmsi=9, time=T0 + 3, position=GeoPoint(offset_deg / 2, 0.0))]), config)
-        assert set(result.pulses["hydrophone_id"].tolist()) == {"H0", "H1"}
+        assert len(result.pulses) == 2
+        hydrophones, _, _ = config.window_index().coordinates(result.windows.pairs["window_id"], "aligned")
+        assert set(hydrophones.tolist()) == {"H0", "H1"}
         assert len(result.windows) == 2
 
     def test_union_matches_single_pass(self):
@@ -525,7 +533,8 @@ def deployment_and_pulses(draw):
 def test_align_matches_reference(case):
     config, pulses, side_km = case
     expected, windows, rejects = align_reference(pulses, config, side_km)
-    result = align(ais_columns(pulses), config, side_km)
-    assert result.pulses.tolist() == expected
+    columns = ais_columns(pulses)
+    result = align(columns, config, side_km)
+    assert aligned_mmsi_time(columns, result) == sorted((p.mmsi, p.time) for p in expected)
     assert result.windows == windows
-    assert result.rejects == rejects
+    assert result.unaligned == rejects.get("unaligned", 0)
