@@ -74,6 +74,7 @@ _CLUSTER_PATH_RE = re.compile(r"(?:[0-9]+(?:/[0-9]+)*)?\Z")  # "" is an absent p
 TEXT_BLOCK = 1 << 15
 _EPOCH = datetime(1970, 1, 1)
 _EPOCH_UTC = _EPOCH.replace(tzinfo=timezone.utc)
+_UTC_FIRST, _UTC_LAST = -62135596800, 253402300799  # years 1 to 9999, the span format_utc writes
 _UMASK = os.umask(0o022)  # mkstemp creates 0600 files; outputs get 0666 & ~umask
 os.umask(_UMASK)
 
@@ -215,7 +216,7 @@ class GeoPoint:
 
 @dataclass(frozen=True, slots=True)
 class Recording:
-    """One continuous recording; ``start`` is Unix epoch seconds (UTC)."""
+    """One continuous recording; ``start`` and ``end`` are Unix epoch seconds (UTC) in years 1 to 9999."""
 
     id: str
     start: int
@@ -226,6 +227,8 @@ class Recording:
         _require_token(self.id, "recording id")
         if self.duration_s < 0:
             raise ValidationError(f"recording {self.id}: duration_s {self.duration_s} < 0")
+        if not (_UTC_FIRST <= self.start and self.end <= _UTC_LAST):
+            raise ValidationError(f"recording {self.id}: span {self.start}..{self.end} s leaves years 1-9999 UTC")
         if self.native_sample_rate_hz <= 0:
             raise ValidationError(f"recording {self.id}: sample rate must be positive")
 

@@ -45,10 +45,10 @@ def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
     return m / norms[:, None]
 
 
-def _rounding_slack(norms: np.ndarray, d: int) -> np.ndarray:
-    """``8·γ_{d+4}·norms² + tiny`` for ``norms = ‖x‖ + max‖c‖``; see :func:`nearest_centroids`."""
+def _rounding_slack(norms: np.ndarray, roundings: int) -> np.ndarray:
+    """``8·γ_roundings·norms² + tiny`` for ``norms = ‖x‖ + max‖c‖``; see :func:`nearest_centroids`."""
     finfo = np.finfo(np.float64)
-    mu = (d + 4) * finfo.eps / 2
+    mu = roundings * finfo.eps / 2
     return 8.0 * (mu / (1.0 - mu)) * norms**2 + finfo.tiny
 
 
@@ -61,41 +61,45 @@ def nearest_centroids(points: np.ndarray, centroids: np.ndarray, block_elems: in
     can win are scored that way:
 
     1. Candidate pass.  One GEMM per block of rows gives the expanded form
-       ``G = ‖x‖² + ‖c‖² − 2·x·c`` (``‖x‖²`` is left out: it is constant
-       along a row).  With unit roundoff ``u`` and
-       ``γ_m = m·u / (1 − m·u)``, every term of ``G`` carries at most
-       ``d + 2`` roundings for any BLAS summation order or FMA use, so
-       ``|G − D| ≤ γ_{d+2}·(‖x‖ + ‖c‖)²`` for the exact distance ``D``.
-       The explicit-difference value ``E`` sums non-negative terms with
+       ``G = ‖c‖² − 2·x·c``, the exact distance ``D`` less the row constant
+       ``‖x‖²``: the block is copied into a buffer whose rows end in 1, and
+       the scaled centroids end in a row of computed ``‖c‖²``.  With unit
+       roundoff ``u`` and ``γ_m = m·u / (1 − m·u)``, a term of ``‖c‖²``
+       carries ``d`` roundings before the GEMM's ``d + 1`` and a term of
+       ``x·c`` the GEMM's alone, for any BLAS summation order or FMA use,
+       so ``|G − (D − ‖x‖²)| ≤ γ_{2d+1}·(‖x‖ + ‖c‖)²``.  The
+       explicit-difference value ``E`` sums non-negative terms with
        ``d + 2`` roundings each, so ``|E − D| ≤ γ_{d+2}·D``, and ``D`` is
-       at most ``(‖x‖ + ‖c‖)²`` too.  Hence ``|G − E| ≤ e`` with
-       ``e = 2·γ_{d+2}·(‖x‖ + max‖c‖)²``, and every centroid of minimal
-       ``E`` has ``G ≤ min G + 2e``.  The slack used is ``8·γ_{d+4}`` times
-       the computed ``(‖x‖ + max‖c‖)²``, twice what is needed, so the
-       rounding of the bound itself cannot cut it; the smallest normal
-       float is added to cover underflow.  The bound assumes finite inputs
-       far from overflow; non-finite ``G`` never fails the ``G > threshold``
-       test, so such entries are always re-scored.
-    2. Pick and re-score.  ``j = argmin(G)`` per row, and ``G[r, j]`` is
+       at most ``(‖x‖ + ‖c‖)²`` too.  As ``γ_a + γ_b ≤ γ_{a+b}``, ``G`` is
+       within ``e = γ_{3d+3}·(‖x‖ + max‖c‖)²`` of ``E − ‖x‖²``, and every
+       centroid of minimal ``E`` has ``G ≤ min G + 2e``.  The slack used is
+       ``8·γ_{2d+4}`` times the computed ``(‖x‖ + max‖c‖)²``, at least
+       twice what is needed, so the rounding of the bound itself cannot cut
+       it; the smallest normal float is added to cover underflow.  The
+       bound assumes finite inputs far from overflow; where ``G`` or the
+       slack overflows, the threshold below is ``inf`` or NaN, which no
+       ``G`` is above, so every centroid of the row is a candidate.
+    2. Pick and tie test.  ``j = argmin(G)`` per row, and ``G[r, j]`` is
        the row's ``min``: a row holding a NaN has its first NaN at ``j`` and
        a NaN ``min``, and the only equal values that differ in bits, ``±0``,
        become the same once the positive slack is added.  So the threshold
        ``G[r, j] + slack`` is the one ``min`` gives, bit for bit.  Every
        centroid with ``G`` not above it is a candidate, and ``j`` always is
-       one, since adding the slack never lowers ``G[r, j]``.  One count of
-       the candidates in the block follows: if it equals the number of rows,
-       ``j`` is each row's only candidate and so its pick, and only that
-       centroid is re-scored.  Otherwise all of the block's candidates are
-       re-scored and the pick is the lexicographic minimum of
-       ``(distance, index)``, so the lowest index wins exact ties, which are
-       always candidates.  Either way each row's sum runs in the same
+       one, since adding the slack never lowers ``G[r, j]``.  A second
+       ``argmin``, with ``G[r, j]`` set to ``+inf``, gives the row's next
+       value, and the row is tied iff that value is not above the
+       threshold.  A row that is not tied picks ``j``, which alone is
+       re-scored.  A tied row gets ``G[r, j]`` back, and all of its
+       candidates are re-scored; the pick is the lexicographic minimum of
+       ``(distance, index)``, so the lowest index wins exact ties, which
+       are always candidates.  Either way each row's sum runs in the same
        order as in a full ``(n, k, d)`` evaluation.  Indices and distances
        therefore equal the exhaustive explicit-difference search, whatever
        the BLAS or its thread count.
 
-    ``block_elems`` bounds the ``rows × k`` GEMM block and the
-    ``rows × d`` re-score of one candidate per row; it changes memory use
-    only, never the result.
+    ``block_elems`` bounds the ``rows × k`` GEMM block, the ``rows × (d + 1)``
+    copy of the points and the ``rows × d`` re-score of one candidate per
+    row; it changes memory use only, never the result.
     """
     points = np.asarray(points, dtype=np.float64)
     centroids = np.asarray(centroids, dtype=np.float64)
@@ -106,33 +110,38 @@ def nearest_centroids(points: np.ndarray, centroids: np.ndarray, block_elems: in
     if k == 0:
         raise ValidationError("need at least one centroid")
     c2 = np.einsum("ij,ij->i", centroids, centroids)
-    slack = _rounding_slack(np.sqrt(np.einsum("ij,ij->i", points, points)) + np.sqrt(c2.max()), d)
-    # Scaling by -2 is exact, so the GEMM yields -2·x·c directly.
-    scaled = -2.0 * centroids.T
+    slack = _rounding_slack(np.sqrt(np.einsum("ij,ij->i", points, points)) + np.sqrt(c2.max()), 2 * d + 4)
+    # Scaling by -2 is exact; the last row meets the 1s of ``pts_buf``, adding c2.
+    scaled = np.column_stack((-2.0 * centroids, c2)).T
     best_idx = np.empty(n, dtype=np.int64)
     best_d2 = np.empty(n, dtype=np.float64)
     rows = max(1, block_elems // max(k, d))
     approx_buf = np.empty((min(rows, n), k))
-    beyond_buf = np.empty((min(rows, n), k), dtype=bool)
+    pts_buf = np.empty((min(rows, n), d + 1))
+    pts_buf[:, d] = 1.0
     for i0 in range(0, n, rows):
         pts = points[i0 : i0 + rows]
         m = len(pts)
-        approx = np.matmul(pts, scaled, out=approx_buf[:m])
-        approx += c2
-        j = approx.argmin(axis=1)
-        threshold = approx[np.arange(m), j] + slack[i0 : i0 + m]
-        beyond = np.greater(approx, threshold[:, None], out=beyond_buf[:m])
-        tied = m * k - np.count_nonzero(beyond) > m
-        row, col = np.divmod(np.flatnonzero(~beyond), k) if tied else (slice(None), j)
+        pts_buf[:m, :d] = pts
+        approx = np.matmul(pts_buf[:m], scaled, out=approx_buf[:m])
+        r = np.arange(m)
+        col = approx.argmin(axis=1)
+        best = approx[r, col]
+        threshold = best + slack[i0 : i0 + m]
+        approx[r, col] = np.inf
+        tied = np.flatnonzero(~(approx[r, approx.argmin(axis=1)] > threshold))
         # The gathered operand is C-contiguous, so the difference is too,
         # whatever the layout of ``points``, and each row sums in the order
         # of the exhaustive ``(n, k, d)`` search.
-        d2 = ((pts[row] - centroids[col]) ** 2).sum(axis=1)
-        if tied:
+        d2 = ((pts - centroids[col]) ** 2).sum(axis=1)
+        if len(tied):
+            approx[tied, col[tied]] = best[tied]
+            row, cand = np.nonzero(~(approx[tied] > threshold[tied, None]))
+            cand_d2 = ((pts[tied[row]] - centroids[cand]) ** 2).sum(axis=1)
             # Stable, so equal (row, distance) pairs keep ascending centroid
             # order and the first entry of each row is its pick.
-            pick = np.lexsort((d2, row))[np.searchsorted(row, np.arange(m))]
-            col, d2 = col[pick], d2[pick]
+            pick = np.lexsort((cand_d2, row))[np.searchsorted(row, np.arange(len(tied)))]
+            col[tied], d2[tied] = cand[pick], cand_d2[pick]
         best_idx[i0 : i0 + m] = col
         best_d2[i0 : i0 + m] = d2
     return best_idx, best_d2
@@ -300,7 +309,7 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     if n < k:
         raise DegenerateFitError(f"initialization buffer holds {n} points, need >= {k}")
     x2 = np.einsum("ij,ij->i", points, points)
-    floor = x2 - _rounding_slack(np.sqrt(x2) + np.sqrt(x2.max()), d)
+    floor = x2 - _rounding_slack(np.sqrt(x2) + np.sqrt(x2.max()), d + 4)
     centroids = np.empty((k, d), dtype=np.float64)
     d2 = np.full(n, np.inf)
     cdf = np.empty(n)
@@ -421,11 +430,12 @@ def resample_fit(source, k: int, config: FitConfig) -> CentroidSet:
 def _absorb(centroids: np.ndarray, counts: np.ndarray, points: np.ndarray, idx: np.ndarray) -> None:
     """Move each centroid in place to the mean of its ``counts`` earlier points
     and its rows of ``points`` (``idx`` names each row's centroid), then add those
-    rows to ``counts``; an empty cluster stays put.  ``add.at`` sums from ``+0.0``
-    in point order, so with zero counts a mean is ``sum(axis=0) / count`` bit for bit."""
-    sums = np.zeros_like(centroids)
-    np.add.at(sums, idx, points)
-    absorbed = np.bincount(idx, minlength=len(centroids))
+    rows to ``counts``; an empty cluster stays put.  ``bincount`` sums each (centroid,
+    column) bin from ``+0.0`` in point order, so with zero counts a mean is
+    ``sum(axis=0) / count`` bit for bit."""
+    k, d = centroids.shape
+    sums = np.bincount((idx[:, None] * d + np.arange(d)).ravel(), weights=points.ravel(), minlength=k * d).reshape(k, d)
+    absorbed = np.bincount(idx, minlength=k)
     mask = absorbed > 0
     denom = (counts[mask] + absorbed[mask]).astype(np.float64)
     centroids[mask] = (centroids[mask] * counts[mask, None] + sums[mask]) / denom[:, None]

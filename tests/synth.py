@@ -532,6 +532,18 @@ def lloyd_reference(
     return centroids
 
 
+def absorb_reference(centroids: np.ndarray, counts: np.ndarray, points: np.ndarray, idx: np.ndarray) -> None:
+    """The running-mean update by ``np.add.at``: per-centroid sums that start at
+    ``+0.0`` and add the points in order, then the same mean step as ``_absorb``."""
+    sums = np.zeros_like(centroids)
+    np.add.at(sums, idx, points)
+    absorbed = np.bincount(idx, minlength=len(centroids))
+    mask = absorbed > 0
+    denom = (counts[mask] + absorbed[mask]).astype(np.float64)
+    centroids[mask] = (centroids[mask] * counts[mask, None] + sums[mask]) / denom[:, None]
+    counts += absorbed
+
+
 def kmeans_objective(points, centroids) -> float:
     points = np.asarray(points, dtype=np.float64)
     centroids = np.asarray(centroids, dtype=np.float64)

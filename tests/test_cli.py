@@ -163,6 +163,8 @@ class TestAlign:
             ("duration_s", 2000.9),  # a float, not an integer
             ("duration_s", "2000"),
             ("native_sample_rate_hz", 1.5),
+            ("start", 10**20),  # beyond year 9999 (and int64): ValidationError
+            ("duration_s", 10**20),  # ends beyond year 9999
             ("lat", "10.0"),
             ("lat", True),
             ("id", "R 1"),  # recording id with a space: ValidationError
@@ -175,7 +177,8 @@ class TestAlign:
         doc = json.loads(fixture["config"].read_text())
         hydrophone = doc["hydrophones"][0]
         if field in ("duration_s", "start", "id", "native_sample_rate_hz"):
-            hydrophone["recordings"][0][field] = value
+            # The hydrophone's last recording, which no later one can overlap.
+            hydrophone["recordings"][-1][field] = value
         elif field == "hydrophone":
             doc["hydrophones"][0] = value
         else:
@@ -186,6 +189,7 @@ class TestAlign:
         assert run("align", "--config", config, "--ais", fixture["ais"], "--out", out) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: bad deployment config") and str(config) in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, tmp_path, capsys, workers):

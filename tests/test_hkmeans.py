@@ -12,6 +12,7 @@ from pamcurate.hkmeans import (
     CentroidSet,
     ClusterHierarchy,
     FitConfig,
+    _absorb,
     _kmeans_pp_init,
     _lloyd,
     _normalize_rows,
@@ -23,7 +24,7 @@ from pamcurate.hkmeans import (
     resample_fit,
     save_model,
 )
-from synth import MixtureSpec, _kmeans_pp, gen_mixture, lloyd_reference, parents_reference
+from synth import MixtureSpec, _kmeans_pp, absorb_reference, gen_mixture, lloyd_reference, parents_reference
 from conftest import blocked_nearest_centroids, make_hierarchy
 
 
@@ -207,6 +208,59 @@ class TestNearestCentroids:
         assert sorts == []
         ref_idx, ref_d2 = blocked_nearest_centroids(points, centroids)
         assert np.array_equal(idx, ref_idx) and np.array_equal(d2, ref_d2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_per_row_tie_test(self, data):
+        """Ties at block edges and several in one block, a duplicate centroid
+        (three tied columns on the mirror plane), ``k = 1``, and rows whose
+        ``G`` overflows to ``inf`` or is NaN from ``inf − inf``: every result
+        equals the exhaustive search.  Each sort holds the candidates of its
+        block's tied rows and nothing else."""
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        n = data.draw(st.integers(1, 300))
+        k = data.draw(st.one_of(st.just(1), st.integers(2, 24)))
+        d = data.draw(st.one_of(st.integers(1, 24), st.integers(120, 140)))
+        block_elems = data.draw(st.sampled_from([24, 64, 300, 1000, 1 << 20]))
+        rng = np.random.default_rng(seed)
+        points = norm_rows(rng.normal(size=(n, d)) + 1e-3)
+        centroids = norm_rows(rng.normal(size=(k, d)) + 1e-3) * rng.uniform(0.3, 1.0, size=(k, 1))
+        rows = max(1, block_elems // max(k, d))
+        if k > 1:
+            a, b = rng.choice(k, size=2, replace=False)
+            j = rng.integers(d)
+            centroids[a, j] = 1e-3
+            centroids[b] = centroids[a]
+            centroids[b, j] = -1e-3
+            if k > 2 and data.draw(st.booleans(), label="duplicate centroid"):
+                centroids[next(c for c in range(k) if c not in (a, b))] = centroids[a]
+            edges = sorted({*range(0, n, rows), *(min(i + rows, n) - 1 for i in range(0, n, rows))})
+            planted = data.draw(st.sets(st.one_of(st.sampled_from(edges), st.integers(0, n - 1)), max_size=12))
+            for r in planted:
+                points[r] = centroids[a]
+                points[r, j] = 0.0
+        huge = data.draw(st.sets(st.integers(0, n - 1), max_size=3), label="huge rows")
+        if huge:
+            # Near 1e154 a square is near the largest float: ‖c‖² and x·c
+            # overflow, and G is inf, or NaN where both do with equal signs.
+            scale = 10.0 ** rng.uniform(153.5, 154.5)
+            c = rng.integers(k)
+            centroids[c] *= scale
+            for r in huge:
+                points[r] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0) * centroids[c]
+        with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore", invalid="ignore"):
+            sorts = self.count_sorts(patch)
+            idx, d2 = nearest_centroids(points, centroids, block_elems=block_elems)
+            ref_idx, ref_d2 = blocked_nearest_centroids(points, centroids)
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(d2.view(np.int64), ref_d2.view(np.int64))
+        if not huge:
+            # A row's candidates are the centroids as near as its nearest up to
+            # rounding, far below 1e-9 here; a tied row has two or more.
+            dist = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+            candidates = np.count_nonzero(dist <= dist.min(axis=1, keepdims=True) + 1e-9, axis=1)
+            per_block = [candidates[i : i + rows] for i in range(0, n, rows)]
+            assert sorts == [int(c[c > 1].sum()) for c in per_block if (c > 1).any()]
 
 
 def seed_both(points, k, seed):
@@ -515,6 +569,34 @@ class TestBuildHierarchy:
             assert build_hierarchy(chunked, config) == model, rows
 
 
+class TestAbsorb:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_add_at_reference(self, data):
+        """``−0.0`` coordinates, empty clusters, one point, dims up to 300 and
+        counts that are not zero on entry: the centroids and counts equal
+        the ``np.add.at`` reference's bit for bit."""
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        n = data.draw(st.one_of(st.just(1), st.integers(1, 500)))
+        k = data.draw(st.integers(1, 40))
+        d = data.draw(st.one_of(st.integers(1, 24), st.integers(250, 300)))
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(n, d))
+        if data.draw(st.booleans(), label="negative zeros"):
+            points[rng.random((n, d)) < 0.5] = -0.0
+            points[:, rng.integers(d)] = -0.0
+        # The rows go to some of the clusters, so the others stay empty.
+        idx = rng.choice(rng.choice(k, size=data.draw(st.integers(1, k)), replace=False), size=n)
+        counts = rng.integers(0, 5, size=k) if data.draw(st.booleans(), label="earlier counts") else np.zeros(k, np.int64)
+        centroids = rng.normal(size=(k, d))
+        got, want = centroids.copy(), centroids.copy()
+        got_counts, want_counts = counts.copy(), counts.copy()
+        _absorb(got, got_counts, points, idx)
+        absorb_reference(want, want_counts, points, idx)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(got_counts, want_counts)
+
+
 class TestLloyd:
     """``_lloyd`` (the upper levels) against ``lloyd_reference`` from the same init."""
 
@@ -624,7 +706,8 @@ class TestModelIO:
         save_model(hierarchy, path)
         assert load_model(path) == hierarchy
 
-    def test_fitted_model_bytes_are_pinned(self, tmp_path):
+    @staticmethod
+    def fitted_model_digest(tmp_path, config):
         # A change of any seeding draw, assignment or mean changes these bytes.
         means = np.random.default_rng(5).normal(0.0, 3.0, size=(12, 16))
         weights = 1.0 / np.arange(1, 13) ** 1.1
@@ -639,9 +722,18 @@ class TestModelIO:
         )
         points, _ = gen_mixture(spec)
         path = tmp_path / "model.bin"
-        save_model(build_hierarchy(points.astype(np.float32), FitConfig(level_ks=(64, 8))), path)
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        save_model(build_hierarchy(points.astype(np.float32), config), path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_fitted_model_bytes_are_pinned(self, tmp_path):
+        digest = self.fitted_model_digest(tmp_path, FitConfig(level_ks=(64, 8)))
         assert digest == "0ea6a0bdb0ffc5691041e093058c238abf9ba3e4b65d3508b03212d5231b348e"
+
+    def test_fitted_model_bytes_are_pinned_across_batches(self, tmp_path):
+        # Batches of 1000 rows; the refit of the resample round ends in a batch of 8.
+        config = FitConfig(level_ks=(64, 8), batch_size=1000, passes=1, resample_rounds=1)
+        digest = self.fitted_model_digest(tmp_path, config)
+        assert digest == "01b01fcfa12954bc892290551a25cec3d279ad5dd77f7643847f8bdf12c30d7e"
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
