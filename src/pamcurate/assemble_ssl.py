@@ -1,9 +1,8 @@
-"""Final dataset assembly of the two curated manifests, plus the teacher-weight EMA schedule utility."""
+"""Final dataset assembly of the two curated manifests."""
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,44 +57,3 @@ def format_summary(summary: dict) -> str:
     for hid, count in summary["per_hydrophone"].items():
         lines.append(f"  {hid}: {count}")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# EMA teacher update
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EmaConfig:
-    """Teacher-tracking momentum ramp: tau climbs linearly over the first
-    ``ramp_updates`` steps, then stays at ``tau_end``."""
-
-    tau_start: float = 0.999
-    tau_end: float = 0.9999
-    ramp_updates: int = 20
-
-    def __post_init__(self):
-        if not 0.0 <= self.tau_start <= self.tau_end <= 1.0:
-            raise ValidationError(f"need 0 <= tau_start <= tau_end <= 1, got {self.tau_start}, {self.tau_end}")
-        if self.ramp_updates < 1:
-            raise ValidationError("ramp_updates must be >= 1")
-
-
-def tau_at(step: int, config: EmaConfig = EmaConfig()) -> float:
-    """Momentum at an update step; exact at both endpoints."""
-    if step < 0:
-        raise ValidationError(f"step must be >= 0, got {step}")
-    if step >= config.ramp_updates:
-        return config.tau_end
-    return config.tau_start + (config.tau_end - config.tau_start) * (step / config.ramp_updates)
-
-
-def ema_update(teacher, student, tau: float) -> np.ndarray:
-    """Elementwise ``tau * teacher + (1 - tau) * student``."""
-    if not 0.0 <= tau <= 1.0:
-        raise ValidationError(f"tau must be in [0, 1], got {tau}")
-    t = np.asarray(teacher, dtype=np.float64)
-    s = np.asarray(student, dtype=np.float64)
-    if t.shape != s.shape:
-        raise ValidationError(f"shape mismatch: teacher {t.shape} vs student {s.shape}")
-    return tau * t + (1.0 - tau) * s

@@ -45,11 +45,16 @@ def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
     return m / norms[:, None]
 
 
-def _rounding_slack(norms: np.ndarray, roundings: int) -> np.ndarray:
-    """``8·γ_roundings·norms² + tiny`` for ``norms = ‖x‖ + max‖c‖``; see :func:`nearest_centroids`."""
-    finfo = np.finfo(np.float64)
-    mu = roundings * finfo.eps / 2
-    return 8.0 * (mu / (1.0 - mu)) * norms**2 + finfo.tiny
+def _rounding_slack(x_norms: np.ndarray, c_norm: float, roundings: int) -> np.ndarray:
+    """``γ_roundings·M·(2‖x‖ + M) + 2u·(‖x‖ + M)² + 2⁻¹²⁵`` for ``x_norms = ‖x‖``,
+    ``c_norm = M`` and float32's ``u = 2⁻²⁴``; ``inf`` where ``(‖x‖ + M)² > 2¹²⁷``
+    or ``γ ≥ 1/4``.  See :func:`nearest_centroids`."""
+    mu = roundings * 2.0**-24
+    gamma = mu / (1.0 - mu) if mu < 0.2 else np.inf
+    squares = (x_norms + c_norm) ** 2
+    slack = gamma * c_norm * (2.0 * x_norms + c_norm) + 2.0**-23 * squares + 2.0**-125
+    slack[~(squares <= 2.0**127)] = np.inf
+    return slack
 
 
 def nearest_centroids(points: np.ndarray, centroids: np.ndarray, block_elems: int = 1 << 20):
@@ -60,36 +65,43 @@ def nearest_centroids(points: np.ndarray, centroids: np.ndarray, block_elems: in
     ``((x - c) ** 2).sum()``, bit for bit, but only the few centroids that
     can win are scored that way:
 
-    1. Candidate pass.  One GEMM per block of rows gives the expanded form
-       ``G = ‖c‖² − 2·x·c``, the exact distance ``D`` less the row constant
-       ``‖x‖²``: the block is copied into a buffer whose rows end in 1, and
-       the scaled centroids end in a row of computed ``‖c‖²``.  With unit
-       roundoff ``u`` and ``γ_m = m·u / (1 − m·u)``, a term of ``‖c‖²``
-       carries ``d`` roundings before the GEMM's ``d + 1`` and a term of
-       ``x·c`` the GEMM's alone, for any BLAS summation order or FMA use,
-       so ``|G − (D − ‖x‖²)| ≤ γ_{2d+1}·(‖x‖ + ‖c‖)²``.  The
-       explicit-difference value ``E`` sums non-negative terms with
-       ``d + 2`` roundings each, so ``|E − D| ≤ γ_{d+2}·D``, and ``D`` is
-       at most ``(‖x‖ + ‖c‖)²`` too.  As ``γ_a + γ_b ≤ γ_{a+b}``, ``G`` is
-       within ``e = γ_{3d+3}·(‖x‖ + max‖c‖)²`` of ``E − ‖x‖²``, and every
-       centroid of minimal ``E`` has ``G ≤ min G + 2e``.  The slack used is
-       ``8·γ_{2d+4}`` times the computed ``(‖x‖ + max‖c‖)²``, at least
-       twice what is needed, so the rounding of the bound itself cannot cut
-       it; the smallest normal float is added to cover underflow.  The
-       bound assumes finite inputs far from overflow; where ``G`` or the
-       slack overflows, the threshold below is ``inf`` or NaN, which no
-       ``G`` is above, so every centroid of the row is a candidate.
-    2. Pick and tie test.  ``j = argmin(G)`` per row, and ``G[r, j]`` is
+    1. Candidate screen, in float32.  Each block of rows is rounded to
+       float32 in a buffer whose rows end in 1, and one float32 GEMM with
+       ``[-2c; ‖c‖²]`` (``‖c‖²`` summed in float64, then rounded) gives
+       ``Ĝ``, an estimate of ``G = ‖c‖² − 2·x·c``, the exact distance ``D``
+       less the row constant ``‖x‖²``.  Let ``u = 2⁻²⁴``,
+       ``γ_m = m·u / (1 − m·u)``, ``M = max‖c‖``, ``N = ‖x‖ + M`` and
+       ``K = M·(2‖x‖ + M)``.  Rounding the inputs costs each ``x_i·c_i`` two
+       roundings and ``‖c‖²`` one (its float64 sum errs by less than one
+       more); the GEMM's ``d + 1`` terms add at most ``d + 1`` each, in any
+       summation order, FMA or not.  So, by Cauchy–Schwarz,
+       ``|Ĝ − G| ≤ γ_{d+3}·(2·Σ|x_i·c_i| + ‖c‖²) + U ≤ γ_{d+3}·K + U``, where
+       ``U`` bounds underflow: each rounding into the subnormal range may err
+       by ``2⁻¹⁵⁰`` more (sums there are exact), so
+       ``U < 1.25·(d + 2 + 2·√d·N)·2⁻¹⁵⁰`` and ``2U ≤ u·N² + 2⁻¹²⁶``.  The
+       float64 ``E`` is within ``2⁻²⁸·u·N²`` of ``D``, so every centroid of
+       minimal ``E`` has ``Ĝ`` within ``2·γ_{d+3}·K + 2U`` (plus that) of
+       ``min Ĝ``.  The slack ``s = γ_{2d+10}·K + 2u·N² + 2⁻¹²⁵`` is rounded
+       to float32, and the threshold ``fl(min Ĝ + s)``, as
+       ``|min Ĝ| ≤ 1.25·K + U``, loses at most ``u·(1.25·K + U + 2s)``.
+       Since ``γ_{2d+10} ≥ 2·γ_{d+3} + 4u``, the ``K`` term covers all ``K``
+       terms, ``2u·N²`` the ``N²`` ones and ``2⁻¹²⁵`` the underflow, while
+       ``γ_{2d+10} < 1/4`` and float32 does not overflow: every product,
+       partial sum and threshold stays below ``1.75·N²``, so ``N² ≤ 2¹²⁷``
+       suffices.  Past that, or for ``d`` past 1.6 million, the slack is
+       ``inf``, the threshold ``inf`` or NaN, which no ``Ĝ`` is above, and
+       every centroid of the row is a candidate.
+    2. Pick and tie test.  ``j = argmin(Ĝ)`` per row, and ``Ĝ[r, j]`` is
        the row's ``min``: a row holding a NaN has its first NaN at ``j`` and
        a NaN ``min``, and the only equal values that differ in bits, ``±0``,
        become the same once the positive slack is added.  So the threshold
-       ``G[r, j] + slack`` is the one ``min`` gives, bit for bit.  Every
-       centroid with ``G`` not above it is a candidate, and ``j`` always is
-       one, since adding the slack never lowers ``G[r, j]``.  A second
-       ``argmin``, with ``G[r, j]`` set to ``+inf``, gives the row's next
+       ``Ĝ[r, j] + s`` is the one ``min`` gives, bit for bit.  Every
+       centroid with ``Ĝ`` not above it is a candidate, and ``j`` always is
+       one, since adding the slack never lowers ``Ĝ[r, j]``.  A second
+       ``argmin``, with ``Ĝ[r, j]`` set to ``+inf``, gives the row's next
        value, and the row is tied iff that value is not above the
        threshold.  A row that is not tied picks ``j``, which alone is
-       re-scored.  A tied row gets ``G[r, j]`` back, and all of its
+       re-scored.  A tied row gets ``Ĝ[r, j]`` back, and all of its
        candidates are re-scored; the pick is the lexicographic minimum of
        ``(distance, index)``, so the lowest index wins exact ties, which
        are always candidates.  Either way each row's sum runs in the same
@@ -98,8 +110,8 @@ def nearest_centroids(points: np.ndarray, centroids: np.ndarray, block_elems: in
        the BLAS or its thread count.
 
     ``block_elems`` bounds the ``rows × k`` GEMM block, the ``rows × (d + 1)``
-    copy of the points and the ``rows × d`` re-score of one candidate per
-    row; it changes memory use only, never the result.
+    float32 copy of the points and the ``rows × d`` re-score of one
+    candidate per row; it changes memory use only, never the result.
     """
     points = np.asarray(points, dtype=np.float64)
     centroids = np.asarray(centroids, dtype=np.float64)
@@ -110,40 +122,43 @@ def nearest_centroids(points: np.ndarray, centroids: np.ndarray, block_elems: in
     if k == 0:
         raise ValidationError("need at least one centroid")
     c2 = np.einsum("ij,ij->i", centroids, centroids)
-    slack = _rounding_slack(np.sqrt(np.einsum("ij,ij->i", points, points)) + np.sqrt(c2.max()), 2 * d + 4)
-    # Scaling by -2 is exact; the last row meets the 1s of ``pts_buf``, adding c2.
-    scaled = np.column_stack((-2.0 * centroids, c2)).T
+    x_norms = np.sqrt(np.einsum("ij,ij->i", points, points))
+    slack = _rounding_slack(x_norms, np.sqrt(c2.max()), 2 * d + 10).astype(np.float32)
     best_idx = np.empty(n, dtype=np.int64)
     best_d2 = np.empty(n, dtype=np.float64)
     rows = max(1, block_elems // max(k, d))
-    approx_buf = np.empty((min(rows, n), k))
-    pts_buf = np.empty((min(rows, n), d + 1))
+    approx_buf = np.empty((min(rows, n), k), dtype=np.float32)
+    pts_buf = np.empty((min(rows, n), d + 1), dtype=np.float32)
     pts_buf[:, d] = 1.0
-    for i0 in range(0, n, rows):
-        pts = points[i0 : i0 + rows]
-        m = len(pts)
-        pts_buf[:m, :d] = pts
-        approx = np.matmul(pts_buf[:m], scaled, out=approx_buf[:m])
-        r = np.arange(m)
-        col = approx.argmin(axis=1)
-        best = approx[r, col]
-        threshold = best + slack[i0 : i0 + m]
-        approx[r, col] = np.inf
-        tied = np.flatnonzero(~(approx[r, approx.argmin(axis=1)] > threshold))
-        # The gathered operand is C-contiguous, so the difference is too,
-        # whatever the layout of ``points``, and each row sums in the order
-        # of the exhaustive ``(n, k, d)`` search.
-        d2 = ((pts - centroids[col]) ** 2).sum(axis=1)
-        if len(tied):
-            approx[tied, col[tied]] = best[tied]
-            row, cand = np.nonzero(~(approx[tied] > threshold[tied, None]))
-            cand_d2 = ((pts[tied[row]] - centroids[cand]) ** 2).sum(axis=1)
-            # Stable, so equal (row, distance) pairs keep ascending centroid
-            # order and the first entry of each row is its pick.
-            pick = np.lexsort((cand_d2, row))[np.searchsorted(row, np.arange(len(tied)))]
-            col[tied], d2[tied] = cand[pick], cand_d2[pick]
-        best_idx[i0 : i0 + m] = col
-        best_d2[i0 : i0 + m] = d2
+    # Overflow and inf - inf only widen the screen (step 1), so they stay silent.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Scaling by -2 is exact; the last row meets the 1s of ``pts_buf``, adding c2.
+        scaled = np.column_stack((-2.0 * centroids, c2)).T.astype(np.float32)
+        for i0 in range(0, n, rows):
+            pts = points[i0 : i0 + rows]
+            m = len(pts)
+            pts_buf[:m, :d] = pts
+            approx = np.matmul(pts_buf[:m], scaled, out=approx_buf[:m])
+            r = np.arange(m)
+            col = approx.argmin(axis=1)
+            best = approx[r, col]
+            threshold = best + slack[i0 : i0 + m]
+            approx[r, col] = np.inf
+            tied = np.flatnonzero(~(approx[r, approx.argmin(axis=1)] > threshold))
+            # The gathered operand is C-contiguous, so the difference is too,
+            # whatever the layout of ``points``, and each row sums in the order
+            # of the exhaustive ``(n, k, d)`` search.
+            d2 = ((pts - centroids[col]) ** 2).sum(axis=1)
+            if len(tied):
+                approx[tied, col[tied]] = best[tied]
+                row, cand = np.nonzero(~(approx[tied] > threshold[tied, None]))
+                cand_d2 = ((pts[tied[row]] - centroids[cand]) ** 2).sum(axis=1)
+                # Stable, so equal (row, distance) pairs keep ascending centroid
+                # order and the first entry of each row is its pick.
+                pick = np.lexsort((cand_d2, row))[np.searchsorted(row, np.arange(len(tied)))]
+                col[tied], d2[tied] = cand[pick], cand_d2[pick]
+            best_idx[i0 : i0 + m] = col
+            best_d2[i0 : i0 + m] = d2
     return best_idx, best_d2
 
 
@@ -300,36 +315,62 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     """Exact k-means++ seeding over a buffered prefix.
 
     Each draw is ``Generator.choice(n, p=d2 / d2.sum())`` inlined, so the
-    centres and the generator state equal that loop's bit for bit.  As in
-    :func:`nearest_centroids`, one mat-vec gives ``G`` for a new centre, and
-    only rows with ``G`` within the rounding slack of their ``d2`` (centres
-    are rows, so ``max‖x‖`` bounds ``‖c‖``) are re-scored exactly.
+    centres and the generator state equal that loop's bit for bit, and
+    ``d2``, each row's distance to its nearest centre, is the float64
+    explicit-difference value ``E``.  A new centre ``c`` changes only the
+    rows with ``E < d2``; a float32 screen finds a superset of them, which
+    alone is re-scored, in place.  The prefix is rounded to float32 once,
+    transposed, over a row of 1s, and one float32 mat-vec with
+    ``[-2c; ‖c‖²]`` gives each row ``Ĝ``.  As in :func:`nearest_centroids`
+    with ``M = max‖x‖`` (centres are rows), ``Ĝ`` errs by at most
+    ``γ_{d+3}·K + U``, ``U ≤ u·N²/2 + 2⁻¹²⁶``, and ``E`` by ``2⁻²⁸·u·N²``.
+    A row is re-scored iff ``Ĝ`` is not above its float32 bar
+    ``fl(d2 − ‖x‖² + s)``, ``s = γ_{d+6}·K + 2u·N² + 2⁻¹²⁵``, which changes
+    only with its ``d2``.  Only one estimate errs here, and as
+    ``|d2 − ‖x‖²| ≤ N²``, the bar's roundings cost below ``u·(1.1·N² + s)``,
+    so ``2u·N²`` and ``γ_{d+6} ≥ γ_{d+3} + 3u`` cover every term.  A bar
+    starts at ``inf`` and stays ``inf`` where ``N² > 2¹²⁷``: float32 may
+    overflow there, so such rows are always re-scored.
     """
     n, d = points.shape
     if n < k:
         raise DegenerateFitError(f"initialization buffer holds {n} points, need >= {k}")
     x2 = np.einsum("ij,ij->i", points, points)
-    floor = x2 - _rounding_slack(np.sqrt(x2) + np.sqrt(x2.max()), d + 4)
+    offset = _rounding_slack(np.sqrt(x2), np.sqrt(x2.max()), d + 6) - x2
+    # Transposed, so the mat-vec runs along the rows; the last row of 1s
+    # meets each centre's ``‖c‖²``.
+    prefix = np.empty((d + 1, n), dtype=np.float32)
+    prefix[d] = 1.0
+    centre = np.empty(d + 1, dtype=np.float32)
+    g = np.empty(n, dtype=np.float32)
     centroids = np.empty((k, d), dtype=np.float64)
     d2 = np.full(n, np.inf)
+    bar = np.full(n, np.inf, dtype=np.float32)
     cdf = np.empty(n)
     pick = rng.integers(n)
-    for j in range(k):
-        c = centroids[j] = points[pick]
-        if j == k - 1:
-            break
-        # Scaling by -2 is exact; rows with G − slack > d2 keep their d2.
-        g = points @ (-2.0 * c)
-        g += floor + x2[pick]
-        rows = np.flatnonzero(~(g > d2))
-        d2[rows] = np.minimum(d2[rows], ((points[rows] - c) ** 2).sum(axis=1))
-        total = d2.sum()
-        if total <= 0.0:
-            raise DegenerateFitError(f"fewer than {k} distinct points in initialization buffer")
-        np.divide(d2, total, out=cdf)
-        np.cumsum(cdf, out=cdf)
-        cdf /= cdf[-1]  # as choice does: the last entry is near 1, not always 1
-        pick = cdf.searchsorted(rng.random(), side="right")
+    # Overflow and inf - inf only widen the screen: rows with N² > 2¹²⁷ are
+    # always re-scored, so they stay silent.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Blocks of rows keep the transposing reads in cache.
+        for i in range(0, n, 128):
+            prefix[:d, i : i + 128] = points[i : i + 128].T
+        for j in range(k):
+            c = centroids[j] = points[pick]
+            if j == k - 1:
+                break
+            centre[:d] = -2.0 * c  # scaling by -2 is exact
+            centre[d] = x2[pick]
+            np.matmul(centre, prefix, out=g)
+            rows = np.flatnonzero(~(g > bar))
+            d2[rows] = rescored = np.minimum(d2[rows], ((points[rows] - c) ** 2).sum(axis=1))
+            bar[rows] = rescored + offset[rows]
+            total = d2.sum()
+            if total <= 0.0:
+                raise DegenerateFitError(f"fewer than {k} distinct points in initialization buffer")
+            np.divide(d2, total, out=cdf)
+            np.cumsum(cdf, out=cdf)
+            cdf /= cdf[-1]  # as choice does: the last entry is near 1, not always 1
+            pick = cdf.searchsorted(rng.random(), side="right")
     return centroids
 
 

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from pamcurate.ais_curate import Threshold, curate, detect_knee, occurrence_curve
-from pamcurate.assemble_ssl import assemble, ema_update, summarize, tau_at
+from pamcurate.assemble_ssl import assemble, summarize
 from pamcurate.core_model import (
     MANIFEST,
     CurationManifest,
@@ -193,21 +193,6 @@ def test_c6_knee_detection_sanity():
     elapsed = time.perf_counter() - start
     ok = abs(detected_rank - oracle_rank) <= 2 and 100 <= threshold.t <= 600 and elapsed < 1.0
     report(6, "knee-detection", ok, f"t={threshold.t} rank {detected_rank} vs oracle {oracle_rank:.2f} in {elapsed:.2f} s")
-
-
-def test_c7_ema_schedule():
-    rng = np.random.default_rng(0)
-    weights = rng.normal(size=(4, 7))
-    student = rng.normal(size=(4, 7))
-    ok = tau_at(0) == 0.999
-    ok &= tau_at(20) == 0.9999
-    ok &= abs(tau_at(10) - 0.99945) < 1e-15
-    for tau in (0.0, 0.25, 0.999, 1.0):
-        fix = ema_update(weights, weights, tau)
-        ok &= bool(np.allclose(fix, weights, rtol=1e-14, atol=0.0))
-    ok &= bool(np.array_equal(ema_update(weights, student, 1.0), weights))
-    ok &= bool(np.array_equal(ema_update(weights, student, 0.0), student))
-    report(7, "ema-schedule", bool(ok), "endpoints exact, fixpoint at 1e-14")
 
 
 def test_c8_determinism_and_replay(tmp_path):

@@ -1,18 +1,10 @@
 from collections import Counter
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pamcurate.assemble_ssl import (
-    EmaConfig,
-    assemble,
-    ema_update,
-    format_summary,
-    summarize,
-    tau_at,
-)
+from pamcurate.assemble_ssl import assemble, format_summary, summarize
 from pamcurate.core_model import CurationManifest
 from pamcurate.errors import ValidationError
 from synth import ManifestRow, assemble_reference
@@ -123,60 +115,3 @@ def test_assemble_and_summarize_match_reference(pair):
         len(expected), sources["ais"], sources["hkmeans"],
     )
     assert summary["per_hydrophone"] == dict(sorted(Counter(row.hydrophone_id for row in expected).items()))
-
-
-class TestTauSchedule:
-    def test_endpoints_exact(self):
-        assert tau_at(0) == 0.999
-        assert tau_at(20) == 0.9999
-        assert tau_at(100) == 0.9999
-
-    def test_midpoint(self):
-        assert tau_at(10) == pytest.approx(0.99945, abs=1e-12)
-
-    def test_monotone_and_clamped(self):
-        config = EmaConfig()
-        values = [tau_at(s, config) for s in range(0, 50)]
-        assert all(b >= a for a, b in zip(values, values[1:]))
-        assert all(config.tau_start <= v <= config.tau_end for v in values)
-
-    def test_negative_step_rejected(self):
-        with pytest.raises(ValidationError):
-            tau_at(-1)
-
-    def test_config_validation(self):
-        with pytest.raises(ValidationError):
-            EmaConfig(tau_start=0.9999, tau_end=0.999)
-        with pytest.raises(ValidationError):
-            EmaConfig(ramp_updates=0)
-
-
-class TestEmaUpdate:
-    def test_tau_one_keeps_teacher(self):
-        teacher = np.array([1.0, -2.0, 3.5])
-        out = ema_update(teacher, np.zeros(3), tau=1.0)
-        assert np.array_equal(out, teacher)
-
-    def test_tau_zero_copies_student(self):
-        student = np.array([4.0, 5.0])
-        out = ema_update(np.zeros(2), student, tau=0.0)
-        assert np.array_equal(out, student)
-
-    def test_scalar_arithmetic(self):
-        assert ema_update(1.0, 0.0, tau=0.999) == pytest.approx(0.999, abs=1e-15)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            ema_update(np.zeros(3), np.zeros(4), tau=0.5)
-
-    def test_tau_out_of_range_rejected(self):
-        with pytest.raises(ValidationError):
-            ema_update(np.zeros(2), np.zeros(2), tau=1.5)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32), st.floats(0.0, 1.0, allow_nan=False))
-    def test_fixpoint_property(self, seed, tau):
-        rng = np.random.default_rng(seed)
-        weights = rng.normal(size=(3, 4))
-        out = ema_update(weights, weights, tau=tau)
-        assert np.allclose(out, weights, rtol=1e-14, atol=1e-14)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -140,17 +141,33 @@ class TestNearestCentroids:
         assert np.array_equal(d2.view(np.int64), ref_d2.view(np.int64))
 
     @staticmethod
+    def grid_rows(rng, n, d):
+        """Gaussian rows of norm near 1, rounded to multiples of 2⁻⁵.  Each
+        ``G = ‖c‖² − 2·x·c`` of such rows is a multiple of 2⁻¹⁰ that float32
+        holds exactly, in any summation order, so two centroids' ``G`` tie
+        exactly or differ by 2⁻¹⁰ or more, over 8 times the float32 slack
+        (below 1.2e-4 here).  A row takes the sorting route iff it has an
+        exact tie."""
+        return np.round(rng.normal(size=(n, d)) * (32 / np.sqrt(d))) / 32
+
+    @staticmethod
+    def exact_ties(points, centroids):
+        """Per row, the number of centroids at its least distance, exact on the grid."""
+        dist = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        return np.count_nonzero(dist == dist.min(axis=1, keepdims=True), axis=1)
+
+    @staticmethod
     def plant_ties(rng, points, centroids, rows, blocks):
-        """Make centroids ``a`` and ``b`` mirror images, 2e-3 apart in one
+        """Make centroids ``a`` and ``b`` mirror images, 2⁻⁴ apart in one
         coordinate, and put one point of each block in ``blocks`` (of ``rows``
-        points each) on their mirror plane: it is 1e-6 from both and far from
-        every other centroid, so its row has two candidates."""
+        points each) on their mirror plane: it is 2⁻¹⁰ from both, so its row
+        ties unless another centroid is nearer."""
         k, d = centroids.shape
         a, b = rng.choice(k, size=2, replace=False)
         j = rng.integers(d)
-        centroids[a, j] = 1e-3
+        centroids[a, j] = 2.0**-5
         centroids[b] = centroids[a]
-        centroids[b, j] = -1e-3
+        centroids[b, j] = -(2.0**-5)
         for block in blocks:
             r = block * rows + rng.integers(min(rows, len(points) - block * rows))
             points[r] = centroids[a]
@@ -166,22 +183,22 @@ class TestNearestCentroids:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_tie_free_and_tied_blocks_in_one_call(self, data):
-        """Only the blocks with a planted tie take the sorting route, and
-        both routes equal the exhaustive search, whatever the layout of
-        ``points``."""
+        """Only the blocks with a tie, planted or met on the grid, take the
+        sorting route, and both routes equal the exhaustive search, whatever
+        the layout of ``points``."""
         seed = data.draw(st.integers(0, 2**32 - 1))
         n = data.draw(st.integers(1, 2000))
         k = data.draw(st.integers(2, 24))
         d = data.draw(st.one_of(st.integers(1, 24), st.integers(120, 140)))
         block_elems = data.draw(st.sampled_from([64, 300, 1000, 4096]))
         rng = np.random.default_rng(seed)
-        points = norm_rows(rng.normal(size=(n, d)) + 1e-3)
-        # Scaled, so that no two centroids tie by chance, not even at d = 1.
-        centroids = norm_rows(rng.normal(size=(k, d)) + 1e-3) * rng.uniform(0.3, 1.0, size=(k, 1))
+        points = self.grid_rows(rng, n, d)
+        centroids = self.grid_rows(rng, k, d)
         rows = max(1, block_elems // max(k, d))
         blocks = -(-n // rows)
-        tied = data.draw(st.sets(st.integers(0, blocks - 1), max_size=min(blocks, 8)), label="tied blocks")
-        self.plant_ties(rng, points, centroids, rows, tied)
+        planted = data.draw(st.sets(st.integers(0, blocks - 1), max_size=min(blocks, 8)), label="tied blocks")
+        self.plant_ties(rng, points, centroids, rows, planted)
+        tied = set(np.flatnonzero(self.exact_ties(points, centroids) > 1) // rows)
         layout = data.draw(st.sampled_from(["C", "F", "column-strided"]))
         if layout == "F":
             points = np.asfortranarray(points)
@@ -223,15 +240,15 @@ class TestNearestCentroids:
         d = data.draw(st.one_of(st.integers(1, 24), st.integers(120, 140)))
         block_elems = data.draw(st.sampled_from([24, 64, 300, 1000, 1 << 20]))
         rng = np.random.default_rng(seed)
-        points = norm_rows(rng.normal(size=(n, d)) + 1e-3)
-        centroids = norm_rows(rng.normal(size=(k, d)) + 1e-3) * rng.uniform(0.3, 1.0, size=(k, 1))
+        points = self.grid_rows(rng, n, d)
+        centroids = self.grid_rows(rng, k, d)
         rows = max(1, block_elems // max(k, d))
         if k > 1:
             a, b = rng.choice(k, size=2, replace=False)
             j = rng.integers(d)
-            centroids[a, j] = 1e-3
+            centroids[a, j] = 2.0**-5
             centroids[b] = centroids[a]
-            centroids[b, j] = -1e-3
+            centroids[b, j] = -(2.0**-5)
             if k > 2 and data.draw(st.booleans(), label="duplicate centroid"):
                 centroids[next(c for c in range(k) if c not in (a, b))] = centroids[a]
             edges = sorted({*range(0, n, rows), *(min(i + rows, n) - 1 for i in range(0, n, rows))})
@@ -255,10 +272,9 @@ class TestNearestCentroids:
         assert np.array_equal(idx, ref_idx)
         assert np.array_equal(d2.view(np.int64), ref_d2.view(np.int64))
         if not huge:
-            # A row's candidates are the centroids as near as its nearest up to
-            # rounding, far below 1e-9 here; a tied row has two or more.
-            dist = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-            candidates = np.count_nonzero(dist <= dist.min(axis=1, keepdims=True) + 1e-9, axis=1)
+            # On the grid, a row's candidates are the centroids tied with its
+            # nearest; a tied row has two or more.
+            candidates = self.exact_ties(points, centroids)
             per_block = [candidates[i : i + rows] for i in range(0, n, rows)]
             assert sorts == [int(c[c > 1].sum()) for c in per_block if (c > 1).any()]
 
@@ -333,6 +349,86 @@ class TestKmeansPPInit:
         assert got_next == want_next
         with pytest.raises(DegenerateFitError, match="fewer than 4 distinct points"):
             _kmeans_pp_init(points, 4, np.random.default_rng(7))
+
+
+def float32_ulp_up(rows):
+    """Each value rounded to float32, then one float32 ulp up."""
+    return np.nextafter(rows.astype(np.float32), np.float32(np.inf)).astype(np.float64)
+
+
+# Scales at which float32 fails where float64 does not: products of two
+# such values overflow (1e20), are subnormal (1e-20) or underflow to 0
+# (1e-25), a value is subnormal in float32 (1e-40), or is past its range (1e39).
+FLOAT32_HAZARD_SCALES = [1e20, 1e-20, 1e-25, 1e-40, 1e39]
+
+
+class TestFloat32Screens:
+    """Both float32 screens keep every result bit-identical to its float64
+    reference where float32 itself breaks down: rows whose products overflow
+    or underflow in float32 only, near-ties inside the float32 slack but far
+    outside a float64 one, rows one float32 ulp apart, and d up to 768.  No
+    float32 overflow warning escapes either kernel."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_nearest_centroids_equals_exhaustive_reference(self, data):
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        n = data.draw(st.integers(1, 30))
+        k = data.draw(st.integers(1, 16))
+        d = data.draw(st.one_of(st.integers(1, 24), st.integers(120, 140), st.integers(700, 768)))
+        block_elems = data.draw(st.sampled_from([1, 64, 1 << 20]))
+        rng = np.random.default_rng(seed)
+        points = norm_rows(rng.normal(size=(n, d)) + 1e-3)
+        centroids = norm_rows(rng.normal(size=(k, d)) + 1e-3) * rng.uniform(0.3, 1.0, size=(k, 1))
+        if k > 1 and data.draw(st.booleans(), label="near-tie centroids"):
+            # 1e-7 apart: G differs by about 1e-7, inside the float32 slack.
+            a, b = rng.choice(k, size=2, replace=False)
+            centroids[b] = centroids[a] * (1 + 1e-7 * rng.standard_normal(d))
+            points[rng.integers(n, size=n // 2 + 1)] = centroids[a] * (1 + 1e-7 * rng.standard_normal(d))
+        if k > 1 and data.draw(st.booleans(), label="one float32 ulp apart"):
+            a, b = rng.choice(k, size=2, replace=False)
+            r = rng.integers(n, size=n // 2 + 1)
+            centroids[a] = points[r[0]]
+            centroids[b] = float32_ulp_up(points[r[0]])
+            points[r[1:]] = float32_ulp_up(points[r[:-1]])
+        scale = data.draw(st.sampled_from([1.0, *FLOAT32_HAZARD_SCALES]), label="scale of all values")
+        points *= scale
+        centroids *= scale
+        for target, label in ((points, "scaled rows"), (centroids, "scaled centroids")):
+            for i in data.draw(st.sets(st.integers(0, len(target) - 1), max_size=3), label=label):
+                target[i] *= data.draw(st.sampled_from(FLOAT32_HAZARD_SCALES))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            idx, d2 = nearest_centroids(points, centroids, block_elems=block_elems)
+            ref_idx, ref_d2 = blocked_nearest_centroids(points, centroids)
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(d2.view(np.int64), ref_d2.view(np.int64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_kmeans_pp_init_equals_choice_reference(self, data):
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        n = data.draw(st.integers(1, 40))
+        d = data.draw(st.one_of(st.integers(1, 6), st.integers(120, 136), st.integers(700, 768)))
+        rng = np.random.default_rng(seed)
+        points = norm_rows(rng.normal(size=(n, d)) + 1e-3)
+        if n > 1 and data.draw(st.booleans(), label="near-tie rows"):
+            points[rng.integers(n, size=n // 2)] = points[rng.integers(n)] * (1 + 1e-7 * rng.standard_normal(d))
+        if n > 1 and data.draw(st.booleans(), label="one float32 ulp apart"):
+            r = rng.integers(n, size=n // 2 + 1)
+            points[r[1:]] = float32_ulp_up(points[r[:-1]])
+        scale = data.draw(st.sampled_from([1.0, *FLOAT32_HAZARD_SCALES]), label="scale of all rows")
+        points *= scale
+        for i in data.draw(st.sets(st.integers(0, n - 1), max_size=3), label="scaled rows"):
+            points[i] *= data.draw(st.sampled_from(FLOAT32_HAZARD_SCALES))
+        k = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)), label="k")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (got, got_next), (want, want_next) = seed_both(points, k, seed)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert got_next == want_next
 
 
 class TestMinibatchFit:

@@ -593,8 +593,6 @@ LIBRARY_API = {
     "core_model.save_deployment",
     "core_model.DeploymentConfig.total_windows",
     "core_model.window_id_of",
-    "assemble_ssl.tau_at",
-    "assemble_ssl.ema_update",
 }
 
 
