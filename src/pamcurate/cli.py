@@ -191,23 +191,20 @@ def _select_partition(shard_paths, hierarchy, quotas, checkpoint: Path | None = 
     done first, in the same order, and continues with the next one; a
     resume refused for that leaves the file as it was.
     """
-    state = hsample.SelectionState.empty(quotas.leaf_quotas)
+    state, digests, end = hsample.SelectionState.empty(quotas), [], 0
     if checkpoint is not None:
         if checkpoint.exists():
-            state = hsample.load_checkpoint(checkpoint)
-        done = len(state.shard_digests)
-        digests = [bytes.fromhex(_sha256(p)) for p in shard_paths[:done]]
-        if state.shard_digests != digests or state.quotas.tolist() != quotas.leaf_quotas.tolist():
+            state, digests, end = hsample.load_checkpoint(checkpoint)
+        done = [bytes.fromhex(_sha256(p)) for p in shard_paths[: len(digests)]]
+        if digests != done or state.quotas.tolist() != quotas.tolist():
             raise ValidationError(f"checkpoint {checkpoint} was written for other shards, --shards order or quotas")
-        logger.info("checkpoint %s: %d of %d shards already done", checkpoint, done, len(shard_paths))
-    end = state.journal_end
-    for shard, data in _shards(shard_paths[len(state.shard_digests) :], hierarchy.dim):
+        logger.info("checkpoint %s: %d of %d shards already done", checkpoint, len(digests), len(shard_paths))
+    for shard, data in _shards(shard_paths[len(digests) :], hierarchy.dim):
         records = []
         state = hsample.stream_select([shard], hierarchy, quotas, state=state, records=records)
         if checkpoint is not None:
-            records[0].shard_digests.append(hashlib.sha256(data).digest())
             checkpoint.parent.mkdir(parents=True, exist_ok=True)
-            end = hsample.save_checkpoint(records[0], checkpoint, end)
+            end = hsample.save_checkpoint(records[0], checkpoint, end, [hashlib.sha256(data).digest()])
     return state
 
 
@@ -222,6 +219,7 @@ def cmd_sample(args) -> int:
     # Every shard is read and checked here, before quotas, the checkpoint or --out.
     populations = hsample.count_populations((shard for shard, _ in _shards(shard_paths, hierarchy.dim)), hierarchy)
     quotas = hsample.allocate_quotas(hierarchy, populations, args.target_n)
+    quota_total = int(quotas.sum())
     # Strided shard partitions, each streamed alone and merged; the result does
     # not depend on their count.  A checkpoint holds one stream's state.
     parts = 1 if checkpoint else min(args.workers, len(shard_paths))
@@ -229,13 +227,13 @@ def cmd_sample(args) -> int:
     state = reduce(hsample.merge, states)
 
     manifest = hsample.emit(state, hierarchy, config.window_index())
-    if len(manifest) < quotas.total:
+    if len(manifest) < quota_total:
         # A leaf's population counts a window id once per record, its selection once.
         ids = np.concatenate([shard.window_ids for shard, _ in _shards(shard_paths)])
         ids, copies = np.unique(ids, return_counts=True)
         repeated = ids[copies > 1].tolist()
         raise ValidationError(
-            f"selected {len(manifest)} windows, fewer than the quota total {quotas.total}: "
+            f"selected {len(manifest)} windows, fewer than the quota total {quota_total}: "
             f"{len(repeated)} window ids are in more than one shard, the first {repeated[:5]}"
         )
     out = _out_dir(args)
@@ -246,9 +244,9 @@ def cmd_sample(args) -> int:
         stats_path,
         {
             "target_n": args.target_n,
-            "quota_total": quotas.total,
+            "quota_total": quota_total,
             # Leaves water-filling capped at their whole non-empty population.
-            "capped_leaves": int(((quotas.leaf_quotas == populations) & (populations > 0)).sum()),
+            "capped_leaves": int(((quotas == populations) & (populations > 0)).sum()),
             "selected": len(manifest),
             "processed_records": state.processed,
             "evictions": state.processed - len(manifest),

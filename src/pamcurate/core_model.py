@@ -29,8 +29,7 @@ import os
 import re
 import struct
 from sys import intern
-import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from itertools import islice, repeat
 from pathlib import Path
@@ -75,8 +74,6 @@ TEXT_BLOCK = 1 << 15
 _EPOCH = datetime(1970, 1, 1)
 _EPOCH_UTC = _EPOCH.replace(tzinfo=timezone.utc)
 _UTC_FIRST, _UTC_LAST = -62135596800, 253402300799  # years 1 to 9999, the span format_utc writes
-_UMASK = os.umask(0o022)  # mkstemp creates 0600 files; outputs get 0666 & ~umask
-os.umask(_UMASK)
 
 
 def write_atomic(path: str | Path, data: bytes | str) -> None:
@@ -87,12 +84,17 @@ def write_atomic(path: str | Path, data: bytes | str) -> None:
     directory is fsynced after the rename, so a later write cannot reach the
     disk before this one."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    while True:
+        tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # 0666 & ~umask, as open() gives
+            break
+        except FileExistsError:
+            pass
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data.encode("utf-8") if isinstance(data, str) else data)
             fh.flush()
-            os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
@@ -127,6 +129,14 @@ def append_durable(path: str | Path, data: bytes, end: int) -> int:
     if created:
         _fsync_dir(path.parent)
     return end + len(data)
+
+
+def fields_equal(self, other) -> bool:
+    """``__eq__`` of a dataclass that holds arrays: ``other`` is an instance
+    of the class and every field equals its own by :func:`numpy.array_equal`."""
+    if not isinstance(other, type(self)):
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 def _fsync_dir(directory: Path) -> None:
@@ -399,14 +409,7 @@ class EmbeddingShard:
     def __len__(self) -> int:
         return len(self.window_ids)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EmbeddingShard):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and np.array_equal(self.window_ids, other.window_ids)
-            and np.array_equal(self.vectors, other.vectors)
-        )
+    __eq__ = fields_equal
 
 
 def write_shard(shard: EmbeddingShard, path: str | Path) -> None:
@@ -551,10 +554,7 @@ class CurationManifest:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CurationManifest):
-            return NotImplemented
-        return np.array_equal(self.rows, other.rows)
+    __eq__ = fields_equal
 
 
 def write_manifest(manifest: CurationManifest, path: str | Path) -> None:

@@ -30,6 +30,7 @@ from .core_model import (
     WindowIndex,
     _recording_window_ids,
     decode_text,
+    fields_equal,
     parse_utc,
     write_atomic,
 )
@@ -112,10 +113,7 @@ class AlignedWindowSet:
         ids = self.pairs["window_id"]  # sorted: count where the id changes
         return int(np.count_nonzero(ids[1:] != ids[:-1])) + (len(ids) > 0)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AlignedWindowSet):
-            return NotImplemented
-        return np.array_equal(self.pairs, other.pairs)
+    __eq__ = fields_equal
 
 
 @dataclass

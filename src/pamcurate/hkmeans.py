@@ -23,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core_model import BinaryReader, write_atomic
+from .core_model import BinaryReader, fields_equal, write_atomic
 from .errors import DegenerateFitError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -198,10 +198,7 @@ class CentroidSet:
     def dim(self) -> int:
         return self.centroids.shape[1]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CentroidSet):
-            return NotImplemented
-        return np.array_equal(self.centroids, other.centroids) and np.array_equal(self.counts, other.counts)
+    __eq__ = fields_equal
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,13 @@
 The sample budget is split top-down through the hierarchy by water-filling
 (equal shares per child, spilling capacity that small children cannot use
 back to their siblings), which moves the selected set toward a uniform
-spread over the populated parts of the embedding space.  Within each leaf,
-the quota is filled with the windows closest to the leaf centroid.
-:meth:`SelectionState.fold` is the only home of that rule: it takes a whole
-shard at once, and :func:`merge` folds one state into a copy of the other,
-so the selection depends only on the set of records seen, never on how the
-shards were partitioned or ordered.
+spread over the populated parts of the embedding space;
+:func:`allocate_quotas` returns the per-leaf quotas as one ``int64`` array.
+Within each leaf, the quota is filled with the windows closest to the leaf
+centroid.  :meth:`SelectionState.fold` is the only home of that rule: it
+takes a whole shard at once, and :func:`merge` folds one state into a copy
+of the other, so the selection depends only on the set of records seen,
+never on how the shards were partitioned or ordered.
 
 A fold sorts only the shard's survivors, the records that beat their full
 leaf's worst held row, and merges them into the already sorted held rows:
@@ -19,25 +20,28 @@ Both the sort and the search for their places use the native order of a
 back to the window id, the last key of held order.
 
 A checkpointed run keeps its state as a journal (:func:`save_checkpoint`):
-after each shard it appends that shard's record, the rows its fold kept,
-so it writes per shard what survived, not the whole state.  Replaying the
-records in one fold (:func:`load_checkpoint`) gives the state back exactly:
-a row in a leaf's final top-n is in the top-n of every prefix of the stream
-that holds it, since the rows ahead of it in a prefix are ahead of it in
-the whole.  So it was kept when it arrived, and is in the journal.
+after each shard it appends that shard's record, its digest and the rows
+its fold kept, so it writes per shard what survived, not the whole state.
+The digests live only in the journal, never in a :class:`SelectionState`.
+Replaying the records in one fold (:func:`load_checkpoint`, which returns
+the digests and the journal's end beside the state) gives the state back
+exactly: a row in a leaf's final top-n is in the top-n of every prefix of
+the stream that holds it, since the rows ahead of it in a prefix are ahead
+of it in the whole.  So it was kept when it arrived, and is in the journal.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .core_model import BinaryReader, CurationManifest, EmbeddingShard, WindowIndex, append_durable, write_atomic
+from .core_model import BinaryReader, CurationManifest, EmbeddingShard, WindowIndex, fields_equal
+from .core_model import append_durable, write_atomic
 from .errors import ValidationError
 from .hkmeans import ClusterHierarchy, assign_batch
 
@@ -58,19 +62,6 @@ _RAW = np.dtype((np.void, _HELD.itemsize))
 # ---------------------------------------------------------------------------
 # Quota allocation
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuotaTree:
-    """Per-node target counts, leaf level first; every node's quota equals
-    the sum of its children's and never exceeds its population."""
-
-    level_quotas: tuple[np.ndarray, ...]
-    total: int
-
-    @property
-    def leaf_quotas(self) -> np.ndarray:
-        return self.level_quotas[0]
 
 
 def _waterfill(total: int, populations: list[int]) -> list[int]:
@@ -98,8 +89,11 @@ def _waterfill(total: int, populations: list[int]) -> list[int]:
     return quotas
 
 
-def allocate_quotas(hierarchy: ClusterHierarchy, populations, n_target: int) -> QuotaTree:
-    """Water-fill ``n_target`` down the hierarchy given per-leaf populations."""
+def allocate_quotas(hierarchy: ClusterHierarchy, populations, n_target: int) -> np.ndarray:
+    """Water-fill ``n_target`` down the hierarchy given per-leaf populations:
+    the per-leaf quotas, an ``int64`` array summing to ``min(n_target,
+    populations.sum())`` and never above a leaf's population.  An upper
+    node's quota is the sum of its children's through ``hierarchy.parents``."""
     if n_target <= 0:
         raise ValidationError(f"target size must be positive, got {n_target}")
     leaf_pops = np.asarray(populations, dtype=np.int64)
@@ -114,21 +108,16 @@ def allocate_quotas(hierarchy: ClusterHierarchy, populations, n_target: int) -> 
         np.add.at(upper, pmap.astype(np.int64), level_pops[-1])
         level_pops.append(upper)
 
-    total = int(min(n_target, leaf_pops.sum()))
-    level_quotas: list[np.ndarray] = [None] * len(level_pops)
     top = len(level_pops) - 1
-    level_quotas[top] = np.asarray(_waterfill(total, level_pops[top].tolist()), dtype=np.int64)
+    quotas = np.asarray(_waterfill(min(n_target, int(leaf_pops.sum())), level_pops[top].tolist()), dtype=np.int64)
     for level in range(top - 1, -1, -1):
         pmap = hierarchy.parents[level].astype(np.int64)
-        quotas = np.zeros(hierarchy.levels[level].k, dtype=np.int64)
+        upper, quotas = quotas, np.zeros(hierarchy.levels[level].k, dtype=np.int64)
         for parent in range(hierarchy.levels[level + 1].k):
             children = np.flatnonzero(pmap == parent)
-            if len(children) == 0:
-                continue
-            child_quotas = _waterfill(int(level_quotas[level + 1][parent]), level_pops[level][children].tolist())
-            quotas[children] = child_quotas
-        level_quotas[level] = quotas
-    return QuotaTree(level_quotas=tuple(level_quotas), total=total)
+            if len(children):
+                quotas[children] = _waterfill(int(upper[parent]), level_pops[level][children].tolist())
+    return quotas
 
 
 # ---------------------------------------------------------------------------
@@ -144,17 +133,15 @@ class SelectionState:
     sorted by ``(leaf, distance, window_id)``, holding each window id at
     most once per leaf, at its smallest distance.  :meth:`fold` alone
     changes it, by replacing the array, so states may share one.
-    ``processed`` counts the records streamed in.  Equality
-    ignores ``shard_digests``, the SHA-256 of each shard folded in by a
-    checkpointed run, as it depends on arrival order, and ``journal_end``,
-    the size of the whole records of the checkpoint it was loaded from.
+    ``processed`` counts the records streamed in.  A checkpoint's shard
+    digests are not part of it: :func:`load_checkpoint` returns them beside
+    the state.  States are equal when every field is.
     """
 
     quotas: np.ndarray
     held: np.ndarray
     processed: int = 0
-    shard_digests: list[bytes] = field(default_factory=list)
-    journal_end: int = 0
+    __eq__ = fields_equal
 
     @classmethod
     def empty(cls, quotas) -> "SelectionState":
@@ -211,15 +198,6 @@ class SelectionState:
     def counts(self) -> np.ndarray:
         """Entries held per leaf."""
         return np.bincount(self.held["leaf"], minlength=len(self.quotas))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SelectionState):
-            return NotImplemented
-        return (
-            np.array_equal(self.quotas, other.quotas)
-            and self.processed == other.processed
-            and np.array_equal(self.held, other.held)
-        )
 
 
 def _rows(leaf_idx, window_ids, distances) -> np.ndarray:
@@ -282,7 +260,7 @@ def stream_select(
     state: SelectionState | None = None,
     records: list | None = None,
 ) -> SelectionState:
-    """Fill leaf quotas with the closest windows across a shard stream.
+    """Fill the per-leaf ``quotas`` with the closest windows across a shard stream.
 
     Shards may arrive in any order and any partitioning: the final state
     depends only on the set of records seen.  A shard whose dim is not the
@@ -293,14 +271,14 @@ def stream_select(
     processed count and the rows its fold kept, which
     :func:`save_checkpoint` appends to a journal.
     """
-    leaf_quotas = quotas.leaf_quotas if isinstance(quotas, QuotaTree) else np.asarray(quotas, dtype=np.int64)
+    quotas = np.asarray(quotas, dtype=np.int64)
     if state is None:
-        state = SelectionState.empty(leaf_quotas)
-    elif not np.array_equal(state.quotas, leaf_quotas):
+        state = SelectionState.empty(quotas)
+    elif not np.array_equal(state.quotas, quotas):
         raise ValidationError("resumed state quotas do not match the requested quotas")
     for shard in shards:
         leaf_idx, distances = assign_batch(shard.vectors, hierarchy)
-        record = SelectionState(leaf_quotas, state.fold(leaf_idx, shard.window_ids, distances), len(shard))
+        record = SelectionState(quotas, state.fold(leaf_idx, shard.window_ids, distances), len(shard))
         state.processed += record.processed
         if records is not None:
             records.append(record)
@@ -350,45 +328,47 @@ def emit(state: SelectionState, hierarchy: ClusterHierarchy, window_index: Windo
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(state: SelectionState, path: str | Path, end: int = 0) -> int:
+def save_checkpoint(state: SelectionState, path: str | Path, end: int = 0, digests=()) -> int:
     """Append ``state`` as one record to the checkpoint journal ``path``,
     whose first ``end`` bytes are whole records, and return the journal's
     new size.  With ``end`` 0 the journal is begun: a header with the
     state's quotas replaces ``path`` atomically first.  The layout is
     README's formats table.
 
-    A record holds the state's shard digests, processed count and held
-    rows.  A checkpointed run appends one per shard, from
-    :func:`stream_select`'s ``records``: the shard's digest, its record
-    count and the rows its fold kept.  Saving a whole state to a new
-    journal writes one record of it, so identical states give identical
-    bytes.  Bytes past ``end``, a record a crash cut short, are cut off
-    before the append.
+    A record holds ``digests``, 32-byte SHA-256s of the shards it covers,
+    and the state's processed count and held rows.  A checkpointed run
+    appends one per shard, from :func:`stream_select`'s ``records``: the
+    shard's digest, its record count and the rows its fold kept.  Saving a
+    whole state to a new journal writes one record of it, so identical
+    states give identical bytes.  Bytes past ``end``, a record a crash cut
+    short, are cut off before the append.
     """
     if not end:
         header = CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, len(state.quotas))
         header += state.quotas.astype("<u8").tobytes()
         write_atomic(path, header)
         end = len(header)
-    held, digests = state.held, state.shard_digests
+    held = state.held
     length = 24 + 32 * len(digests) + _HELD.itemsize * len(held)
     body = struct.pack("<" + _RECORD_HEAD, length, len(digests), state.processed, len(held))
     body += b"".join(digests) + held.tobytes()
     return append_durable(path, body + hashlib.sha256(body).digest(), end)
 
 
-def load_checkpoint(path: str | Path) -> SelectionState:
+def load_checkpoint(path: str | Path) -> tuple[SelectionState, list[bytes], int]:
     """Replay a checkpoint journal: every whole record's rows in one fold.
+    Returns ``(state, digests, end)``: the replayed state, the shard
+    digests of its records in journal order, and the size of its whole
+    records, where the next append goes.
 
     The replay gives the state the records were cut from, whatever their
     order and split: each row of that state is in the record of the shard
     that brought it (see the module docstring), and every journaled row
     is a record that stream saw.  A last record the file ends inside, or
     whose checksum fails at the end of the file, is the torn tail of an
-    append: it is dropped, and the state's ``journal_end`` is where it
-    starts, so the next append cuts it off and its shard is folded again.
-    Every other fault is a :class:`ParseError` located as README's formats
-    table says.
+    append: it is dropped, and ``end`` is where it starts, so the next
+    append cuts it off and its shard is folded again.  Every other fault
+    is a :class:`ParseError` located as README's formats table says.
     """
     reader = BinaryReader(path, CHECKPOINT_MAGIC)
     version, leaf_count = reader.unpack("IQ", "header")
@@ -401,7 +381,7 @@ def load_checkpoint(path: str | Path) -> SelectionState:
     if len(big):
         raise reader.error(f"leaf {big[0]} quota {quotas[big[0]]} is 2**63 or more", reader.start + 8 * int(big[0]))
     state = SelectionState(quotas.astype(np.int64), np.empty(0, _HELD))
-    parts, starts = [np.empty(0, _HELD)], [np.zeros(0, np.int64)]
+    digests, parts, starts = [], [np.empty(0, _HELD)], [np.zeros(0, np.int64)]
     data = reader.data
     while (start := reader.pos) + 32 <= len(data):
         length, n, processed, m = reader.unpack(_RECORD_HEAD, "record head")
@@ -412,12 +392,11 @@ def load_checkpoint(path: str | Path) -> SelectionState:
             raise reader.error("record checksum mismatch", start)
         if length != 24 + 32 * n + _HELD.itemsize * m:
             raise reader.error(f"record length {length} is not that of {n} digests and {m} rows", start)
-        state.shard_digests += reader.array("V32", n, "shard digest").tolist()
+        digests += reader.array("V32", n, "shard digest").tolist()
         starts.append(reader.pos + _HELD.itemsize * np.arange(m, dtype=np.int64))
         parts.append(reader.array(_HELD, m, "entry"))
         reader.unpack("32x", "record checksum")
         state.processed += processed
-    state.journal_end = start
     rows, at = np.concatenate(parts), np.concatenate(starts)
     leaf, d = rows["leaf"], rows["distance"]
     record = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
@@ -432,4 +411,4 @@ def load_checkpoint(path: str | Path) -> SelectionState:
             fault = f"distance {d[i]}, not finite and >= 0"
         raise reader.error(f"record entry holds {fault}", int(at[i]))
     state.fold(leaf, rows["window_id"], d)
-    return state
+    return state, digests, start

@@ -143,8 +143,8 @@ def test_c4_long_tail_flattening():
         ids = np.arange(len(points), dtype=np.uint64)
         shard = EmbeddingShard(dim=6, window_ids=ids, vectors=points.astype(np.float32))
         populations = count_populations([shard], hierarchy)
-        tree = allocate_quotas(hierarchy, populations, 300)
-        state = stream_select([shard], hierarchy, tree)
+        quotas = allocate_quotas(hierarchy, populations, 300)
+        state = stream_select([shard], hierarchy, quotas)
         selected = np.unique(state.held["window_id"]).astype(np.int64)
 
         kl_hier = kl_to_uniform(np.bincount(labels[selected], minlength=3))
@@ -255,7 +255,7 @@ def test_c9_format_round_trips(tmp_path):
         state.processed = int(rng.integers(0, 10**6))
         path = tmp_path / "sel.ckpt"
         save_checkpoint(state, path)
-        loaded = load_checkpoint(path)
+        loaded, _, _ = load_checkpoint(path)
         ok &= loaded == state
         first_bytes = path.read_bytes()
         save_checkpoint(loaded, path)

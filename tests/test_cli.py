@@ -487,7 +487,7 @@ class TestSampleContract:
         assert "is selected in leaves" in capsys.readouterr().err
         if checkpoint:
             assert [p.name for p in dest.iterdir()] == ["sel.ckpt"]
-            assert len(hsample.load_checkpoint(dest / "sel.ckpt").shard_digests) == 4
+            assert len(hsample.load_checkpoint(dest / "sel.ckpt")[1]) == 4
         else:
             assert not dest.exists()
 
@@ -639,7 +639,7 @@ class TestCheckpointCrashResume:
             with pytest.raises(Crash):
                 run(*args)
         # a crash inside append k leaves the records of the k - 1 before it and a torn tail
-        assert len(hsample.load_checkpoint(ckpt).shard_digests) == k - inside
+        assert len(hsample.load_checkpoint(ckpt)[1]) == k - inside
         assert len(ckpt.read_bytes()) < len(journal) or (k, inside) == (3, False)
         assert sorted(p.name for p in ckpt_dir.iterdir()) == ["sel.ckpt"]
         assert run(*args) == 0
@@ -653,8 +653,8 @@ class TestCheckpointCrashResume:
         fixture, out, expected = setup
         ckpt = tmp_path / "sel.ckpt"
         ckpt.write_bytes(journal[:-1])
-        last = hsample.load_checkpoint(ckpt).journal_end
-        assert len(hsample.load_checkpoint(ckpt).shard_digests) == 2 and len(journal) - last > 100
+        _, digests, last = hsample.load_checkpoint(ckpt)
+        assert len(digests) == 2 and len(journal) - last > 100
         for cut in range(last, len(journal)):
             ckpt.write_bytes(journal[:cut])
             dest = tmp_path / f"resumed-{cut % 2}"
@@ -692,7 +692,7 @@ class TestCheckpointCrashResume:
                 run(*self.sample_args(fixture, out, ckpt, tmp_path / "s"))
         # one whole record and a torn one, which a refused resume must not cut
         before = ckpt.read_bytes()
-        assert hsample.load_checkpoint(ckpt).journal_end < len(before)
+        assert hsample.load_checkpoint(ckpt)[2] < len(before)
         reordered = list(reversed(fixture["shards"]))
         assert run(*self.sample_args(fixture, out, ckpt, tmp_path / "s", shards=reordered)) == 2
         # the finished shard, rewritten with other vectors
@@ -726,7 +726,7 @@ class TestCheckpointCrashResume:
         # not done, and every read parses the bytes it read once
         assert reads == [True] * (len(shards) + 2)
         digests = [hashlib.sha256(p.read_bytes()).digest() for p in shards]
-        assert hsample.load_checkpoint(ckpt).shard_digests == digests
+        assert hsample.load_checkpoint(ckpt)[1] == digests
 
     def test_resume_with_fewer_shards_is_refused(self, setup, tmp_path, capsys):
         fixture, out, _ = setup

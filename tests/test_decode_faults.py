@@ -67,16 +67,15 @@ def _write_checkpoint(path):
     state = SelectionState.empty(LEAF_QUOTAS)
     for wid, leaf, dist in LEAF_ENTRIES:
         state.fold([leaf], [wid], [dist])
-    state.shard_digests = list(DIGESTS)
-    save_checkpoint(state, path)
+    save_checkpoint(state, path, 0, DIGESTS)
 
 
 def _load_checkpoint(path):
     """``load_checkpoint``, with a record that is missing or dropped as a
     torn tail reported where the journal's whole records end."""
-    state = load_checkpoint(path)
-    if state.shard_digests != DIGESTS or state.journal_end != path.stat().st_size:
-        raise ParseError("record missing or torn", path=str(path), offset=state.journal_end)
+    _, digests, end = load_checkpoint(path)
+    if digests != DIGESTS or end != path.stat().st_size:
+        raise ParseError("record missing or torn", path=str(path), offset=end)
 
 
 def expected_offset(fmt: str, cut: int, sizes: list[int]) -> int:

@@ -50,25 +50,39 @@ def angle_shard(ids, angles_deg):
     return EmbeddingShard(dim=2, window_ids=np.asarray(ids, np.uint64), vectors=vectors)
 
 
+def level_sums(hierarchy, quotas) -> list[list[int]]:
+    """Leaf quotas and, level by level up, each node's quota as the sum of
+    its children's through ``hierarchy.parents``: ``quotas_reference``'s shape."""
+    levels = [np.asarray(quotas, np.int64)]
+    for pmap, level in zip(hierarchy.parents, hierarchy.levels[1:]):
+        upper = np.zeros(level.k, np.int64)
+        np.add.at(upper, pmap.astype(np.int64), levels[-1])
+        levels.append(upper)
+    return [q.tolist() for q in levels]
+
+
+def parent_lists(hierarchy) -> list[list[int]]:
+    return [pmap.tolist() for pmap in hierarchy.parents]
+
+
 class TestAllocateQuotas:
     def test_saturation(self):
         rng = np.random.default_rng(0)
         hierarchy = make_hierarchy(rng, ks=(6, 2))
         pops = rng.integers(0, 50, size=6)
-        tree = allocate_quotas(hierarchy, pops, n_target=10_000)
-        assert np.array_equal(tree.leaf_quotas, pops)
-        assert tree.total == pops.sum()
+        quotas = allocate_quotas(hierarchy, pops, n_target=10_000)
+        assert quotas.dtype == np.int64
+        assert np.array_equal(quotas, pops)
+        assert quotas.sum() == pops.sum()
 
     def test_even_split_two_top_clusters(self):
         rng = np.random.default_rng(1)
         hierarchy = make_hierarchy(rng, ks=(4, 2))
-        pmap = hierarchy.parents[0].astype(int)
         pops = np.full(4, 1000)
-        tree = allocate_quotas(hierarchy, pops, n_target=10)
-        top = tree.level_quotas[1]
-        assert list(top) == [5, 5]
-        for parent in range(2):
-            assert tree.leaf_quotas[pmap == parent].sum() == top[parent]
+        quotas = allocate_quotas(hierarchy, pops, n_target=10)
+        levels = level_sums(hierarchy, quotas)
+        assert levels[1] == [5, 5]
+        assert levels == quotas_reference((4, 2), parent_lists(hierarchy), pops, 10)
 
     def test_waterfill_caps_small_children(self):
         hierarchy = ClusterHierarchy(
@@ -77,8 +91,8 @@ class TestAllocateQuotas:
                 CentroidSet(centroids=np.array([[0.4, 0.3]], np.float32), counts=np.zeros(1, np.uint64)),
             )
         )
-        tree = allocate_quotas(hierarchy, [8, 1, 1], n_target=9)
-        assert list(tree.leaf_quotas) == [7, 1, 1]
+        quotas = allocate_quotas(hierarchy, [8, 1, 1], n_target=9)
+        assert list(quotas) == [7, 1, 1]
 
     def test_remainder_to_lowest_index(self):
         hierarchy = ClusterHierarchy(
@@ -87,8 +101,8 @@ class TestAllocateQuotas:
                 CentroidSet(centroids=np.array([[0.4, 0.3]], np.float32), counts=np.zeros(1, np.uint64)),
             )
         )
-        tree = allocate_quotas(hierarchy, [5, 5, 5], n_target=7)
-        assert list(tree.leaf_quotas) == [3, 2, 2]
+        quotas = allocate_quotas(hierarchy, [5, 5, 5], n_target=7)
+        assert list(quotas) == [3, 2, 2]
 
     def test_nonpositive_target_rejected(self):
         rng = np.random.default_rng(2)
@@ -107,10 +121,9 @@ class TestAllocateQuotas:
         # Random centroids give random parent maps, some parents without children.
         hierarchy = make_hierarchy(np.random.default_rng(centroid_seed), ks=ks, dim=3)
         pops = data.draw(st.lists(st.integers(0, 40), min_size=ks[0], max_size=ks[0]))
-        tree = allocate_quotas(hierarchy, pops, n_target)
-        parents = [pmap.tolist() for pmap in hierarchy.parents]
-        assert [q.tolist() for q in tree.level_quotas] == quotas_reference(ks, parents, pops, n_target)
-        assert tree.total == min(n_target, sum(pops))
+        quotas = allocate_quotas(hierarchy, pops, n_target)
+        assert level_sums(hierarchy, quotas) == quotas_reference(ks, parent_lists(hierarchy), pops, n_target)
+        assert quotas.sum() == min(n_target, sum(pops))
 
     def test_invariants_randomized(self):
         rng = np.random.default_rng(3)
@@ -119,14 +132,10 @@ class TestAllocateQuotas:
             hierarchy = make_hierarchy(rng, ks=ks, dim=4)
             pops = rng.integers(0, 40, size=ks[0])
             n = int(rng.integers(1, 900))
-            tree = allocate_quotas(hierarchy, pops, n_target=n)
-            assert tree.total == min(n, pops.sum())
-            assert tree.leaf_quotas.sum() == tree.total
-            assert np.all(tree.leaf_quotas <= pops)
-            pmap = hierarchy.parents[0].astype(int)
-            for parent in range(ks[1]):
-                children = np.flatnonzero(pmap == parent)
-                assert tree.leaf_quotas[children].sum() == tree.level_quotas[1][parent]
+            quotas = allocate_quotas(hierarchy, pops, n_target=n)
+            assert quotas.sum() == min(n, pops.sum())
+            assert np.all(quotas <= pops)
+            assert level_sums(hierarchy, quotas) == quotas_reference(ks, parent_lists(hierarchy), pops, n)
 
 
 class TestStreamSelect:
@@ -329,7 +338,7 @@ def assert_round_trip(state):
     with tempfile.TemporaryDirectory() as tmp:
         path, again = Path(tmp) / "sel.ckpt", Path(tmp) / "again.ckpt"
         save_checkpoint(state, path)
-        loaded = load_checkpoint(path)
+        loaded, _, _ = load_checkpoint(path)
         assert loaded == state
         assert by_leaf(loaded) == by_leaf(state)
         save_checkpoint(loaded, again)
@@ -452,7 +461,7 @@ class TestFoldAtScale:
         assert merge(*halves[::-1]) == whole
         path = tmp_path / "sel.ckpt"
         save_checkpoint(stream_select(shards[:5], hierarchy, quotas), path)
-        assert stream_select(shards[5:], hierarchy, quotas, state=load_checkpoint(path)) == whole
+        assert stream_select(shards[5:], hierarchy, quotas, state=load_checkpoint(path)[0]) == whole
         assert_round_trip(whole)
 
 
@@ -486,8 +495,8 @@ class TestEmitAndPopulations:
 
         pops = count_populations([shard], hierarchy)
         assert pops.sum() == 1000
-        tree = allocate_quotas(hierarchy, pops, n_target=100)
-        state = stream_select([shard], hierarchy, tree)
+        quotas = allocate_quotas(hierarchy, pops, n_target=100)
+        state = stream_select([shard], hierarchy, quotas)
         rows = emit(state, hierarchy, index).rows
         assert len(rows) == 100
         assert set(rows["source"]) == {"hkmeans"}
@@ -544,11 +553,11 @@ class TestCheckpoint:
         state = stream_select([shard], hierarchy, quotas)
         path = tmp_path / "sel.ckpt"
         assert save_checkpoint(state, path) == len(path.read_bytes())
-        loaded = load_checkpoint(path)
-        assert loaded == state
+        loaded, digests, end = load_checkpoint(path)
+        assert loaded == state and digests == []
         rows = [(leaf, wid, dist) for leaf, pairs in enumerate(by_leaf(state)) for dist, wid in pairs]
         assert path.read_bytes() == journal(quotas, record_bytes(rows, processed=n))
-        assert loaded.journal_end == len(path.read_bytes())
+        assert end == len(path.read_bytes())
         # canonical bytes: saving the loaded state reproduces the file
         save_checkpoint(loaded, tmp_path / "sel2.ckpt")
         assert (tmp_path / "sel2.ckpt").read_bytes() == path.read_bytes()
@@ -566,7 +575,7 @@ class TestCheckpoint:
         state = stream_select([first], hierarchy, quotas)
         path = tmp_path / "sel.ckpt"
         save_checkpoint(state, path)
-        resumed = stream_select([second], hierarchy, quotas, state=load_checkpoint(path))
+        resumed = stream_select([second], hierarchy, quotas, state=load_checkpoint(path)[0])
         whole = stream_select([EmbeddingShard(dim=4, window_ids=ids, vectors=vectors)], hierarchy, quotas)
         assert resumed == whole
 
@@ -591,7 +600,7 @@ class TestCheckpoint:
             for part in np.array_split(np.arange(3000), 6)
         ]
         populations = count_populations(shards, hierarchy)
-        quotas = allocate_quotas(hierarchy, populations, 1200).leaf_quotas
+        quotas = allocate_quotas(hierarchy, populations, 1200)
         capped = (quotas == populations) & (populations > 0)
         assert capped.any() and (quotas < populations).any()
         return hierarchy, shards, quotas
@@ -612,13 +621,12 @@ class TestCheckpoint:
         state = stream_select(shards, hierarchy, quotas, records=records)
         path, end = tmp_path / "sel.ckpt", 0
         for i, record in enumerate(records):
-            record.shard_digests = [hashlib.sha256(b"shard %d" % i).digest()]
-            end = save_checkpoint(record, path, end)
+            end = save_checkpoint(record, path, end, [hashlib.sha256(b"shard %d" % i).digest()])
         assert end == len(path.read_bytes())
         # the journal holds more rows than the state, and fewer than were folded
         assert len(state.held) < sum(len(r.held) for r in records) < state.processed
-        loaded = load_checkpoint(path)
-        assert loaded == state and len(loaded.shard_digests) == len(shards)
+        loaded, digests, _ = load_checkpoint(path)
+        assert loaded == state and len(digests) == len(shards)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "7eeb6690bc684268677eb91476d9ab60c45d73b1b5ef308d28aa6066c9501545"
 
@@ -634,15 +642,15 @@ class TestCheckpoint:
             path, end = Path(tmp) / "sel.ckpt", 0
             for i, shard in enumerate(shards):
                 stream_select([shard], hierarchy, quotas, state=state, records=records)
-                records[-1].shard_digests = [bytes([i]) * 32]
-                start, end = end or header_size(len(quotas)), save_checkpoint(records[-1], path, end)
-                loaded = load_checkpoint(path)
+                digest = [bytes([i]) * 32]
+                start, end = end or header_size(len(quotas)), save_checkpoint(records[-1], path, end, digest)
+                loaded, _, _ = load_checkpoint(path)
                 assert loaded == state and by_leaf(loaded) == by_leaf(state)
                 path.write_bytes(path.read_bytes()[: data.draw(st.integers(start, end - 1))])
-                torn = load_checkpoint(path)
-                assert torn.journal_end == start and len(torn.shard_digests) == i
-                assert save_checkpoint(records[-1], path, torn.journal_end) == end
-                assert load_checkpoint(path) == state
+                _, digests, torn_end = load_checkpoint(path)
+                assert torn_end == start and len(digests) == i
+                assert save_checkpoint(records[-1], path, torn_end, digest) == end
+                assert load_checkpoint(path)[0] == state
 
     @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")])
     def test_invalid_distance_rejected_at_its_entry(self, tmp_path, bad):
@@ -674,7 +682,7 @@ class TestCheckpoint:
             for split in (7, n % 7):
                 parts = [record_bytes(shuffled[:split]), record_bytes(shuffled[split:])]
                 path.write_bytes(journal([0, 4, 3], *parts))
-                loaded = load_checkpoint(path)
+                loaded, _, _ = load_checkpoint(path)
                 assert loaded == state
                 save_checkpoint(loaded, tmp_path / "again.ckpt")
                 assert (tmp_path / "again.ckpt").read_bytes() == data
@@ -709,7 +717,7 @@ class TestCheckpoint:
         assert err.value.offset == header_size(2) + 32 + 24
         # one id in two leaves, or in one leaf of two records, is not a fault
         path.write_bytes(journal([2, 3], record_bytes([(0, 9, 0.25), (1, 9, 0.5)]), record_bytes([(1, 9, 0.125)])))
-        assert by_leaf(load_checkpoint(path)) == [[(0.25, 9)], [(0.125, 9)]]
+        assert by_leaf(load_checkpoint(path)[0]) == [[(0.25, 9)], [(0.125, 9)]]
 
     def test_leaf_index_beyond_leaf_count_rejected(self, tmp_path):
         path = tmp_path / "leaf.ckpt"
@@ -744,12 +752,12 @@ class TestCheckpoint:
                     load_checkpoint(path)
                 assert err.value.offset == header_size(2), flip
             else:
-                assert load_checkpoint(path).journal_end == header_size(2), flip
+                assert load_checkpoint(path)[2] == header_size(2), flip
             path.write_bytes(journal([1, 1], bytes(bad)))
-            torn = load_checkpoint(path)
-            assert (torn.processed, len(torn.held), torn.journal_end) == (0, 0, header_size(2)), flip
+            torn, _, end = load_checkpoint(path)
+            assert (torn.processed, len(torn.held), end) == (0, 0, header_size(2)), flip
         path.write_bytes(journal([1, 1], first, second))
-        assert load_checkpoint(path).processed == 7
+        assert load_checkpoint(path)[0].processed == 7
 
     def test_truncation_detected(self, tmp_path):
         """A cut inside the last record is the torn tail of its append: the
@@ -760,16 +768,15 @@ class TestCheckpoint:
         save_checkpoint(state, path)
         data = path.read_bytes()
         path.write_bytes(data[:-4])
-        torn = load_checkpoint(path)
-        assert torn == SelectionState.empty([2, 1]) and torn.journal_end == header_size(2)
-        assert save_checkpoint(state, path, torn.journal_end) == len(data)
+        torn, _, end = load_checkpoint(path)
+        assert torn == SelectionState.empty([2, 1]) and end == header_size(2)
+        assert save_checkpoint(state, path, end) == len(data)
         assert path.read_bytes() == data
 
     def test_every_cut_is_a_parse_error_or_a_dropped_record(self, tmp_path):
         state = three_entry_state()
-        state.shard_digests = [bytes(range(32)), bytes(32)]
         path = tmp_path / "c.ckpt"
-        save_checkpoint(state, path)
+        save_checkpoint(state, path, 0, [bytes(range(32)), bytes(32)])
         data = path.read_bytes()
         header = header_size(3)
         for cut in range(header):
@@ -778,28 +785,27 @@ class TestCheckpoint:
                 load_checkpoint(path)
         for cut in [*range(header, len(data)), len(data) + 1]:
             path.write_bytes((data + b"\x00")[:cut])
-            loaded = load_checkpoint(path)
+            loaded, _, end = load_checkpoint(path)
             whole = cut == len(data) + 1
             assert loaded == (state if whole else SelectionState.empty([2, 0, 3])), cut
-            assert loaded.journal_end == (len(data) if whole else header), cut
+            assert end == (len(data) if whole else header), cut
 
     def test_shard_digest_trailer(self, tmp_path):
         """A record's digests come right after its 32-byte head, in order."""
         state = SelectionState.empty([1, 2])
         state.fold([1], [9], [0.5])
         digests = [hashlib.sha256(b"shard-a").digest(), hashlib.sha256(b"shard-b").digest()]
-        state.shard_digests = list(digests)
         path = tmp_path / "c.ckpt"
-        save_checkpoint(state, path)
+        save_checkpoint(state, path, 0, digests)
         data = path.read_bytes()
         assert data[:8] == b"PAMSEL04"
         record = header_size(2)
         assert len(data) == record + 32 + 32 * len(digests) + 24 + 32
         assert struct.unpack_from("<QQ", data, record) == (24 + 32 * 2 + 24, 2)
         assert data[record + 32 : record + 32 + 64] == b"".join(digests)
-        loaded = load_checkpoint(path)
+        loaded, loaded_digests, _ = load_checkpoint(path)
         assert loaded == state
-        assert loaded.shard_digests == digests
+        assert loaded_digests == digests
 
     def test_leaf_count_beyond_file_size_rejected(self, tmp_path):
         path = tmp_path / "huge.ckpt"

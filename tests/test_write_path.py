@@ -9,12 +9,14 @@ module may open a file for writing anywhere else.  Likewise, no module may decod
 the few readers that own a text format, none but ``cli._shards`` may read
 an embedding shard, none may import ``threading``,
 ``multiprocessing`` or ``concurrent``, none may hold an ``assert``
-statement, and every public name must be used elsewhere in the package.
+statement, every public name must be used elsewhere in the package, and
+every public dataclass field must be read outside its own class.
 """
 
 import ast
 import os
 import stat
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +49,6 @@ def _aligned_set(deployment):
 def _state():
     state = hsample.SelectionState.empty([2, 1])
     state.fold([0], [5], [0.25])
-    state.shard_digests = [bytes(32)]
     return state
 
 
@@ -64,7 +65,7 @@ WRITERS = {
     "save_deployment": ("d.json", lambda p, d: save_deployment(d, p)),
     "write_sidecar": ("a.csv", lambda p, d: geo_align.write_sidecar(_aligned_set(d), p)),
     "save_model": ("model.bin", lambda p, d: hkmeans.save_model(make_hierarchy(np.random.default_rng(1)), p)),
-    "save_checkpoint": ("sel.ckpt", lambda p, d: hsample.save_checkpoint(_state(), p)),
+    "save_checkpoint": ("sel.ckpt", lambda p, d: hsample.save_checkpoint(_state(), p, 0, [bytes(32)])),
     "_write_json": ("x.json", lambda p, d: cli._write_json(p, {"a": 1})),
     "write_atomic": ("raw.bin", lambda p, d: write_atomic(p, b"new")),
 }
@@ -149,11 +150,20 @@ def test_directory_fsynced_after_rename(tmp_path, monkeypatch):
 
 
 def test_written_files_get_the_usual_permissions(tmp_path):
-    write_atomic(tmp_path / "atomic", "x")
-    append_durable(tmp_path / "appended", b"x", 0)
-    (tmp_path / "plain").write_text("x")
-    assert (tmp_path / "atomic").stat().st_mode == (tmp_path / "plain").stat().st_mode
-    assert (tmp_path / "appended").stat().st_mode == (tmp_path / "plain").stat().st_mode
+    # the umask the process started with, and one set after the package was imported
+    for umask in (None, 0o077):
+        out = tmp_path / f"umask-{umask}"
+        out.mkdir()
+        old = os.umask(umask) if umask is not None else None
+        try:
+            write_atomic(out / "atomic", "x")
+            append_durable(out / "appended", b"x", 0)
+            (out / "plain").write_text("x")
+        finally:
+            if old is not None:
+                os.umask(old)
+        assert (out / "atomic").stat().st_mode == (out / "plain").stat().st_mode, umask
+        assert (out / "appended").stat().st_mode == (out / "plain").stat().st_mode, umask
 
 
 def test_append_cuts_the_torn_tail_and_fsyncs_what_it_creates(tmp_path, monkeypatch):
@@ -627,6 +637,38 @@ def unused_public_names(sources: dict[str, str]) -> list[str]:
     return sorted(qualified for qualified, name in defined if name not in used)
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if (target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _attribute_reads(node: ast.AST) -> Counter:
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute) and not isinstance(n.ctx, ast.Store))
+
+
+def unread_dataclass_fields(sources: dict[str, str]) -> list[str]:
+    """``module.Class.field`` of every public field of a ``@dataclass`` in
+    ``sources`` (module name -> source) that no ``ast.Attribute`` load
+    outside the class's own body reads.  A ``getattr`` by a computed name,
+    as a generic ``__eq__`` makes, is not a read."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = sum((_attribute_reads(tree) for tree in trees.values()), Counter())
+    unread = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                inside = _attribute_reads(node)
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        name = item.target.id
+                        if not name.startswith("_") and reads[name] <= inside[name]:
+                            unread.append(f"{module}.{node.name}.{name}")
+    return sorted(unread)
+
+
 def test_guard_finds_every_unused_public_name():
     sources = {
         "a": "\n".join(
@@ -648,10 +690,30 @@ def test_guard_finds_every_unused_public_name():
                 "_SCALE: float = 2.0",
                 "_SPARE_SCALE = 5.0",
                 "__all__ = ['used']",
+                "@dataclasses.dataclass(frozen=True)",
+                "class Box:",
+                "    size: int",
+                "    extra: int",
+                "    _hidden: int",
+                "    def __eq__(self, other): return self.extra == getattr(other, 'extra') == getattr(self, 'size')",
+                "@dataclass",
+                "class Pair:",
+                "    left: int",
+                "    right: int",
             ]
         ),
-        "b": "from a import unused, Lonely\nused()\nx: Shape = s.area() + s.width * a.LIMIT * _SCALE\nSPARE = 1\n",
+        "b": "\n".join(
+            [
+                "from a import unused, Lonely",
+                "used()",
+                "x: Shape = s.area() + s.width * a.LIMIT * _SCALE",
+                "SPARE = 1",
+                "Box(1, 2, 3).size",
+                "p = Pair(left=1, right=2); p.right = p.left",
+            ]
+        ),
     }
+    assert unread_dataclass_fields(sources) == ["a.Box.extra", "a.Pair.right"]
     assert unused_public_names(sources) == [
         "a.Lonely",
         "a.SPARE",
@@ -667,3 +729,4 @@ def test_guard_finds_every_unused_public_name():
 def test_package_defines_only_what_it_uses():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     assert set(unused_public_names(sources)) == LIBRARY_API
+    assert unread_dataclass_fields(sources) == []
