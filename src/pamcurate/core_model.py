@@ -200,7 +200,8 @@ def parse_utc(text: str) -> int:
 
 
 def format_utc(epoch_s: int) -> str:
-    return datetime.fromtimestamp(epoch_s, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
+    """``YYYY-MM-DDTHH:MM:SS`` of Unix epoch seconds, the year zero-padded to four digits."""
+    return datetime.fromtimestamp(epoch_s, tz=timezone.utc).replace(tzinfo=None).isoformat()
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +249,8 @@ class Recording:
 
     @property
     def window_count(self) -> int:
-        return window_count(self.duration_s)
-
-    @property
-    def window_offsets(self) -> range:
-        return range(0, self.window_count * WINDOW_S, WINDOW_S)
+        """Number of complete 10-second windows in the recording."""
+        return self.duration_s // WINDOW_S
 
 
 @dataclass(frozen=True, slots=True)
@@ -282,46 +280,34 @@ class Hydrophone:
 # ---------------------------------------------------------------------------
 
 
-def window_count(duration_s: int) -> int:
-    """Number of complete 10-second windows in a recording of ``duration_s``."""
-    if duration_s < 0:
-        raise ValidationError(f"duration_s {duration_s} < 0")
-    return int(duration_s) // WINDOW_S
-
-
 def window_id_of(hydrophone_id: str, recording_id: str, offset_s: int) -> int:
     """Stable 64-bit id of a window.
 
     Defined as the big-endian integer value of the 8-byte BLAKE2b digest of
-    the UTF-8 string ``"{hydrophone_id}/{recording_id}/{offset_s}"``.  The
-    id scheme is part of the on-disk contract: independently produced shards
-    and manifests must agree on it.
+    the UTF-8 string ``"{hydrophone_id}/{recording_id}/{offset_s}"``, which
+    is hashed here in one call.  The id scheme is part of the on-disk
+    contract: independently produced shards and manifests must agree on it.
     """
     _require_token(hydrophone_id, "hydrophone id")
     _require_token(recording_id, "recording id")
     if offset_s < 0 or offset_s % WINDOW_S != 0:
         raise ValidationError(f"window offset {offset_s} must be a non-negative multiple of {WINDOW_S}")
-    return int.from_bytes(_window_digests(hydrophone_id, recording_id, [offset_s])[0], "big")
+    digest = hashlib.blake2b(f"{hydrophone_id}/{recording_id}/{offset_s}".encode(), digest_size=8).digest()
+    return int.from_bytes(digest, "big")
 
 
-def _window_digests(hydrophone_id: str, recording_id: str, offsets) -> list[bytes]:
-    """The 8-byte window id digest of each of the int ``offsets`` of one
-    recording, without the checks of :func:`window_id_of`.  The
-    ``"{hydrophone_id}/{recording_id}/"`` prefix is hashed once; each digest
-    copies that BLAKE2b state and adds its offset's digits."""
+def _recording_window_ids(hydrophone_id: str, recording_id: str, offsets) -> np.ndarray:
+    """The :func:`window_id_of` of each of the int ``offsets`` of one
+    recording, without its checks, as a ``uint64`` array.  The
+    ``"{hydrophone_id}/{recording_id}/"`` prefix is hashed once; each id
+    copies that BLAKE2b state and adds its offset's digits, which in bulk
+    is faster than hashing each id's string whole."""
     prefix = hashlib.blake2b(f"{hydrophone_id}/{recording_id}/".encode(), digest_size=8)
     digests = []
     for offset in offsets:
         state = prefix.copy()
         state.update(b"%d" % offset)
         digests.append(state.digest())
-    return digests
-
-
-def _recording_window_ids(hydrophone_id: str, recording_id: str, offsets) -> np.ndarray:
-    """The :func:`window_id_of` of each of the int ``offsets`` of one
-    recording, without its checks, as a ``uint64`` array."""
-    digests = _window_digests(hydrophone_id, recording_id, offsets)
     return np.fromiter(map(int.from_bytes, digests, repeat("big")), np.uint64, count=len(digests))
 
 
@@ -335,7 +321,8 @@ class WindowIndex:
         self._recording_ids = np.array([rec.id for _, rec in recordings], dtype=object)
         counts = np.array([rec.window_count for _, rec in recordings], dtype=np.int64)
         ids = np.concatenate(
-            [np.empty(0, np.uint64), *(_recording_window_ids(hid, rec.id, rec.window_offsets) for hid, rec in recordings)]
+            [np.empty(0, np.uint64)]
+            + [_recording_window_ids(h, rec.id, range(0, rec.window_count * WINDOW_S, WINDOW_S)) for h, rec in recordings]
         )
         recording = np.repeat(np.arange(len(recordings)), counts)
         first = np.repeat(np.cumsum(counts) - counts, counts)  # index of the first window of each id's recording

@@ -211,7 +211,6 @@ class ClusterHierarchy:
 
     levels: tuple[CentroidSet, ...]
     parents: tuple[np.ndarray, ...] = field(init=False, compare=False)
-    _paths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         levels = tuple(self.levels)
@@ -228,11 +227,6 @@ class ClusterHierarchy:
         )
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "parents", parents)
-        # Root-to-leaf index paths, one row per leaf.
-        chain = [np.arange(levels[0].k, dtype=np.int64)]
-        for pmap in parents:
-            chain.append(pmap.astype(np.int64)[chain[-1]])
-        object.__setattr__(self, "_paths", np.stack(chain[::-1], axis=1))
 
     @property
     def dim(self) -> int:
@@ -241,10 +235,6 @@ class ClusterHierarchy:
     @property
     def leaf_count(self) -> int:
         return self.levels[0].k
-
-    def path_of(self, leaf: int) -> tuple[int, ...]:
-        """Cluster indices root -> leaf for one finest-level cluster."""
-        return tuple(int(c) for c in self._paths[leaf])
 
 
 @dataclass(frozen=True)
@@ -376,12 +366,7 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
 # ---------------------------------------------------------------------------
 
 
-def minibatch_fit(
-    source,
-    k: int,
-    config: FitConfig,
-    init: np.ndarray | None = None,
-) -> CentroidSet:
+def minibatch_fit(source, k: int, config: FitConfig) -> CentroidSet:
     """Streaming k-means over the :func:`_batches` of ``source``: per batch,
     assign to the nearest centroid, then move each centroid to the running
     mean of the points it has absorbed.
@@ -389,22 +374,16 @@ def minibatch_fit(
     Per-centroid absorption counts reset at the start of every pass, so a
     pass behaves as one incremental Lloyd step over the stream; with
     ``batch_size`` covering the whole stream each pass IS an exact Lloyd
-    iteration.  Unless ``init`` is given, centroids are seeded by k-means++
-    over the first ``max(10k, batch_size)`` rows of the first pass, whose
-    batches are then fitted like the rest.
+    iteration.  Centroids are seeded by k-means++ over the first
+    ``max(10k, batch_size)`` rows of the first pass, whose batches are then
+    fitted like the rest.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
     rng = np.random.default_rng(config.seed)
-    centroids: np.ndarray | None = None
-    if init is not None:
-        centroids = np.array(init, dtype=np.float64)
-        if centroids.ndim != 2 or centroids.shape[0] != k:
-            raise ValidationError(f"init must have shape (k={k}, dim), got {centroids.shape}")
-
     for pass_idx in range(config.passes):
         batches = map(_normalize_rows, _batches(source, config.batch_size))
-        if centroids is None:
+        if pass_idx == 0:
             prefix_rows = max(10 * k, config.batch_size)
             head = list(itertools.islice(batches, -(-prefix_rows // config.batch_size)))
             rows = sum(map(len, head))

@@ -15,9 +15,11 @@ A fold sorts only the shard's survivors, the records that beat their full
 leaf's worst held row, and merges them into the already sorted held rows:
 its cost per shard is a sort of the survivors, one sort of the held
 ``(leaf, window_id)`` pair keys, and linear passes over the held rows.
-Both the sort and the search for their places use the native order of a
+The survivors are sorted by one ``np.lexsort`` of their three keys.  The
+search for their places in the held rows uses the native order of a
 ``complex128`` key ``leaf + 1j*distance``; only rows that tie on both fall
-back to the window id, the last key of held order.
+back to a structured search that adds the window id, the last key of
+held order.
 
 A checkpointed run keeps its state as a journal (:func:`save_checkpoint`):
 after each shard it appends that shard's record, its digest and the rows
@@ -176,7 +178,7 @@ class SelectionState:
         # one's place by (leaf, distance) alone, and by the window id too only
         # where a held row has the survivor's (leaf, distance).  Row i lands at
         # at[i] + i, after any held row equal to it.
-        rows = rows[_order(rows)]
+        rows = rows[np.lexsort((rows["window_id"], rows["distance"], rows["leaf"]))]
         keys, row_keys = _keys(held), _keys(rows)
         at = np.searchsorted(keys, row_keys)
         if len(held) and len(tied := np.flatnonzero(keys[np.minimum(at, len(held) - 1)] == row_keys)):
@@ -213,20 +215,6 @@ def _keys(rows: np.ndarray) -> np.ndarray:
     keys = np.empty(len(rows), np.complex128)
     keys.real, keys.imag = rows["leaf"], rows["distance"]
     return keys
-
-
-def _order(rows: np.ndarray) -> np.ndarray:
-    """The permutation that sorts ``rows`` by ``(leaf, distance, window_id)``:
-    a stable sort by :func:`_keys`, then each run of equal keys by window id."""
-    keys = _keys(rows)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    tied = np.flatnonzero(keys[1:] == keys[:-1])
-    if len(tied):
-        at = np.union1d(tied, tied + 1)
-        run = np.cumsum(np.r_[True, (np.diff(at) != 1) | (keys[at[1:]] != keys[at[:-1]])])
-        order[at] = order[at][np.lexsort((rows["window_id"][order[at]], run))]
-    return order
 
 
 def _repeats(rows: np.ndarray, *columns: np.ndarray) -> np.ndarray:
@@ -272,6 +260,8 @@ def stream_select(
     :func:`save_checkpoint` appends to a journal.
     """
     quotas = np.asarray(quotas, dtype=np.int64)
+    if quotas.shape != (hierarchy.leaf_count,):
+        raise ValidationError(f"quotas shape {quotas.shape} != ({hierarchy.leaf_count},)")
     if state is None:
         state = SelectionState.empty(quotas)
     elif not np.array_equal(state.quotas, quotas):
@@ -310,10 +300,18 @@ def count_populations(shards: Iterable[EmbeddingShard], hierarchy: ClusterHierar
 
 def emit(state: SelectionState, hierarchy: ClusterHierarchy, window_index: WindowIndex) -> CurationManifest:
     """The manifest of the selected windows: each row's coordinates from
-    ``window_index`` and the cluster path of its leaf.  A window id held in
-    two leaves, which two vectors for it in the shards can give, is a
-    ValidationError."""
-    paths = np.array(["/".join(map(str, hierarchy.path_of(leaf))) for leaf in range(len(state.quotas))], dtype=object)
+    ``window_index`` and the cluster path of its leaf, its root-to-leaf
+    cluster indices joined by ``/``, built up from ``hierarchy.parents``.
+    A state whose quotas are not one per leaf of ``hierarchy``, or a window
+    id held in two leaves, which two vectors for it in the shards can give,
+    is a ValidationError."""
+    if state.quotas.shape != (hierarchy.leaf_count,):
+        raise ValidationError(f"state quotas shape {state.quotas.shape} != ({hierarchy.leaf_count},)")
+    node = np.arange(hierarchy.leaf_count)
+    paths = node.astype(str).astype(object)
+    for pmap in hierarchy.parents:
+        node = pmap[node]
+        paths = node.astype(str).astype(object) + "/" + paths
     held = state.held[np.argsort(state.held["window_id"], kind="stable")]
     twice = np.flatnonzero(held["window_id"][1:] == held["window_id"][:-1])
     if len(twice):

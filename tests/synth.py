@@ -192,7 +192,7 @@ def iter_windows(config: DeploymentConfig) -> Iterator[AudioWindow]:
     """Every window of a deployment, one at a time, in config order."""
     for h in config.hydrophones:
         for rec in h.recordings:
-            for off in rec.window_offsets:
+            for off in range(0, rec.window_count * WINDOW_S, WINDOW_S):
                 yield AudioWindow(window_id_of(h.id, rec.id, off), h.id, rec.id, off)
 
 

@@ -21,7 +21,6 @@ from pamcurate.core_model import (
     read_manifest,
     read_shard,
     save_deployment,
-    window_count,
     window_id_of,
     write_manifest,
     write_shard,
@@ -42,6 +41,11 @@ GOLDEN_WINDOW_ID = 3636452270766846254
 TOKENS = st.text("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-", min_size=1, max_size=12)
 # The last window offset before each digit count grows, and the first after: 90/100, 990/1000, ... 10**12.
 DIGIT_BOUNDARIES = [offset for k in range(2, 13) for offset in (10**k - 10, 10**k)]
+
+
+def window_count(duration_s):
+    """The window count of a recording of ``duration_s``."""
+    return Recording(id="R1", start=0, duration_s=duration_s, native_sample_rate_hz=1).window_count
 
 
 class TestWindowArithmetic:
@@ -339,6 +343,15 @@ class TestDeploymentConfig:
         path = tmp_path / "deploy.json"
         save_deployment(deployment, path)
         assert load_deployment(path) == deployment
+
+    @pytest.mark.parametrize("year", [1, 999, 1000, 9999])
+    def test_save_load_round_trip_any_year(self, year, tmp_path):
+        start = parse_utc(f"{year:04d}-03-04T05:06:07")
+        recording = Recording(id="R1", start=start, duration_s=60, native_sample_rate_hz=1)
+        config = DeploymentConfig(hydrophones=(Hydrophone(id="H1", location=GeoPoint(0.0, 0.0), recordings=(recording,)),))
+        path = tmp_path / "deploy.json"
+        save_deployment(config, path)
+        assert load_deployment(path) == config
 
     def test_overlapping_recordings_rejected(self):
         with pytest.raises(ValidationError, match="overlap"):

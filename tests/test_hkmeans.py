@@ -34,6 +34,19 @@ def norm_rows(x):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
+def path_of(hierarchy, leaf):
+    """Cluster indices root -> leaf of one finest-level cluster, up ``hierarchy.parents``."""
+    chain = [leaf]
+    for pmap in hierarchy.parents:
+        chain.append(int(pmap[chain[-1]]))
+    return tuple(chain[::-1])
+
+
+def fit_seed(points, k, seed):
+    """The centroids ``minibatch_fit`` seeds with when one batch covers ``points``."""
+    return _kmeans_pp_init(_normalize_rows(points), k, np.random.default_rng(seed))
+
+
 def three_blobs(seed, n=600, weights=(1 / 3, 1 / 3, 1 / 3), stddevs=(0.1, 0.1, 0.1)):
     spec = MixtureSpec(
         k=3,
@@ -460,18 +473,18 @@ class TestMinibatchFit:
     def test_single_pass_full_batch_is_one_lloyd_iteration(self):
         rng = np.random.default_rng(5)
         points = norm_rows(rng.normal(size=(200, 6)))
-        init = points[:8].copy()
-        cs = minibatch_fit(points, 8, FitConfig(batch_size=len(points), passes=1, seed=0), init=init)
+        init = fit_seed(points, 8, seed=0)
+        cs = minibatch_fit(points, 8, FitConfig(batch_size=len(points), passes=1, seed=0))
         expected = lloyd_reference(points, 8, init=init, max_iter=1)
         assert np.allclose(cs.centroids, expected, rtol=self.FLOAT32_RTOL, atol=1e-12)
 
     def test_multi_pass_full_batch_follows_lloyd_trajectory(self):
         rng = np.random.default_rng(9)
         points = norm_rows(rng.normal(size=(300, 5)))
-        init = points[::60].copy()  # 5 spread-out starting points
+        init = fit_seed(points, 5, seed=0)
         _, trajectory = lloyd_reference(points, 5, init=init, max_iter=6, collect_trajectory=True)
         for passes in range(1, 7):
-            cs = minibatch_fit(points, 5, FitConfig(batch_size=len(points), passes=passes, seed=0), init=init)
+            cs = minibatch_fit(points, 5, FitConfig(batch_size=len(points), passes=passes, seed=0))
             expected = trajectory[min(passes, len(trajectory)) - 1]
             assert np.allclose(cs.centroids, expected, rtol=self.FLOAT32_RTOL, atol=1e-12)
 
@@ -601,7 +614,7 @@ class TestBuildHierarchy:
         points, _ = three_blobs(seed=3, n=200)
         hierarchy = build_hierarchy(points, FitConfig(level_ks=(3,), batch_size=64, passes=1, seed=0))
         assert hierarchy.parents == ()
-        assert hierarchy.path_of(2) == (2,)
+        assert path_of(hierarchy, 2) == (2,)
 
     def test_level_ks_must_strictly_decrease(self):
         with pytest.raises(ValidationError):
@@ -759,7 +772,7 @@ class TestAssignPath:
 
     def _path(self, vector, hierarchy):
         leaf, dist = assign_batch([vector], hierarchy)
-        return hierarchy.path_of(int(leaf[0])), float(dist[0])
+        return path_of(hierarchy, int(leaf[0])), float(dist[0])
 
     def test_vector_on_leaf_centroid(self):
         hierarchy = self._unit_hierarchy()

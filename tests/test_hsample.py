@@ -187,6 +187,13 @@ class TestStreamSelect:
         with pytest.raises(ValidationError, match="vector dim 3 != model dim 2"):
             count_populations([good, bad], hierarchy)
 
+    @pytest.mark.parametrize("leaves", [8, 20])
+    def test_quotas_not_one_per_leaf_rejected(self, leaves):
+        rng = np.random.default_rng(37)
+        hierarchy = make_hierarchy(rng, ks=(16, 4), dim=3)
+        with pytest.raises(ValidationError, match=rf"quotas shape \({leaves},\) != \(16,\)"):
+            stream_select([random_shard(rng, 200, 3)], hierarchy, np.ones(leaves, np.int64))
+
     def test_memory_bound_respected(self):
         rng = np.random.default_rng(11)
         hierarchy = make_hierarchy(rng, ks=(5, 2), dim=3)
@@ -506,6 +513,13 @@ class TestEmitAndPopulations:
         for leaf in range(8):
             for _, wid in by_leaf(state)[leaf]:
                 assert leafs[wid] == leaf
+
+    def test_checkpoint_of_another_model_rejected(self, tmp_path):
+        hierarchy = make_hierarchy(np.random.default_rng(41), ks=(16, 4), dim=3)
+        save_checkpoint(SelectionState.empty(np.ones(20, np.int64)), tmp_path / "select.ckpt")
+        state, _, _ = load_checkpoint(tmp_path / "select.ckpt")
+        with pytest.raises(ValidationError, match=r"state quotas shape \(20,\) != \(16,\)"):
+            emit(state, hierarchy, NO_WINDOWS)
 
     def test_unknown_window_rejected(self):
         hierarchy = one_leaf_hierarchy()
